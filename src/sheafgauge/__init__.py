@@ -29,7 +29,7 @@ from .errors import (
     SpanError,
     UnknownRegionError,
 )
-from .report import CheckResult, Report, combine_max
+from .report import CheckResult, Report
 from .jets import (
     Jet,
     JetMatrix,
@@ -50,7 +50,6 @@ from .jets import (
     mat_inv,
     mat_mul,
     mat_scale,
-    mat_sub,
     mat_transpose,
     point_order,
 )
@@ -112,7 +111,6 @@ from .associated import (
     trivial_rep,
 )
 from .vconn import (
-    LocalFrame,
     VectorConnection,
     check_frame_roundtrip,
     check_leibniz_koszul,
@@ -149,7 +147,7 @@ from .scenario import (
     load_scenario,
     parse_scenario,
 )
-from .checks import SUITES, run_checks
+from .checks import SUITES, TOLERANCES, run_checks
 
 __version__ = "0.1.0"
 

@@ -24,13 +24,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .cover import SampledCover, glue, transport_field
+from .cover import TAU_GLUE, SampledCover, glue, transport_field
 from .errors import (
     EmptyOverlapError,
     EquivarianceError,
     FieldMismatchError,
     ScenarioError,
-    SpanError,
 )
 from .groups import GroupModel, gl_model, mc, rho_matrix, so2_model
 from .jets import (
@@ -42,16 +41,17 @@ from .jets import (
     mat_inv,
     mat_mul,
     mat_scale,
+    max_diff,
     point_order,
 )
 from .principal import (
-    TAU_GLUE,
     PrincipalSectionLocal,
     PrincipalSheafData,
+    _from_identity,
     check_cocycle,
     section_transition,
 )
-from .report import CheckResult, combine_max
+from .report import CheckResult, worst
 
 PUSH_TOL = 1e-10
 LIE_TYPE_TOL = 1e-9
@@ -193,17 +193,11 @@ class AssociatedSection:
     """Chart components of a section: column-vector fields keyed by region."""
     components: Mapping[str, MatrixField]
 
-    def charts(self) -> list[str]:
-        return sorted(self.components)
-
 
 @dataclass(frozen=True)
 class TensorialMorphismData:
     """An equivariant morphism recorded by its values on natural sections."""
     values: Mapping[str, MatrixField]
-
-    def charts(self) -> list[str]:
-        return sorted(self.values)
 
 
 def check_vector_cocycle(E: VectorSheafData,
@@ -225,30 +219,18 @@ def check_representation(R: RepresentationModel, samples,
                          tol: float = REP_TOL) -> CheckResult:
     """Morphism residual of phi over sample pairs: phi(gh) = phi(g)phi(h),
     and phi(1) = 1 on the domain of the first sample."""
-    results = []
+    pairs = []
     first = None
     for g, h in samples:
         first = first if first is not None else g
         lhs = R.phi(mat_mul(g, h))
         rhs = mat_mul(R.phi(g), R.phi(h))
-        worst, worst_p = 0.0, None
-        for p in lhs.ordered_points():
-            d = lhs.data[p].max_abs_diff(rhs.data[p])
-            if d > worst:
-                worst, worst_p = d, p
-        results.append(CheckResult("rep.hom", worst, tol, worst_p))
+        pairs += [(p, lhs.data[p].max_abs_diff(rhs.data[p]))
+                  for p in lhs.ordered_points()]
     if first is not None:
         unit = R.source.unit_field(first.region, first.points, first.dim)
-        img = R.phi(unit)
-        worst, worst_p = 0.0, None
-        for p in img.ordered_points():
-            m = img.data[p]
-            d = max(float(np.max(np.abs(m.value - np.eye(R.n)))),
-                    float(np.max(np.abs(m.grad))))
-            if d > worst:
-                worst, worst_p = d, p
-        results.append(CheckResult("rep.hom", worst, tol, worst_p))
-    return combine_max("rep.hom", results, tol)
+        pairs += _from_identity([R.phi(unit)])
+    return worst("rep.hom", tol, pairs)
 
 
 def check_lie_type(R: RepresentationModel, elements,
@@ -259,31 +241,20 @@ def check_lie_type(R: RepresentationModel, elements,
     applied to that of g; ``rho`` compares the two ways of carrying the
     adjoint action across phibar.  Reported separately.
     """
-    mc_res = CheckResult("lie_type.mc", 0.0, tol)
-    rho_res = CheckResult("lie_type.rho", 0.0, tol)
+    mc_pairs, rho_pairs = [], []
     for g in elements:
         img = R.phi(g)
         lhs = mc(R.target, img)
         rhs = mc(R.source, g)
-        worst, worst_p = 0.0, None
-        for p in point_order(lhs.data):
-            want = rhs.data[p] @ R.phibar
-            d = float(np.max(np.abs(lhs.data[p] - want), initial=0.0))
-            if d > worst:
-                worst, worst_p = d, p
-        mc_res = mc_res.max_with(CheckResult("lie_type.mc", worst, tol, worst_p))
+        mc_pairs += [(p, max_diff(lhs.data[p], rhs.data[p] @ R.phibar))
+                     for p in point_order(lhs.data)]
 
         rs = rho_matrix(R.source, g)
         rt = rho_matrix(R.target, img)
-        worst, worst_p = 0.0, None
-        for p in point_order(rs):
-            lhs_m = R.phibar.T @ rs[p]
-            rhs_m = rt[p] @ R.phibar.T
-            d = float(np.max(np.abs(lhs_m - rhs_m), initial=0.0))
-            if d > worst:
-                worst, worst_p = d, p
-        rho_res = rho_res.max_with(CheckResult("lie_type.rho", worst, tol, worst_p))
-    return {"mc": mc_res, "rho": rho_res}
+        rho_pairs += [(p, max_diff(R.phibar.T @ rs[p], rt[p] @ R.phibar.T))
+                      for p in point_order(rs)]
+    return {"mc": worst("lie_type.mc", tol, mc_pairs),
+            "rho": worst("lie_type.rho", tol, rho_pairs)}
 
 
 # -- sections -----------------------------------------------------------------
@@ -291,7 +262,7 @@ def check_lie_type(R: RepresentationModel, elements,
 def check_components(E: VectorSheafData, comps: Mapping[str, MatrixField],
                      tol: float = TAU_GLUE) -> CheckResult:
     """Compatibility of chart components: v_a = G_ab v_b where both live."""
-    worst = CheckResult("compat", 0.0, tol)
+    pairs = []
     charts = sorted(comps)
     for i, a in enumerate(charts):
         for b in charts[i + 1:]:
@@ -303,13 +274,9 @@ def check_components(E: VectorSheafData, comps: Mapping[str, MatrixField],
             vb = transport_field(comps[b].restrict(shared), E.cover, a)
             want = mat_mul(gab, vb)
             have = comps[a].restrict(shared)
-            w, wp = 0.0, None
-            for p in point_order(shared):
-                d = have.data[p].max_abs_diff(want.data[p])
-                if d > w:
-                    w, wp = d, p
-            worst = worst.max_with(CheckResult("compat", w, tol, wp))
-    return worst
+            pairs += [(p, have.data[p].max_abs_diff(want.data[p]))
+                      for p in point_order(shared)]
+    return worst("compat", tol, pairs)
 
 
 def _demand_compatible(E, comps, tol, what):

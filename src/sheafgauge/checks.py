@@ -13,19 +13,31 @@ whose entry names are stable, documented keys.  Suites select subsets:
     all         everything above
 
 Keys are present only when the scenario supplies their inputs: the
-push, liehom.def1 and roundtrip families need a representation, the
-connection and roundtrip families need a seed connection.  A check
-that raises one of this package's errors is reported as an ``error``
-entry rather than aborting the batch.  All randomness is drawn from
-generators seeded by the scenario name and the check key, so repeated
-runs produce byte-identical reports.
+push, liehom.rep.hom, liehom.def1 and roundtrip families need a
+representation, the connection family and the cor keys need a seed
+connection.  A check that raises one of this package's errors is
+reported as an ``error`` entry rather than aborting the batch.  All
+randomness is drawn from generators seeded by the scenario name and the
+check key, so repeated runs produce byte-identical reports.
+
+Each key passes when its residual is at most ``TOLERANCES[key]``.  A
+scenario's ``[tolerances]`` section overrides that threshold per report
+key and changes nothing else; any other key there is a ScenarioError,
+raised before any check runs.  The build steps the checks rest on
+(connection completion and induction, section compatibility, the
+pull-back image test) keep the library's fixed tolerances.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .associated import (
+    LIE_TYPE_TOL,
+    PUSH_TOL,
+    REP_TOL,
     check_lie_type,
     check_representation,
     check_vector_cocycle,
@@ -43,9 +55,9 @@ from .catalog import (
     stable_seed,
 )
 from .cover import TAU_GLUE
-from .errors import SheafGaugeError
-from .groups import check_logarithmic_rule, group_mul, lie_form_residual
-from .jets import field_residual, mat_inv, mat_mul
+from .errors import ScenarioError, SheafGaugeError
+from .groups import LOG_RULE_TOL, check_logarithmic_rule, group_mul
+from .jets import field_residual, mat_inv, mat_mul, max_diff, point_order
 from .principal import (
     COCYCLE_TOL,
     PrincipalSectionLocal,
@@ -53,7 +65,7 @@ from .principal import (
     check_connection,
     complete_connection,
 )
-from .report import CheckResult, Report
+from .report import CheckResult, Report, worst
 from .scenario import (
     Scenario,
     build_cover,
@@ -63,38 +75,47 @@ from .scenario import (
     build_seed,
 )
 from .vconn import (
-    IMAGE_TOL,
     KOSZUL_TOL,
     ROUNDTRIP_TOL,
     check_frame_roundtrip,
     check_vector_connection,
     induce_connection,
-    nabla_apply,
     check_leibniz_koszul,
     pull_back_connection,
 )
 
-PUSH_TOL = 1e-10
-REP_TOL = 1e-10
-LIE_TYPE_TOL = 1e-9
-CROSSED_TOL = 1e-9
-TENSORIAL_TOL = 1e-10
+# Default pass threshold of every report key, in report order.
+TOLERANCES = {
+    "cocycle.unit": COCYCLE_TOL,
+    "cocycle.inverse": COCYCLE_TOL,
+    "cocycle.triple": COCYCLE_TOL,
+    "push.unit": PUSH_TOL,
+    "push.inverse": PUSH_TOL,
+    "push.triple": PUSH_TOL,
+    "liehom.crossed": LOG_RULE_TOL,
+    "liehom.rep.hom": REP_TOL,
+    "liehom.def1.mc": LIE_TYPE_TOL,
+    "liehom.def1.rho": LIE_TYPE_TOL,
+    "connection.eq7": TAU_GLUE,
+    "induced.eq10": TAU_GLUE,
+    "koszul.eq8": KOSZUL_TOL,
+    "thm3.roundtrip": ROUNDTRIP_TOL,
+    "thm3.tensorial": 1e-10,
+    "cor1.roundtrip": ROUNDTRIP_TOL,
+    "cor2.roundtrip": ROUNDTRIP_TOL,
+}
 
-COCYCLE_KEYS = ("cocycle.unit", "cocycle.inverse", "cocycle.triple")
-PUSH_KEYS = ("push.unit", "push.inverse", "push.triple")
-LIEHOM_KEYS = ("liehom.crossed", "liehom.rep.hom",
-               "liehom.def1.mc", "liehom.def1.rho")
-CONNECTION_KEYS = ("connection.eq7", "induced.eq10", "koszul.eq8")
-ROUNDTRIP_KEYS = ("thm3.roundtrip", "thm3.tensorial",
-                  "cor1.roundtrip", "cor2.roundtrip")
+
+def _keys(*families: str) -> tuple[str, ...]:
+    return tuple(k for k in TOLERANCES if k.split(".")[0] in families)
+
 
 SUITES = {
-    "cocycle": COCYCLE_KEYS + PUSH_KEYS,
-    "liehom": LIEHOM_KEYS,
-    "connection": CONNECTION_KEYS,
-    "roundtrip": ROUNDTRIP_KEYS,
-    "all": COCYCLE_KEYS + PUSH_KEYS + LIEHOM_KEYS
-           + CONNECTION_KEYS + ROUNDTRIP_KEYS,
+    "cocycle": _keys("cocycle", "push"),
+    "liehom": _keys("liehom"),
+    "connection": _keys("connection", "induced", "koszul"),
+    "roundtrip": _keys("thm3", "cor1", "cor2"),
+    "all": tuple(TOLERANCES),
 }
 
 
@@ -107,13 +128,17 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
 
     Construction of the cover, group, cocycle and representation is
     allowed to raise (a scenario that cannot even be built has no
-    meaningful report); everything after that lands in the report,
-    including failures of the package's own error kinds.
+    meaningful report), and so are unknown ``[tolerances]`` keys;
+    everything after that lands in the report, including failures of
+    the package's own error kinds.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
-    wanted = set(SUITES[suite])
-    report = Report()
+    unknown = sorted(set(scn.tolerances) - set(TOLERANCES))
+    if unknown:
+        raise ScenarioError(
+            f"[tolerances] takes report keys such as 'connection.eq7', "
+            f"not {', '.join(map(repr, unknown))}")
 
     cover = build_cover(scn)
     group = build_group(scn)
@@ -121,181 +146,128 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
     R = build_representation(scn, group) if scn.representation else None
     E = push_cocycle(P, R) if R is not None else None
     chart0 = cover.region_ids()[0]
+    shared: dict[str, object] = {}
 
-    def record(key: str, fn):
-        if key not in wanted:
-            return None
-        try:
-            res = fn()
-        except SheafGaugeError as exc:
-            res = CheckResult(key, float("inf"), 0.0,
-                              error=f"{type(exc).__name__}: {exc}")
-        report.add(res.renamed(key))
-        return report[key]
+    def once(name: str, build):
+        """An input several keys share, built on first use; a failed
+        build re-raises its error for every key that needs it."""
+        if name not in shared:
+            try:
+                shared[name] = build()
+            except SheafGaugeError as exc:
+                shared[name] = exc
+        if isinstance(shared[name], SheafGaugeError):
+            raise shared[name]
+        return shared[name]
 
-    tol_cocycle = scn.tolerance("cocycle", COCYCLE_TOL)
-    if wanted & set(COCYCLE_KEYS):
-        parts = check_cocycle(P, tol_cocycle)
-        for short, key in zip(("unit", "inverse", "triple"), COCYCLE_KEYS):
-            if key in wanted:
-                report.add(parts[short].renamed(key))
+    def cocycle(part: str) -> CheckResult:
+        return once("cocycle", lambda: check_cocycle(P))[part]
 
-    if R is not None and wanted & set(PUSH_KEYS):
-        parts = check_vector_cocycle(E, scn.tolerance("push", PUSH_TOL))
-        for short, key in zip(("unit", "inverse", "triple"), PUSH_KEYS):
-            if key in wanted:
-                report.add(parts[short].renamed(key))
+    def push(part: str) -> CheckResult:
+        return once("push", lambda: check_vector_cocycle(E))[part]
 
-    def crossed():
-        rng = _rng(scn, "liehom.crossed")
-        s = random_element(group, cover, chart0, rng)
-        t = random_element(group, cover, chart0, rng)
-        return check_logarithmic_rule(group, s, t,
-                                      scn.tolerance("crossed", CROSSED_TOL))
-    record("liehom.crossed", crossed)
-
-    if R is not None:
-        def rep_hom():
-            rng = _rng(scn, "liehom.rep.hom")
-            elems = catalog_elements(group, cover, chart0)
-            elems.append(random_element(group, cover, chart0, rng))
-            pairs = list(zip(elems, elems[1:] + elems[:1]))
-            return check_representation(R, pairs, scn.tolerance("rep", REP_TOL))
-        record("liehom.rep.hom", rep_hom)
-
-        def lie_type_parts():
+    def def1(part: str) -> CheckResult:
+        def build():
             rng = _rng(scn, "liehom.def1")
             elems = [f for (a, b), f in sorted(P.cocycle.items())
                      if a != b and len(f)]
             elems += catalog_elements(group, cover, chart0)
             elems.append(random_element(group, cover, chart0, rng))
-            return check_lie_type(R, elems, scn.tolerance("lie_type", LIE_TYPE_TOL))
-        if wanted & {"liehom.def1.mc", "liehom.def1.rho"}:
-            try:
-                parts = lie_type_parts()
-                mc_res, rho_res = parts["mc"], parts["rho"]
-            except SheafGaugeError as exc:
-                msg = f"{type(exc).__name__}: {exc}"
-                mc_res = CheckResult("mc", float("inf"), 0.0, error=msg)
-                rho_res = CheckResult("rho", float("inf"), 0.0, error=msg)
-            if "liehom.def1.mc" in wanted:
-                report.add(mc_res.renamed("liehom.def1.mc"))
-            if "liehom.def1.rho" in wanted:
-                report.add(rho_res.renamed("liehom.def1.rho"))
+            return check_lie_type(R, elems)
+        return once("def1", build)[part]
 
-    tau = scn.tolerance("glue", TAU_GLUE)
-    tol_round = scn.tolerance("roundtrip", ROUNDTRIP_TOL)
+    def connection():
+        return once("connection", lambda: complete_connection(
+            P, build_seed(scn, cover, group)))
 
-    D = nab = None
-    conn_error = None
-    needs_connection = wanted & (set(CONNECTION_KEYS)
-                                 | {"cor1.roundtrip", "cor2.roundtrip"})
-    if scn.seed_chart is not None and needs_connection:
-        try:
-            seed = build_seed(scn, cover, group)
-            D = complete_connection(P, seed, tau)
-            if R is not None:
-                nab = induce_connection(
-                    P, R, D, tol=tau,
-                    lie_type_tol=scn.tolerance("lie_type", LIE_TYPE_TOL))
-        except SheafGaugeError as exc:
-            conn_error = f"{type(exc).__name__}: {exc}"
+    def induced():
+        return once("induced", lambda: induce_connection(P, R, connection()))
 
-    def guarded(key: str, fn, *, needed) -> None:
-        if key not in wanted:
-            return
-        if needed is None:
-            report.add(CheckResult(key, float("inf"), 0.0, error=conn_error)
-                       if conn_error else
-                       CheckResult(key, float("inf"), 0.0,
-                                   error="scenario lacks the inputs for this check"))
-            return
-        record(key, fn)
+    def crossed():
+        rng = _rng(scn, "liehom.crossed")
+        s = random_element(group, cover, chart0, rng)
+        t = random_element(group, cover, chart0, rng)
+        return check_logarithmic_rule(group, s, t)
 
-    if scn.seed_chart is not None:
-        guarded("connection.eq7", lambda: check_connection(P, D, tau), needed=D)
-        if R is not None:
-            guarded("induced.eq10",
-                    lambda: check_vector_connection(E, nab, tau), needed=nab)
+    def rep_hom():
+        rng = _rng(scn, "liehom.rep.hom")
+        elems = catalog_elements(group, cover, chart0)
+        elems.append(random_element(group, cover, chart0, rng))
+        pairs = list(zip(elems, elems[1:] + elems[:1]))
+        return check_representation(R, pairs)
 
-            def koszul():
-                rng = _rng(scn, "koszul.eq8")
-                a = random_scalar_field("base", cover.points,
-                                        cover.dim(chart0), rng)
-                s = random_section(E, rng)
-                return check_leibniz_koszul(E, nab, a, s,
-                                            scn.tolerance("koszul", KOSZUL_TOL))
-            guarded("koszul.eq8", koszul, needed=nab)
+    def koszul():
+        rng = _rng(scn, "koszul.eq8")
+        a = random_scalar_field("base", cover.points, cover.dim(chart0), rng)
+        s = random_section(E, rng)
+        return check_leibniz_koszul(E, induced(), a, s)
 
+    def thm3_roundtrip():
+        rng = _rng(scn, "thm3.roundtrip")
+        s = random_section(E, rng)
+        f = section_to_tensorial(E, P, R, s)
+        back = tensorial_to_section(E, P, R, f)
+        residuals = [field_residual(s.components[c], back.components[c])
+                     for c in sorted(s.components)]
+        return worst("thm3.roundtrip", ROUNDTRIP_TOL,
+                     ((p, res) for res, p in residuals))
+
+    def thm3_tensorial():
+        rng = _rng(scn, "thm3.tensorial")
+        s = random_section(E, rng)
+        f = section_to_tensorial(E, P, R, s)
+        sec = random_principal_section(P, chart0, rng)
+        g = random_element(group, cover, chart0, rng)
+        moved = PrincipalSectionLocal(chart0, group_mul(sec.factor, g))
+        v_in = evaluate_tensorial(P, R, f, sec)
+        v_out = evaluate_tensorial(P, R, f, moved)
+        want = mat_mul(R.phi(mat_inv(g)), v_in)
+        res, wp = field_residual(v_out, want)
+        return CheckResult("thm3.tensorial", res, TOLERANCES["thm3.tensorial"], wp)
+
+    def cor1():
+        D = connection()
+        back = pull_back_connection(E, R, induced())
+        return worst("cor1.roundtrip", ROUNDTRIP_TOL,
+                     ((p, max_diff(D.forms[c].data[p], back.forms[c].data[p]))
+                      for c in sorted(D.forms) for p in point_order(D.forms[c].data)))
+
+    checks = {
+        "cocycle.unit": lambda: cocycle("unit"),
+        "cocycle.inverse": lambda: cocycle("inverse"),
+        "cocycle.triple": lambda: cocycle("triple"),
+        "liehom.crossed": crossed,
+    }
     if R is not None:
-        def thm3_roundtrip():
-            rng = _rng(scn, "thm3.roundtrip")
-            s = random_section(E, rng)
-            f = section_to_tensorial(E, P, R, s, tau)
-            back = tensorial_to_section(E, P, R, f, tau)
-            worst = CheckResult("thm3.roundtrip", 0.0, tol_round)
-            for chart in sorted(s.components):
-                res, wp = field_residual(s.components[chart],
-                                         back.components[chart])
-                worst = worst.max_with(
-                    CheckResult("thm3.roundtrip", res, tol_round, wp))
-            return worst
-        record("thm3.roundtrip", thm3_roundtrip)
+        checks.update({
+            "push.unit": lambda: push("unit"),
+            "push.inverse": lambda: push("inverse"),
+            "push.triple": lambda: push("triple"),
+            "liehom.rep.hom": rep_hom,
+            "liehom.def1.mc": lambda: def1("mc"),
+            "liehom.def1.rho": lambda: def1("rho"),
+            "thm3.roundtrip": thm3_roundtrip,
+            "thm3.tensorial": thm3_tensorial,
+        })
+    if scn.seed_chart is not None:
+        checks["connection.eq7"] = lambda: check_connection(P, connection())
+        if R is not None:
+            checks.update({
+                "induced.eq10": lambda: check_vector_connection(E, induced()),
+                "koszul.eq8": koszul,
+                "cor1.roundtrip": cor1,
+                "cor2.roundtrip": lambda: check_frame_roundtrip(E, induced()),
+            })
 
-        def thm3_tensorial():
-            rng = _rng(scn, "thm3.tensorial")
-            tol = scn.tolerance("tensorial", TENSORIAL_TOL)
-            s = random_section(E, rng)
-            f = section_to_tensorial(E, P, R, s, tau)
-            sec = random_principal_section(P, chart0, rng)
-            g = random_element(group, cover, chart0, rng)
-            moved = PrincipalSectionLocal(chart0, group_mul(sec.factor, g))
-            v_in = evaluate_tensorial(P, R, f, sec, tau)
-            v_out = evaluate_tensorial(P, R, f, moved, tau)
-            want = mat_mul(R.phi(mat_inv(g)), v_in)
-            res, wp = field_residual(v_out, want)
-            return CheckResult("thm3.tensorial", res, tol, wp)
-        record("thm3.tensorial", thm3_tensorial)
-
-        if scn.seed_chart is not None:
-            def cor1():
-                back = pull_back_connection(E, R, nab,
-                                            scn.tolerance("image", IMAGE_TOL))
-                worst = CheckResult("cor1.roundtrip", 0.0, tol_round)
-                for chart in sorted(D.forms):
-                    res, wp = lie_form_residual(D.forms[chart],
-                                                back.forms[chart])
-                    worst = worst.max_with(
-                        CheckResult("cor1.roundtrip", res, tol_round, wp))
-                return worst
-            guarded("cor1.roundtrip", cor1, needed=nab)
-            guarded("cor2.roundtrip",
-                    lambda: check_frame_roundtrip(E, nab, tol_round, tau),
-                    needed=nab)
-
+    report = Report()
+    for key in SUITES[suite]:
+        if key not in checks:
+            continue
+        try:
+            res = replace(checks[key](), name=key,
+                          tolerance=scn.tolerance(key, TOLERANCES[key]))
+        except SheafGaugeError as exc:
+            res = CheckResult(key, float("inf"), 0.0,
+                              error=f"{type(exc).__name__}: {exc}")
+        report.add(res)
     return report
-
-
-def derivative_samples(scn: Scenario, chart: str | None = None):
-    """Covariant derivative of a deterministic random section.
-
-    Convenience for demos and tests: builds the full pipeline and
-    returns (E, nabla section derivatives by chart).  Requires both a
-    representation and a connection seed.
-    """
-    cover = build_cover(scn)
-    group = build_group(scn)
-    P = build_principal(scn, cover, group)
-    R = build_representation(scn, group)
-    E = push_cocycle(P, R)
-    seed = build_seed(scn, cover, group)
-    if seed is None:
-        raise SheafGaugeError("scenario has no connection seed")
-    D = complete_connection(P, seed, scn.tolerance("glue", TAU_GLUE))
-    nab = induce_connection(P, R, D)
-    rng = _rng(scn, "derivative")
-    s = random_section(E, rng)
-    der = nabla_apply(E, nab, s)
-    if chart is not None:
-        return E, {chart: der[chart]}
-    return E, der

@@ -28,10 +28,8 @@ from .errors import (
 )
 from .jets import (
     JetMatrix,
-    MatrixField,
     MatrixOneForm,
     OneForm,
-    ScalarField,
     _FieldBase,
     _entry_diff,
     point_order,

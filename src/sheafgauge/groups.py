@@ -21,7 +21,7 @@ leaves the modeled algebra is caught at runtime.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -39,9 +39,9 @@ from .jets import (
     identity_matrix_field,
     mat_inv,
     mat_mul,
-    point_order,
+    max_diff,
 )
-from .report import CheckResult
+from .report import CheckResult, worst
 
 SPAN_TOL = 1e-10
 BRACKET_TOL = 1e-12
@@ -313,26 +313,8 @@ def check_logarithmic_rule(model: GroupModel, s: MatrixField, t: MatrixField,
                            tol: float = LOG_RULE_TOL) -> CheckResult:
     """Residual of mc(s t) = rho(t^-1) . mc(s) + mc(t) over the common points."""
     lhs = mc(model, group_mul(s, t))
-    rhs_data = {}
-    tinv = mat_inv(t)
-    rot = rho_dot_form(model, tinv, mc(model, s))
+    rot = rho_dot_form(model, mat_inv(t), mc(model, s))
     dt_part = mc(model, t)
-    for p in lhs.data:
-        rhs_data[p] = rot.data[p] + dt_part.data[p]
-    worst, worst_p = 0.0, None
-    for p in lhs.ordered_points():
-        d = float(np.max(np.abs(lhs.data[p] - rhs_data[p]), initial=0.0))
-        if d > worst:
-            worst, worst_p = d, p
-    return CheckResult("log.crossed", worst, tol, worst_p)
-
-
-def lie_form_residual(a: LieValuedOneForm, b: LieValuedOneForm) -> tuple[float, object]:
-    if set(a.data) != set(b.data):
-        raise FieldMismatchError("lie-valued forms live on different point sets")
-    worst, worst_p = 0.0, None
-    for p in point_order(a.data):
-        d = float(np.max(np.abs(a.data[p] - b.data[p]), initial=0.0))
-        if d > worst:
-            worst, worst_p = d, p
-    return worst, worst_p
+    return worst("log.crossed", tol,
+                 ((p, max_diff(lhs.data[p], rot.data[p] + dt_part.data[p]))
+                  for p in lhs.ordered_points()))

@@ -30,6 +30,7 @@ from .errors import (
     FieldMismatchError,
     SingularMatrixError,
 )
+from .report import worst
 
 DET_FLOOR = 1e-9
 
@@ -218,10 +219,6 @@ class JetMatrix:
         self._same_shape(other)
         return JetMatrix(self.value + other.value, self.grad + other.grad)
 
-    def sub(self, other: "JetMatrix") -> "JetMatrix":
-        self._same_shape(other)
-        return JetMatrix(self.value - other.value, self.grad - other.grad)
-
     def scale(self, s) -> "JetMatrix":
         """Multiply by a scalar jet (Leibniz) or a plain number."""
         if isinstance(s, Jet):
@@ -250,13 +247,7 @@ class JetMatrix:
 
     def max_abs_diff(self, other: "JetMatrix") -> float:
         self._same_shape(other)
-        dv = float(np.max(np.abs(self.value - other.value), initial=0.0))
-        dg = float(np.max(np.abs(self.grad - other.grad), initial=0.0))
-        return max(dv, dg)
-
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(self.value), initial=0.0)),
-                   float(np.max(np.abs(self.grad), initial=0.0)))
+        return max(max_diff(self.value, other.value), max_diff(self.grad, other.grad))
 
     def _same_shape(self, other: "JetMatrix") -> None:
         if self.value.shape != other.value.shape or self.dim != other.dim:
@@ -463,12 +454,6 @@ def mat_add(a: MatrixField, b: MatrixField) -> MatrixField:
                        {p: a.data[p].add(b.data[p]) for p in a.data})
 
 
-def mat_sub(a: MatrixField, b: MatrixField) -> MatrixField:
-    _require_aligned(a, b)
-    return MatrixField(a.region, a.rows, a.cols,
-                       {p: a.data[p].sub(b.data[p]) for p in a.data})
-
-
 def mat_inv(a: MatrixField, det_floor: float = DET_FLOOR) -> MatrixField:
     return a.map_entries(lambda p, m: m.inv(det_floor, point=p))
 
@@ -513,32 +498,17 @@ def coordinate_field(region: str, coords: Mapping, axis: int = 0) -> ScalarField
     return ScalarField(region, data)
 
 
-# -- one-form algebra -------------------------------------------------------
-
-def form_add(a, b):
-    _require_aligned(a, b)
-    return a._replace(a.region, {p: a.data[p] + b.data[p] for p in a.data})
-
-
-def form_sub(a, b):
-    _require_aligned(a, b)
-    return a._replace(a.region, {p: a.data[p] - b.data[p] for p in a.data})
-
-
-def form_smul(s: ScalarField, w):
-    """Module action of scalars on forms: multiply coefficients by jet values."""
-    _require_aligned(s, w)
-    return w._replace(w.region, {p: s.data[p].value * w.data[p] for p in w.data})
-
-
 # -- residuals --------------------------------------------------------------
 
+def max_diff(a, b) -> float:
+    """Largest entrywise deviation between two arrays; 0.0 when empty."""
+    return float(np.max(np.abs(np.subtract(a, b)), initial=0.0))
+
+
 def _entry_diff(a, b) -> float:
-    if isinstance(a, Jet):
+    if isinstance(a, (Jet, JetMatrix)):
         return a.max_abs_diff(b)
-    if isinstance(a, JetMatrix):
-        return a.max_abs_diff(b)
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)), initial=0.0))
+    return max_diff(a, b)
 
 
 def field_residual(a: _FieldBase, b: _FieldBase) -> tuple[float, object]:
@@ -551,9 +521,6 @@ def field_residual(a: _FieldBase, b: _FieldBase) -> tuple[float, object]:
         raise FieldMismatchError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if set(a.data) != set(b.data):
         raise FieldMismatchError("fields are defined on different point sets")
-    worst, worst_p = 0.0, None
-    for p in a.ordered_points():
-        d = _entry_diff(a.data[p], b.data[p])
-        if d > worst:
-            worst, worst_p = d, p
-    return worst, worst_p
+    r = worst("field", 0.0,
+              ((p, _entry_diff(a.data[p], b.data[p])) for p in a.ordered_points()))
+    return r.residual, r.worst_point

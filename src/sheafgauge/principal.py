@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cover import SampledCover, transport_field, transport_form
+from .cover import TAU_GLUE, SampledCover, transport_field, transport_form
 from .errors import (
     CoverError,
     CycleInconsistencyError,
@@ -41,19 +41,18 @@ from .errors import (
     MissingEntryError,
     MissingExtensionError,
 )
-from .groups import GroupModel, LieValuedOneForm, mc, rho_dot_form, rho_matrix
+from .groups import GroupModel, LieValuedOneForm, mc, rho_dot_form
 from .jets import (
     DET_FLOOR,
-    JetMatrix,
     MatrixField,
     mat_inv,
     mat_mul,
+    max_diff,
     point_order,
 )
-from .report import CheckResult
+from .report import CheckResult, worst
 
 COCYCLE_TOL = 1e-12
-TAU_GLUE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -172,16 +171,9 @@ def check_cocycle(P: PrincipalSheafData,
     """
     cover = P.cover
     ids = cover.region_ids()
-    unit = CheckResult("unit", 0.0, tol)
-    inverse = CheckResult("inverse", 0.0, tol)
-    triple = CheckResult("triple", 0.0, tol)
+    units = [P.cocycle[(a, a)] for a in ids if (a, a) in P.cocycle]
 
-    for a in ids:
-        if (a, a) not in P.cocycle:
-            continue
-        f = P.cocycle[(a, a)]
-        unit = unit.max_with(_deviation_from_identity(f, "unit", tol))
-
+    inverses = []
     for a in ids:
         for b in ids:
             if a == b or (a, b) not in P.cocycle:
@@ -190,9 +182,9 @@ def check_cocycle(P: PrincipalSheafData,
             if not ab.points:
                 continue
             ba = transport_field(P.cocycle[(b, a)], cover, a)
-            prod = mat_mul(ab, ba)
-            inverse = inverse.max_with(_deviation_from_identity(prod, "inverse", tol))
+            inverses.append(mat_mul(ab, ba))
 
+    triples = []
     for a in ids:
         for b in ids:
             for c in ids:
@@ -207,25 +199,20 @@ def check_cocycle(P: PrincipalSheafData,
                 bc = transport_field(P.cocycle[(b, c)].restrict(pts), cover, a)
                 ac = P.cocycle[(a, c)].restrict(pts)
                 prod = mat_mul(ab, bc)
-                worst, worst_p = 0.0, None
-                for p in point_order(pts):
-                    d = prod.data[p].max_abs_diff(ac.data[p])
-                    if d > worst:
-                        worst, worst_p = d, p
-                triple = triple.max_with(CheckResult("triple", worst, tol, worst_p))
+                triples += [(p, prod.data[p].max_abs_diff(ac.data[p]))
+                            for p in point_order(pts)]
 
-    return {"unit": unit, "inverse": inverse, "triple": triple}
+    return {"unit": worst("unit", tol, _from_identity(units)),
+            "inverse": worst("inverse", tol, _from_identity(inverses)),
+            "triple": worst("triple", tol, triples)}
 
 
-def _deviation_from_identity(f: MatrixField, name: str, tol: float) -> CheckResult:
-    worst, worst_p = 0.0, None
-    for p in f.ordered_points():
-        m = f.data[p]
-        d = max(float(np.max(np.abs(m.value - np.eye(m.rows)), initial=0.0)),
-                float(np.max(np.abs(m.grad), initial=0.0)))
-        if d > worst:
-            worst, worst_p = d, p
-    return CheckResult(name, worst, tol, worst_p)
+def _from_identity(fields):
+    """(point, deviation from the constant identity) over each field in turn."""
+    for f in fields:
+        for p in f.ordered_points():
+            m = f.data[p]
+            yield p, max(max_diff(m.value, np.eye(m.rows)), max_diff(m.grad, 0.0))
 
 
 def section_transition(P: PrincipalSheafData, s: PrincipalSectionLocal,
@@ -255,7 +242,7 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection,
     For each ordered pair (a, b) the form of b is transported into the
     chart of a and compared against rho(g_ab^-1) . w_a + mc(g_ab).
     """
-    worst = CheckResult("connection", 0.0, tol)
+    pairs = []
     for a, b in P.overlap_graph_edges():
         for x, y in [(a, b), (b, a)]:
             if x not in D.forms or y not in D.forms:
@@ -263,18 +250,9 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection,
             pts = P.cover.overlap_points(x, y)
             rhs = _transition_apply(P, x, y, D.form(x).restrict(pts))
             lhs = transport_form(D.form(y).restrict(pts), P.cover, x)
-            res, p = _lie_residual(lhs, rhs)
-            worst = worst.max_with(CheckResult("connection", res, tol, p))
-    return worst
-
-
-def _lie_residual(a: LieValuedOneForm, b: LieValuedOneForm):
-    worst, worst_p = 0.0, None
-    for p in point_order(a.data):
-        d = float(np.max(np.abs(a.data[p] - b.data[p]), initial=0.0))
-        if d > worst:
-            worst, worst_p = d, p
-    return worst, worst_p
+            pairs += [(p, max_diff(lhs.data[p], rhs.data[p]))
+                      for p in point_order(lhs.data)]
+    return worst("connection", tol, pairs)
 
 
 def _transition_apply(P: PrincipalSheafData, a: str, b: str,

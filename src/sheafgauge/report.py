@@ -9,7 +9,7 @@ so two runs over the same inputs produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -30,26 +30,18 @@ class CheckResult:
             return "error"
         return "pass" if self.passed else "fail"
 
-    def renamed(self, name: str) -> "CheckResult":
-        return replace(self, name=name)
 
-    def max_with(self, other: "CheckResult") -> "CheckResult":
-        """Combine two results for the same check, keeping the worse one."""
-        if other.error is not None and self.error is None:
-            return replace(other, name=self.name)
-        if self.error is not None:
-            return self
-        if other.residual > self.residual:
-            return replace(other, name=self.name)
-        return self
+def worst(name: str, tol: float, pairs) -> CheckResult:
+    """Reduce ``(point, residual)`` pairs to the result at the worst point.
 
-
-def combine_max(name: str, results, tolerance: float) -> CheckResult:
-    """Reduce an iterable of results to one entry holding the worst residual."""
-    out = CheckResult(name=name, residual=0.0, tolerance=tolerance)
-    for r in results:
-        out = out.max_with(r)
-    return replace(out, tolerance=tolerance)
+    The first strict maximum wins, so ties keep the earliest point; an
+    empty or all-zero sequence gives residual 0.0 and no worst point.
+    """
+    residual, at = 0.0, None
+    for p, d in pairs:
+        if d > residual:
+            residual, at = d, p
+    return CheckResult(name, residual, tol, at)
 
 
 class Report:
@@ -62,17 +54,6 @@ class Report:
         if result.name in self._entries:
             raise ValueError(f"duplicate check name {result.name!r}")
         self._entries[result.name] = result
-
-    def absorb(self, result: CheckResult) -> None:
-        """Add, or max-merge when the name is already present."""
-        if result.name in self._entries:
-            self._entries[result.name] = self._entries[result.name].max_with(result)
-        else:
-            self._entries[result.name] = result
-
-    def extend(self, results) -> None:
-        for r in results:
-            self.add(r)
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -90,18 +71,13 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self._entries.values())
 
-    @property
-    def max_residual(self) -> float:
-        finite = [r.residual for r in self._entries.values() if r.error is None]
-        return max(finite, default=0.0)
-
     def table(self) -> str:
         """Fixed-width summary table, one line per check."""
         rows = [("check", "residual", "tolerance", "worst", "status")]
         for r in self._entries.values():
             res = "-" if r.error is not None else f"{r.residual:.6e}"
-            worst = "-" if r.worst_point is None else str(r.worst_point)
-            rows.append((r.name, res, f"{r.tolerance:.1e}", worst, r.status))
+            at = "-" if r.worst_point is None else str(r.worst_point)
+            rows.append((r.name, res, f"{r.tolerance:.1e}", at, r.status))
         widths = [max(len(row[i]) for row in rows) for i in range(5)]
         lines = []
         for row in rows:
@@ -117,8 +93,8 @@ class Report:
         for r in self._entries.values():
             lines.append(f"{r.name}.residual = {r.residual!r}")
             lines.append(f"{r.name}.tolerance = {r.tolerance!r}")
-            worst = "-" if r.worst_point is None else str(r.worst_point)
-            lines.append(f"{r.name}.worst_point = {worst}")
+            at = "-" if r.worst_point is None else str(r.worst_point)
+            lines.append(f"{r.name}.worst_point = {at}")
             lines.append(f"{r.name}.status = {r.status}")
             if r.error is not None:
                 lines.append(f"{r.name}.error = {r.error}")

@@ -19,7 +19,9 @@ names the scenario.  Sections begin with a bracketed header:
                             ``coeffs = e1; ...; em`` (Lie basis
                             coefficients) or ``row = ...`` matrix rows
                             to be expanded in the Lie basis
-    [tolerances]            optional ``key = float`` overrides
+    [tolerances]            optional ``report.key = float`` pass
+                            thresholds; ``run_checks`` rejects any key
+                            that is not a report key
 
 The base space is the circle sampled at N equally spaced angles; all
 charts share the angle coordinate, so overlap Jacobians are identity.
@@ -42,7 +44,6 @@ from .cover import SampledCover, arc_range, circle_cover
 from .errors import ParseError, ScenarioError, SpanError
 from .expr import eval_expr, parse_expr
 from .groups import GroupModel, LieValuedOneForm, model_by_name
-from .jets import MatrixField
 from .principal import PrincipalSheafData
 
 DEFAULT_POINTS = 24

@@ -27,16 +27,16 @@ from typing import Mapping
 import numpy as np
 
 from .associated import (
+    LIE_TYPE_TOL,
     AssociatedSection,
     RepresentationModel,
     VectorSheafData,
-    check_components,
     check_lie_type,
     section_smul,
     trivial_rep,
     _demand_compatible,
 )
-from .cover import transport_form
+from .cover import TAU_GLUE, transport_form
 from .errors import (
     FieldMismatchError,
     MissingEntryError,
@@ -46,19 +46,18 @@ from .errors import (
 from .groups import LieValuedOneForm
 from .jets import (
     JetMatrix,
-    MatrixField,
     MatrixOneForm,
     ScalarField,
     constant_matrix_field,
+    max_diff,
     point_order,
 )
 from .principal import (
-    TAU_GLUE,
     PrincipalConnection,
     PrincipalSheafData,
     check_connection,
 )
-from .report import CheckResult
+from .report import CheckResult, worst
 
 KOSZUL_TOL = 1e-12
 ROUNDTRIP_TOL = 1e-12
@@ -75,14 +74,6 @@ class VectorConnection:
             return self.forms[chart]
         except KeyError:
             raise MissingEntryError(f"no connection matrices on chart {chart!r}") from None
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """The natural frame of a vector sheaf over one chart; basis vectors
-    are addressed by position."""
-    chart: str
-    rank: int
 
 
 def matrix_form_to_lie(w: MatrixOneForm) -> LieValuedOneForm:
@@ -115,7 +106,7 @@ def check_vector_connection(E: VectorSheafData, nab: VectorConnection,
 
 def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
                       D: PrincipalConnection, tol: float = TAU_GLUE,
-                      lie_type_tol: float = 1e-9,
+                      lie_type_tol: float = LIE_TYPE_TOL,
                       verify: bool = True) -> VectorConnection:
     """Push a principal connection through a representation.
 
@@ -178,7 +169,7 @@ def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
     chart-b value after rewriting the form part in chart-a coordinates.
     """
     der = nabla_apply(E, nab, s, tol)
-    worst = CheckResult("nabla.agreement", 0.0, tol)
+    pairs = []
     charts = sorted(der)
     for i, a in enumerate(charts):
         for b in charts[i + 1:]:
@@ -187,14 +178,10 @@ def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
                 continue
             gab = E.entry(a, b).restrict(shared)
             db = transport_form(der[b].restrict(shared), E.cover, a)
-            w, wp = 0.0, None
-            for p in point_order(shared):
-                want = np.einsum("ij,kjl->kil", gab.data[p].value, db.data[p])
-                d = float(np.max(np.abs(der[a].data[p] - want), initial=0.0))
-                if d > w:
-                    w, wp = d, p
-            worst = worst.max_with(CheckResult("nabla.agreement", w, tol, wp))
-    return worst
+            pairs += [(p, max_diff(der[a].data[p],
+                                   np.einsum("ij,kjl->kil", gab.data[p].value, db.data[p])))
+                      for p in point_order(shared)]
+    return worst("nabla.agreement", tol, pairs)
 
 
 def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
@@ -208,19 +195,15 @@ def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
     scaled = section_smul(E, a, s)
     lhs = nabla_apply(E, nab, scaled)
     base = nabla_apply(E, nab, s)
-    worst = CheckResult("koszul", 0.0, tol)
+    pairs = []
     for chart in sorted(lhs):
         comp = s.components[chart]
-        w, wp = 0.0, None
         for p in point_order(lhs[chart].data):
             aj = a.data[p]
             rhs = aj.value * base[chart].data[p] \
                 + np.einsum("k,il->kil", aj.gradient, comp.data[p].value)
-            d = float(np.max(np.abs(lhs[chart].data[p] - rhs), initial=0.0))
-            if d > w:
-                w, wp = d, p
-        worst = worst.max_with(CheckResult("koszul", w, tol, wp))
-    return worst
+            pairs.append((p, max_diff(lhs[chart].data[p], rhs)))
+    return worst("koszul", tol, pairs)
 
 
 def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
@@ -312,13 +295,6 @@ def check_frame_roundtrip(E: VectorSheafData, nab: VectorConnection,
     P, R = frame_sheaf(E)
     D = _as_principal_connection(nab)
     back = induce_connection(P, R, D, tol=law_tol, verify=False)
-    worst = CheckResult("frame.roundtrip", 0.0, tol)
-    for chart in sorted(nab.forms):
-        w, wp = 0.0, None
-        for p in point_order(nab.forms[chart].data):
-            d = float(np.max(np.abs(nab.forms[chart].data[p]
-                                    - back.forms[chart].data[p]), initial=0.0))
-            if d > w:
-                w, wp = d, p
-        worst = worst.max_with(CheckResult("frame.roundtrip", w, tol, wp))
-    return worst
+    return worst("frame.roundtrip", tol,
+                 ((p, max_diff(nab.forms[c].data[p], back.forms[c].data[p]))
+                  for c in sorted(nab.forms) for p in point_order(nab.forms[c].data)))
