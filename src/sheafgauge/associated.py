@@ -37,12 +37,14 @@ from .jets import (
     JetMatrix,
     MatrixField,
     ScalarField,
+    jet_diff_rows,
     mat_add,
     mat_inv,
     mat_mul,
     mat_scale,
-    max_diff,
+    max_diff_rows,
     point_order,
+    stack_arrays,
 )
 from .principal import (
     PrincipalSectionLocal,
@@ -77,9 +79,9 @@ class RepresentationModel:
         self.target = gl_model(n)
 
     def apply_phibar(self, coeffs: np.ndarray) -> np.ndarray:
-        """Map (dim, m) source coefficients to (dim, n, n) matrices."""
+        """Map (..., dim, m) source coefficients to (..., dim, n, n) matrices."""
         c = np.asarray(coeffs, dtype=float)
-        return (c @ self.phibar).reshape(c.shape[0], self.n, self.n)
+        return (c @ self.phibar).reshape(c.shape[:-1] + (self.n, self.n))
 
     @property
     def injective(self) -> bool:
@@ -225,8 +227,8 @@ def check_representation(R: RepresentationModel, samples,
         first = first if first is not None else g
         lhs = R.phi(mat_mul(g, h))
         rhs = mat_mul(R.phi(g), R.phi(h))
-        pairs += [(p, lhs.data[p].max_abs_diff(rhs.data[p]))
-                  for p in lhs.ordered_points()]
+        order = lhs.ordered_points()
+        pairs += zip(order, jet_diff_rows(lhs, rhs, order))
     if first is not None:
         unit = R.source.unit_field(first.region, first.points, first.dim)
         pairs += _from_identity([R.phi(unit)])
@@ -241,18 +243,25 @@ def check_lie_type(R: RepresentationModel, elements,
     applied to that of g; ``rho`` compares the two ways of carrying the
     adjoint action across phibar.  Reported separately.
     """
+    m, n2 = R.phibar.shape
     mc_pairs, rho_pairs = [], []
     for g in elements:
         img = R.phi(g)
         lhs = mc(R.target, img)
         rhs = mc(R.source, g)
-        mc_pairs += [(p, max_diff(lhs.data[p], rhs.data[p] @ R.phibar))
-                     for p in point_order(lhs.data)]
+        order = lhs.ordered_points()
+        mc_pairs += zip(order, max_diff_rows(
+            stack_arrays(lhs, order, (1, n2)),
+            stack_arrays(rhs, order, (1, m)) @ R.phibar))
 
         rs = rho_matrix(R.source, g)
         rt = rho_matrix(R.target, img)
-        rho_pairs += [(p, max_diff(R.phibar.T @ rs[p], rt[p] @ R.phibar.T))
-                      for p in point_order(rs)]
+        order = point_order(rs)
+        # stacks of coefficient matrices; rho is their transpose
+        cs = np.array([rs[p].T for p in order]).reshape(-1, m, m)
+        ct = np.array([rt[p].T for p in order]).reshape(-1, n2, n2)
+        rho_pairs += zip(order, max_diff_rows(R.phibar.T @ cs.swapaxes(1, 2),
+                                              ct.swapaxes(1, 2) @ R.phibar.T))
     return {"mc": worst("lie_type.mc", tol, mc_pairs),
             "rho": worst("lie_type.rho", tol, rho_pairs)}
 
@@ -272,10 +281,9 @@ def check_components(E: VectorSheafData, comps: Mapping[str, MatrixField],
                 continue
             gab = E.entry(a, b).restrict(shared)
             vb = transport_field(comps[b].restrict(shared), E.cover, a)
-            want = mat_mul(gab, vb)
-            have = comps[a].restrict(shared)
-            pairs += [(p, have.data[p].max_abs_diff(want.data[p]))
-                      for p in point_order(shared)]
+            order = point_order(shared)
+            pairs += zip(order, jet_diff_rows(comps[a].restrict(shared),
+                                              mat_mul(gab, vb), order))
     return worst("compat", tol, pairs)
 
 

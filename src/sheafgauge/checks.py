@@ -57,7 +57,7 @@ from .catalog import (
 from .cover import TAU_GLUE
 from .errors import ScenarioError, SheafGaugeError
 from .groups import LOG_RULE_TOL, check_logarithmic_rule, group_mul
-from .jets import field_residual, mat_inv, mat_mul, max_diff, point_order
+from .jets import field_residual, form_diff_rows, mat_inv, mat_mul
 from .principal import (
     COCYCLE_TOL,
     PrincipalSectionLocal,
@@ -228,9 +228,11 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
     def cor1():
         D = connection()
         back = pull_back_connection(E, R, induced())
-        return worst("cor1.roundtrip", ROUNDTRIP_TOL,
-                     ((p, max_diff(D.forms[c].data[p], back.forms[c].data[p]))
-                      for c in sorted(D.forms) for p in point_order(D.forms[c].data)))
+        pairs = []
+        for c in sorted(D.forms):
+            order = D.forms[c].ordered_points()
+            pairs += zip(order, form_diff_rows(D.forms[c], back.forms[c], order))
+        return worst("cor1.roundtrip", ROUNDTRIP_TOL, pairs)
 
     checks = {
         "cocycle.unit": lambda: cocycle("unit"),

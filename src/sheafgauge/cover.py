@@ -27,12 +27,14 @@ from .errors import (
     UnknownRegionError,
 )
 from .jets import (
+    Jet,
     JetMatrix,
-    MatrixOneForm,
-    OneForm,
+    MatrixField,
     _FieldBase,
     _entry_diff,
     point_order,
+    stack_arrays,
+    stack_grads,
 )
 
 JACOBIAN_TOL = 1e-12
@@ -204,9 +206,14 @@ def glue(pieces: Mapping[str, _FieldBase], tol: float = TAU_GLUE) -> _FieldBase:
     return first._replace("+".join(labels), merged)
 
 
-def _pull_axis(arr: np.ndarray, j: np.ndarray) -> np.ndarray:
-    # coefficients of differentials: new[l] = sum_i J[i, l] old[i]
-    return np.einsum("il,i...->l...", j, arr)
+def _pull_axis(arr: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    # coefficients of differentials, point by point:
+    # new[p, l] = sum_i J[p, i, l] old[p, i]
+    return np.einsum("pil,pi...->pl...", jac, arr)
+
+
+def _jacobians(cover: SampledCover, src: str, to: str, points) -> np.ndarray:
+    return np.array([cover.jacobian(src, to, p) for p in points])
 
 
 def transport_form(form, cover: SampledCover, to: str):
@@ -219,11 +226,11 @@ def transport_form(form, cover: SampledCover, to: str):
     src = form.region
     if src == to:
         return form
-    data = {}
-    for p in form.ordered_points():
-        j = cover.jacobian(src, to, p)
-        data[p] = _pull_axis(np.asarray(form.data[p]), j)
-    return form._replace(to, data)
+    pts = form.ordered_points()
+    if not pts:
+        return form._replace(to, {})
+    coeffs = _pull_axis(stack_arrays(form, pts, ()), _jacobians(cover, src, to, pts))
+    return form._replace(to, dict(zip(pts, coeffs)))
 
 
 def transport_field(field, cover: SampledCover, to: str):
@@ -231,14 +238,16 @@ def transport_field(field, cover: SampledCover, to: str):
     src = field.region
     if src == to:
         return field
-    data = {}
-    for p in field.ordered_points():
-        j = cover.jacobian(src, to, p)
-        v = field.data[p]
-        if isinstance(v, JetMatrix):
-            data[p] = JetMatrix(v.value, _pull_axis(v.grad, j))
-        else:
-            data[p] = type(v)(v.value, _pull_axis(v.gradient, j))
+    pts = field.ordered_points()
+    if not pts:
+        return field._replace(to, {})
+    jac = _jacobians(cover, src, to, pts)
+    if isinstance(field, MatrixField):
+        grads = _pull_axis(stack_grads(field, pts), jac)
+        data = {p: JetMatrix(field.data[p].value, g) for p, g in zip(pts, grads)}
+    else:
+        grads = _pull_axis(np.array([field.data[p].gradient for p in pts]), jac)
+        data = {p: Jet(field.data[p].value, g) for p, g in zip(pts, grads)}
     return field._replace(to, data)
 
 

@@ -13,9 +13,11 @@ Grammar (whitespace free between tokens):
 so '^' binds tighter than unary minus, which binds tighter than '*'
 and '/'.  Exponents may be any subexpression syntactically but must
 evaluate to a constant integer.  Syntax errors carry the byte offset
-and the set of token kinds that would have been accepted; evaluation
-errors (division by zero, fractional or varying exponents) carry the
-offset of the offending operator.
+and the set of token kinds that would have been accepted, and nesting
+deeper than ``MAX_DEPTH`` levels is a syntax error at the first token
+beyond the bound.  Evaluation errors (division by zero, fractional or
+varying exponents, values or derivatives beyond the floating-point
+range) carry the offset of the offending node.
 
 Evaluation seeds the variable with a unit gradient, so the result jet
 holds the value and the exact derivative of the expression.
@@ -31,6 +33,9 @@ from .errors import ExprDomainError, ParseError
 from .jets import Jet
 
 FUNCTIONS = ("cos", "exp", "sin")
+# Nesting bound of the recursive-descent parser: each level costs about
+# five Python frames, so this stays well inside the default recursion limit.
+MAX_DEPTH = 100
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
@@ -116,6 +121,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -151,11 +157,18 @@ class _Parser:
         return e
 
     def unary(self):
+        # every nesting (parentheses, calls, exponents, unary minus) passes here
         t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            return Neg(self.unary(), pos=t.pos)
-        return self.power()
+        if self.depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", t.pos)
+        self.depth += 1
+        try:
+            if t.kind == "op" and t.text == "-":
+                self.next()
+                return Neg(self.unary(), pos=t.pos)
+            return self.power()
+        finally:
+            self.depth -= 1
 
     def power(self):
         base = self.atom()
@@ -205,40 +218,51 @@ def parse_expr(src: str):
 
 
 def eval_expr(e, t: float) -> Jet:
-    """Evaluate at the sample value t; the result carries d/dt exactly."""
-    if isinstance(e, Num):
-        return Jet(e.value, [0.0])
-    if isinstance(e, Pi):
-        return Jet(math.pi, [0.0])
-    if isinstance(e, Var):
-        return Jet(float(t), [1.0])
-    if isinstance(e, Neg):
-        return -eval_expr(e.operand, t)
-    if isinstance(e, Call):
-        a = eval_expr(e.arg, t)
-        return getattr(a, e.func)()
-    if isinstance(e, BinOp):
-        a = eval_expr(e.left, t)
-        if e.op == "^":
+    """Evaluate at the sample value t; the result carries d/dt exactly.
+
+    A value or derivative beyond the floating-point range raises
+    ExprDomainError at the offset of the node whose operation left it.
+    """
+    try:
+        if isinstance(e, Num):
+            return Jet(e.value, [0.0])
+        if isinstance(e, Pi):
+            return Jet(math.pi, [0.0])
+        if isinstance(e, Var):
+            return Jet(float(t), [1.0])
+        if isinstance(e, Neg):
+            return -eval_expr(e.operand, t)
+        if isinstance(e, Call):
+            a = eval_expr(e.arg, t)
+            return getattr(a, e.func)()
+        if isinstance(e, BinOp):
+            a = eval_expr(e.left, t)
+            if e.op == "^":
+                b = eval_expr(e.right, t)
+                if _max_abs(b.gradient) != 0.0:
+                    raise ExprDomainError("exponent depends on the variable", e.pos)
+                if not float(b.value).is_integer():
+                    raise ExprDomainError(f"exponent {b.value!r} is not an integer", e.pos)
+                k = int(b.value)
+                if a.value == 0.0 and k < 0:
+                    raise ExprDomainError("zero base with negative exponent", e.pos)
+                return a ** k
             b = eval_expr(e.right, t)
-            if _max_abs(b.gradient) != 0.0:
-                raise ExprDomainError("exponent depends on the variable", e.pos)
-            if not float(b.value).is_integer():
-                raise ExprDomainError(f"exponent {b.value!r} is not an integer", e.pos)
-            k = int(b.value)
-            if a.value == 0.0 and k < 0:
-                raise ExprDomainError("zero base with negative exponent", e.pos)
-            return a ** k
-        b = eval_expr(e.right, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b.value == 0.0:
-            raise ExprDomainError("division by zero", e.pos)
-        return a / b
+            if e.op == "+":
+                return a + b
+            if e.op == "-":
+                return a - b
+            if e.op == "*":
+                return a * b
+            if b.value == 0.0:
+                raise ExprDomainError("division by zero", e.pos)
+            return a / b
+    except (OverflowError, ValueError):
+        # OverflowError from math.exp and float powers; ValueError from the
+        # Jet constructor's finiteness check.  Children have already mapped
+        # their own failures, so this node's operation is the one at fault.
+        raise ExprDomainError(f"result out of floating-point range at t = {t:.6g}",
+                              e.pos) from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

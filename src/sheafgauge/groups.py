@@ -35,11 +35,16 @@ from .jets import (
     DET_FLOOR,
     MatrixField,
     _FieldBase,
+    _all_finite,
     _require_aligned,
+    first_true,
     identity_matrix_field,
     mat_inv,
     mat_mul,
-    max_diff,
+    max_diff_rows,
+    stack_arrays,
+    stack_grads,
+    stack_values,
 )
 from .report import CheckResult, worst
 
@@ -56,15 +61,14 @@ class LieValuedOneForm(_FieldBase):
         clean = {}
         shapes = set()
         for p, arr in dict(data).items():
-            a = np.asarray(arr, dtype=float)
+            a = np.array(arr, dtype=float)
             if a.ndim != 2:
                 raise DimensionMismatchError(
                     "lie-valued one-form entries must be (dim, m) arrays")
-            if not np.isfinite(a).all():
+            if not _all_finite(a):
                 raise ValueError("lie-valued one-form coefficients must be finite")
             shapes.add(a.shape)
-            a = a.copy()
-            a.setflags(write=False)
+            a.flags.writeable = False
             clean[p] = a
         if len(shapes) > 1:
             raise DimensionMismatchError("mixed shapes in lie-valued one-form")
@@ -155,12 +159,15 @@ class GroupModel:
         res = float(np.max(np.abs(self._flat.T @ coeff - flat), initial=0.0))
         return coeff, res
 
-    def expand_stack(self, mats: np.ndarray) -> tuple[np.ndarray, float]:
-        """Expand a stack (q, k, k) of matrices at once."""
-        q = mats.shape[0]
-        flat = mats.reshape(q, -1)
+    def expand_stack(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Expand stacks (..., q, k, k) of matrices at once.
+
+        Returns coefficients (..., q, m) and, per leading index, the
+        reconstruction residual of its q matrices in max norm.
+        """
+        flat = mats.reshape(mats.shape[:-2] + (mats.shape[-2] * mats.shape[-1],))
         coeff = flat @ self._pinv.T
-        res = float(np.max(np.abs(coeff @ self._flat - flat), initial=0.0))
+        res = np.max(np.abs(coeff @ self._flat - flat), axis=(-2, -1), initial=0.0)
         return coeff, res
 
     def combine(self, coeff: np.ndarray) -> np.ndarray:
@@ -233,11 +240,13 @@ def group_mul(g: MatrixField, h: MatrixField,
               det_floor: float = DET_FLOOR) -> MatrixField:
     """Pointwise product of group-element fields; result must stay invertible."""
     out = mat_mul(g, h)
-    for p in out.ordered_points():
-        det = float(np.linalg.det(out.data[p].value))
-        if abs(det) < det_floor:
-            raise FieldMismatchError(
-                f"group product leaves the invertible range at {p!r} (det {det:.3e})")
+    pts = out.ordered_points()
+    det = np.linalg.det(stack_values(out, pts))
+    bad = first_true(np.abs(det) < det_floor)
+    if bad < len(pts):
+        raise FieldMismatchError(
+            f"group product leaves the invertible range at {pts[bad]!r} "
+            f"(det {float(det[bad]):.3e})")
     return out
 
 
@@ -245,12 +254,13 @@ def ad_action(model: GroupModel, g: MatrixField, a: MatrixField,
               span_tol: float = SPAN_TOL) -> MatrixField:
     """Conjugation g a g^-1 on an algebra-valued field, span-checked."""
     out = mat_mul(mat_mul(g, a), mat_inv(g))
-    for p in out.ordered_points():
-        _, res = model.expand(out.data[p].value)
-        if res > span_tol:
-            raise SpanError(
-                f"adjoint action leaves span(lie_basis) at {p!r} "
-                f"(residual {res:.3e})", point=p, residual=res)
+    pts = out.ordered_points()
+    _, res = model.expand_stack(stack_values(out, pts)[:, None])
+    bad = first_true(res > span_tol)
+    if bad < len(pts):
+        raise SpanError(
+            f"adjoint action leaves span(lie_basis) at {pts[bad]!r} "
+            f"(residual {res[bad]:.3e})", point=pts[bad], residual=float(res[bad]))
     return out
 
 
@@ -260,40 +270,49 @@ def rho_matrix(model: GroupModel, g: MatrixField,
 
     Column i holds the coefficients of g E_i g^-1, so coefficient
     vectors transform by left multiplication.  Only the value part of
-    g enters; coefficients of one-forms are plain reals.
+    g enters; coefficients of one-forms are plain reals.  Points are
+    taken in ``ordered_points`` order: the first one whose conjugation
+    leaves the span raises SpanError, and an exactly singular element
+    raises numpy's LinAlgError, as ``np.linalg.inv`` does.
     """
-    out = {}
-    for p in g.ordered_points():
-        v = g.data[p].value
-        vi = np.linalg.inv(v)
-        images = np.einsum("ij,mjk,kl->mil", v, model.lie_basis, vi)
-        coeff, res = model.expand_stack(images)
-        if res > span_tol:
-            raise SpanError(
-                f"adjoint action leaves span(lie_basis) at {p!r} "
-                f"(residual {res:.3e})", point=p, residual=res)
-        out[p] = coeff.T
-    return out
+    pts = g.ordered_points()
+    v = stack_values(g, pts)
+    sign, _ = np.linalg.slogdet(v)       # zero exactly where inv finds a zero pivot
+    stop = first_true(sign == 0.0)
+    vi = np.linalg.inv(v[:stop])
+    images = np.einsum("pij,mjk,pkl->pmil", v[:stop], model.lie_basis, vi)
+    coeff, res = model.expand_stack(images)
+    bad = first_true(res > span_tol)
+    if bad < stop:
+        raise SpanError(
+            f"adjoint action leaves span(lie_basis) at {pts[bad]!r} "
+            f"(residual {res[bad]:.3e})", point=pts[bad], residual=float(res[bad]))
+    if stop < len(pts):
+        raise np.linalg.LinAlgError("Singular matrix")
+    return dict(zip(pts, coeff.swapaxes(1, 2)))
 
 
 def mc(model: GroupModel, g: MatrixField, det_floor: float = DET_FLOOR,
        span_tol: float = SPAN_TOL) -> LieValuedOneForm:
-    """Logarithmic differential g^-1 dg as a Lie-algebra valued one-form."""
-    data = {}
-    for p in g.ordered_points():
-        jm = g.data[p]
-        det = float(np.linalg.det(jm.value))
-        if abs(det) < det_floor:
-            raise SpanError(f"group element not invertible at {p!r}", point=p)
-        vi = np.linalg.inv(jm.value)
-        mats = np.einsum("ij,kjl->kil", vi, jm.grad)   # (dim, k, k)
-        coeff, res = model.expand_stack(mats)
-        if res > span_tol:
-            raise SpanError(
-                f"logarithmic differential leaves span(lie_basis) at {p!r} "
-                f"(residual {res:.3e})", point=p, residual=res)
-        data[p] = coeff
-    return LieValuedOneForm(g.region, data)
+    """Logarithmic differential g^-1 dg as a Lie-algebra valued one-form.
+
+    Points are taken in ``ordered_points`` order; the first one that is
+    not invertible or whose differential leaves the span raises
+    SpanError.
+    """
+    pts = g.ordered_points()
+    v, grad = stack_values(g, pts), stack_grads(g, pts)
+    stop = first_true(np.abs(np.linalg.det(v)) < det_floor)
+    vi = np.linalg.inv(v[:stop])
+    coeff, res = model.expand_stack(np.einsum("pij,pkjl->pkil", vi, grad[:stop]))
+    bad = first_true(res > span_tol)
+    if bad < stop:
+        raise SpanError(
+            f"logarithmic differential leaves span(lie_basis) at {pts[bad]!r} "
+            f"(residual {res[bad]:.3e})", point=pts[bad], residual=float(res[bad]))
+    if stop < len(pts):
+        raise SpanError(f"group element not invertible at {pts[stop]!r}", point=pts[stop])
+    return LieValuedOneForm(g.region, dict(zip(pts, coeff)))
 
 
 def rho_dot_form(model: GroupModel, g: MatrixField,
@@ -305,8 +324,10 @@ def rho_dot_form(model: GroupModel, g: MatrixField,
     """
     _require_aligned(g, w)
     rho = rho_matrix(model, g)
-    return LieValuedOneForm(w.region,
-                            {p: w.data[p] @ rho[p].T for p in w.data})
+    pts = list(w.data)
+    ws = stack_arrays(w, pts, (1, model.rank))
+    rt = np.array([rho[p].T for p in pts]).reshape(-1, model.rank, model.rank)
+    return LieValuedOneForm(w.region, dict(zip(pts, ws @ rt)))
 
 
 def check_logarithmic_rule(model: GroupModel, s: MatrixField, t: MatrixField,
@@ -315,6 +336,8 @@ def check_logarithmic_rule(model: GroupModel, s: MatrixField, t: MatrixField,
     lhs = mc(model, group_mul(s, t))
     rot = rho_dot_form(model, mat_inv(t), mc(model, s))
     dt_part = mc(model, t)
+    pts = lhs.ordered_points()
+    tail = (1, model.rank)
+    rhs = stack_arrays(rot, pts, tail) + stack_arrays(dt_part, pts, tail)
     return worst("log.crossed", tol,
-                 ((p, max_diff(lhs.data[p], rot.data[p] + dt_part.data[p]))
-                  for p in lhs.ordered_points()))
+                 zip(pts, max_diff_rows(stack_arrays(lhs, pts, tail), rhs)))

@@ -10,7 +10,19 @@ floating-point rounding.
 One-forms are plain coefficient arrays per point (the module action of
 a jet on a one-form uses the jet's value).  Matrices of jets are stored
 as a value array of shape (rows, cols) plus a gradient array of shape
-(dim, rows, cols), which keeps matrix products and inverses vectorized.
+(dim, rows, cols).
+
+Fields keep one object per sample point, but their operations are
+batched over the points: ``stack_values`` and ``stack_grads`` gather the
+per-point arrays into (P, ...) stacks, one numpy call computes the
+products, inverses or residuals of all points at once, and the
+per-point results are then built from the slices through the same
+validating ``Jet`` and ``JetMatrix`` constructors, as many as a loop
+over the points would build.  Each point's arithmetic is the one-point
+computation, so the numbers equal those of ``JetMatrix.matmul`` and
+``JetMatrix.inv`` bit for bit (``tests/test_batched.py`` holds them to
+it).  A check that fails reports the first failing point in the order
+the operation documents.
 
 All field objects are immutable by convention: operations return new
 fields, and the backing numpy arrays are marked read-only.  Reductions
@@ -40,10 +52,8 @@ def point_order(points) -> list:
     return sorted(points, key=str)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def _all_finite(a: np.ndarray) -> bool:
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
 
 
 class Jet:
@@ -52,14 +62,15 @@ class Jet:
     __slots__ = ("value", "gradient")
 
     def __init__(self, value: float, gradient):
-        g = np.atleast_1d(np.asarray(gradient, dtype=float))
+        g = np.array(gradient, dtype=float, ndmin=1)
         if g.ndim != 1 or g.size < 1:
             raise DimensionMismatchError("jet gradient must be a nonempty vector")
         v = float(value)
-        if not (math.isfinite(v) and np.isfinite(g).all()):
+        if not (math.isfinite(v) and _all_finite(g)):
             raise ValueError("jet components must be finite")
+        g.flags.writeable = False
         object.__setattr__(self, "value", v)
-        object.__setattr__(self, "gradient", _frozen(g))
+        object.__setattr__(self, "gradient", g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -153,8 +164,8 @@ class JetMatrix:
     __slots__ = ("value", "grad")
 
     def __init__(self, value, grad):
-        v = np.asarray(value, dtype=float)
-        g = np.asarray(grad, dtype=float)
+        v = np.array(value, dtype=float)
+        g = np.array(grad, dtype=float)
         if v.ndim != 2:
             raise DimensionMismatchError("JetMatrix value must be 2-d")
         if g.ndim != 3 or g.shape[1:] != v.shape:
@@ -162,10 +173,12 @@ class JetMatrix:
                 f"JetMatrix gradient shape {g.shape} does not extend value shape {v.shape}")
         if g.shape[0] < 1:
             raise DimensionMismatchError("JetMatrix needs at least one chart direction")
-        if not (np.isfinite(v).all() and np.isfinite(g).all()):
+        if not (_all_finite(v) and _all_finite(g)):
             raise ValueError("JetMatrix components must be finite")
-        object.__setattr__(self, "value", _frozen(v))
-        object.__setattr__(self, "grad", _frozen(g))
+        v.flags.writeable = False
+        g.flags.writeable = False
+        object.__setattr__(self, "value", v)
+        object.__setattr__(self, "grad", g)
 
     def __setattr__(self, name, value):
         raise AttributeError("JetMatrix is immutable")
@@ -324,13 +337,14 @@ class OneForm(_FieldBase):
         clean = {}
         dims = set()
         for p, arr in dict(data).items():
-            a = np.atleast_1d(np.asarray(arr, dtype=float))
+            a = np.array(arr, dtype=float, ndmin=1)
             if a.ndim != 1:
                 raise DimensionMismatchError("one-form coefficients must be vectors")
-            if not np.isfinite(a).all():
+            if not _all_finite(a):
                 raise ValueError("one-form coefficients must be finite")
             dims.add(a.size)
-            clean[p] = _frozen(a)
+            a.flags.writeable = False
+            clean[p] = a
         if len(dims) > 1:
             raise DimensionMismatchError("mixed coefficient lengths in one-form")
         super().__init__(region, clean)
@@ -356,10 +370,10 @@ class MatrixField(_FieldBase):
         for p, m in data.items():
             if not isinstance(m, JetMatrix):
                 raise TypeError(f"matrix field entry at {p} is not a JetMatrix")
-            if m.rows != rows or m.cols != cols:
+            if m.value.shape != (rows, cols):
                 raise FieldMismatchError(
-                    f"entry at {p} has shape {(m.rows, m.cols)}, expected {(rows, cols)}")
-            dims.add(m.dim)
+                    f"entry at {p} has shape {m.value.shape}, expected {(rows, cols)}")
+            dims.add(m.grad.shape[0])
         if len(dims) > 1:
             raise DimensionMismatchError("mixed jet dims in matrix field")
         object.__setattr__(self, "rows", int(rows))
@@ -391,14 +405,15 @@ class MatrixOneForm(_FieldBase):
     def __init__(self, region: str, rows: int, cols: int, data: Mapping):
         clean = {}
         for p, arr in dict(data).items():
-            a = np.asarray(arr, dtype=float)
+            a = np.array(arr, dtype=float)
             if a.ndim != 3 or a.shape[1:] != (rows, cols):
                 raise FieldMismatchError(
                     f"matrix one-form entry at {p} has shape {a.shape}, "
                     f"expected (dim, {rows}, {cols})")
-            if not np.isfinite(a).all():
+            if not _all_finite(a):
                 raise ValueError("matrix one-form coefficients must be finite")
-            clean[p] = _frozen(a)
+            a.flags.writeable = False
+            clean[p] = a
         object.__setattr__(self, "rows", int(rows))
         object.__setattr__(self, "cols", int(cols))
         super().__init__(region, clean)
@@ -437,6 +452,44 @@ def d_field(f: ScalarField) -> OneForm:
     return OneForm(f.region, {p: j.gradient for p, j in f.data.items()})
 
 
+# -- stacks over sample points ---------------------------------------------
+
+def stack_values(f: MatrixField, points) -> np.ndarray:
+    """Values of a matrix field at ``points``, in that order: (P, rows, cols)."""
+    return np.array([f.data[p].value for p in points]).reshape(-1, f.rows, f.cols)
+
+
+def stack_grads(f: MatrixField, points) -> np.ndarray:
+    """Gradients at ``points``, in that order: (P, dim, rows, cols).
+
+    An empty stack gets one placeholder chart direction.
+    """
+    return np.array([f.data[p].grad for p in points]).reshape(
+        -1, f.dim or 1, f.rows, f.cols)
+
+
+def stack_arrays(f: _FieldBase, points, tail: tuple) -> np.ndarray:
+    """Per-point arrays of a form field at ``points`` on a new first axis.
+
+    ``tail`` is the per-point shape of an empty stack; a nonempty stack
+    takes the shape of its arrays.
+    """
+    if not points:
+        return np.zeros((0,) + tuple(tail))
+    return np.array([f.data[p] for p in points], dtype=float)
+
+
+def matrix_data(points, values, grads) -> dict:
+    """Per-point ``JetMatrix`` objects from stacked values and gradients."""
+    return {p: JetMatrix(v, g) for p, v, g in zip(points, values, grads)}
+
+
+def first_true(mask) -> int:
+    """Index of the first true entry of a boolean vector, else its length."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
+
+
 # -- matrix field algebra ---------------------------------------------------
 
 def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
@@ -444,8 +497,14 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     if a.cols != b.rows:
         raise FieldMismatchError(
             f"matrix shapes {a.rows}x{a.cols} and {b.rows}x{b.cols} do not chain")
-    data = {p: a.data[p].matmul(b.data[p]) for p in a.data}
-    return MatrixField(a.region, a.rows, b.cols, data)
+    pts = list(a.data)
+    if pts and a.dim != b.dim:
+        raise DimensionMismatchError("JetMatrix product shape mismatch")
+    va, ga = stack_values(a, pts), stack_grads(a, pts)
+    vb, gb = stack_values(b, pts), stack_grads(b, pts)
+    grad = (np.einsum("pkij,pjl->pkil", ga, vb)
+            + np.einsum("pij,pkjl->pkil", va, gb))
+    return MatrixField(a.region, a.rows, b.cols, matrix_data(pts, va @ vb, grad))
 
 
 def mat_add(a: MatrixField, b: MatrixField) -> MatrixField:
@@ -455,7 +514,23 @@ def mat_add(a: MatrixField, b: MatrixField) -> MatrixField:
 
 
 def mat_inv(a: MatrixField, det_floor: float = DET_FLOOR) -> MatrixField:
-    return a.map_entries(lambda p, m: m.inv(det_floor, point=p))
+    """Pointwise inverse; the first point in dict order whose determinant
+    lies below ``det_floor`` raises SingularMatrixError."""
+    pts = list(a.data)
+    if pts and a.rows != a.cols:
+        raise DimensionMismatchError("only square matrices invert")
+    v, g = stack_values(a, pts), stack_grads(a, pts)
+    det = np.linalg.det(v)
+    stop = first_true(np.abs(det) < det_floor)
+    vi = np.linalg.inv(v[:stop])
+    gi = -np.einsum("pij,pkjl,plm->pkim", vi, g[:stop], vi)
+    data = matrix_data(pts, vi, gi)
+    if stop < len(pts):
+        p = pts[stop]
+        raise SingularMatrixError(
+            f"determinant {float(det[stop]):.3e} below floor {det_floor:.1e} "
+            f"at point {p}", point=p)
+    return MatrixField(a.region, a.rows, a.cols, data)
 
 
 def mat_d(a: MatrixField) -> MatrixOneForm:
@@ -465,16 +540,26 @@ def mat_d(a: MatrixField) -> MatrixOneForm:
 
 
 def mat_transpose(a: MatrixField) -> MatrixField:
+    pts = list(a.data)
+    v, g = stack_values(a, pts), stack_grads(a, pts)
     return MatrixField(a.region, a.cols, a.rows,
-                       {p: m.transpose() for p, m in a.data.items()})
+                       matrix_data(pts, v.swapaxes(1, 2), g.swapaxes(2, 3)))
 
 
 def mat_scale(a: MatrixField, s) -> MatrixField:
     """Scale a matrix field by a scalar field (jetwise) or a number."""
-    if isinstance(s, ScalarField):
-        _require_aligned(a, s)
-        return a.map_entries(lambda p, m: m.scale(s.data[p]))
-    return a.map_entries(lambda p, m: m.scale(s))
+    pts = list(a.data)
+    v, g = stack_values(a, pts), stack_grads(a, pts)
+    if not isinstance(s, ScalarField):
+        f = float(s)
+        return MatrixField(a.region, a.rows, a.cols, matrix_data(pts, f * v, f * g))
+    _require_aligned(a, s)
+    if pts and s.dim != a.dim:
+        raise DimensionMismatchError("scalar jet dim mismatch")
+    sv = np.array([s.data[p].value for p in pts]).reshape(-1, 1, 1)
+    sg = np.array([s.data[p].gradient for p in pts]).reshape(-1, g.shape[1], 1, 1)
+    return MatrixField(a.region, a.rows, a.cols,
+                       matrix_data(pts, sv * v, sg * v[:, None] + sv[:, None] * g))
 
 
 def identity_matrix_field(region: str, points, n: int, dim: int) -> MatrixField:
@@ -505,6 +590,26 @@ def max_diff(a, b) -> float:
     return float(np.max(np.abs(np.subtract(a, b)), initial=0.0))
 
 
+def max_diff_rows(a, b) -> list[float]:
+    """``max_diff`` of each pair of rows of two stacks (leading axis)."""
+    d = np.abs(np.subtract(a, b))
+    return np.max(d, axis=tuple(range(1, d.ndim)), initial=0.0).tolist()
+
+
+def form_diff_rows(a: _FieldBase, b: _FieldBase, points) -> list[float]:
+    """Per point, ``max_diff`` of the arrays two form fields hold there."""
+    return max_diff_rows(stack_arrays(a, points, ()), stack_arrays(b, points, ()))
+
+
+def jet_diff_rows(a: MatrixField, b: MatrixField, points) -> list[float]:
+    """Per point, the largest deviation of value and gradient entries."""
+    va, ga = stack_values(a, points), stack_grads(a, points)
+    vb, gb = stack_values(b, points), stack_grads(b, points)
+    if va.shape != vb.shape or ga.shape != gb.shape:
+        raise DimensionMismatchError("JetMatrix shape mismatch")
+    return np.maximum(max_diff_rows(va, vb), max_diff_rows(ga, gb)).tolist()
+
+
 def _entry_diff(a, b) -> float:
     if isinstance(a, (Jet, JetMatrix)):
         return a.max_abs_diff(b)
@@ -521,6 +626,19 @@ def field_residual(a: _FieldBase, b: _FieldBase) -> tuple[float, object]:
         raise FieldMismatchError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if set(a.data) != set(b.data):
         raise FieldMismatchError("fields are defined on different point sets")
-    r = worst("field", 0.0,
-              ((p, _entry_diff(a.data[p], b.data[p])) for p in a.ordered_points()))
+    pts = a.ordered_points()
+    if not pts:
+        return 0.0, None
+    if isinstance(a, MatrixField):
+        rows = jet_diff_rows(a, b, pts)
+    elif isinstance(a, ScalarField):
+        if a.dim != b.dim:
+            raise DimensionMismatchError(f"jet dims differ: {a.dim} vs {b.dim}")
+        ja, jb = [a.data[p] for p in pts], [b.data[p] for p in pts]
+        rows = np.maximum(
+            max_diff_rows([j.value for j in ja], [j.value for j in jb]),
+            max_diff_rows([j.gradient for j in ja], [j.gradient for j in jb])).tolist()
+    else:
+        rows = form_diff_rows(a, b, pts)
+    r = worst("field", 0.0, zip(pts, rows))
     return r.residual, r.worst_point

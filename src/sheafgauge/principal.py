@@ -45,10 +45,15 @@ from .groups import GroupModel, LieValuedOneForm, mc, rho_dot_form
 from .jets import (
     DET_FLOOR,
     MatrixField,
+    form_diff_rows,
+    jet_diff_rows,
     mat_inv,
     mat_mul,
-    max_diff,
+    max_diff_rows,
     point_order,
+    stack_arrays,
+    stack_grads,
+    stack_values,
 )
 from .report import CheckResult, worst
 
@@ -198,9 +203,8 @@ def check_cocycle(P: PrincipalSheafData,
                 ab = P.cocycle[(a, b)].restrict(pts)
                 bc = transport_field(P.cocycle[(b, c)].restrict(pts), cover, a)
                 ac = P.cocycle[(a, c)].restrict(pts)
-                prod = mat_mul(ab, bc)
-                triples += [(p, prod.data[p].max_abs_diff(ac.data[p]))
-                            for p in point_order(pts)]
+                order = point_order(pts)
+                triples += zip(order, jet_diff_rows(mat_mul(ab, bc), ac, order))
 
     return {"unit": worst("unit", tol, _from_identity(units)),
             "inverse": worst("inverse", tol, _from_identity(inverses)),
@@ -210,9 +214,10 @@ def check_cocycle(P: PrincipalSheafData,
 def _from_identity(fields):
     """(point, deviation from the constant identity) over each field in turn."""
     for f in fields:
-        for p in f.ordered_points():
-            m = f.data[p]
-            yield p, max(max_diff(m.value, np.eye(m.rows)), max_diff(m.grad, 0.0))
+        pts = f.ordered_points()
+        yield from zip(pts, np.maximum(
+            max_diff_rows(stack_values(f, pts), np.eye(f.rows)),
+            max_diff_rows(stack_grads(f, pts), 0.0)).tolist())
 
 
 def section_transition(P: PrincipalSheafData, s: PrincipalSectionLocal,
@@ -250,8 +255,8 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection,
             pts = P.cover.overlap_points(x, y)
             rhs = _transition_apply(P, x, y, D.form(x).restrict(pts))
             lhs = transport_form(D.form(y).restrict(pts), P.cover, x)
-            pairs += [(p, max_diff(lhs.data[p], rhs.data[p]))
-                      for p in point_order(lhs.data)]
+            order = lhs.ordered_points()
+            pairs += zip(order, form_diff_rows(lhs, rhs, order))
     return worst("connection", tol, pairs)
 
 
@@ -265,9 +270,7 @@ def _transition_apply(P: PrincipalSheafData, a: str, b: str,
     """
     gab = P.entry(a, b).restrict(wa.points)
     rot = rho_dot_form(P.group, mat_inv(gab), wa)
-    log = mc(P.group, gab)
-    return LieValuedOneForm(wa.region,
-                            {p: rot.data[p] + log.data[p] for p in wa.data})
+    return _form_sum(wa.region, rot, mc(P.group, gab), list(wa.data))
 
 
 def complete_connection(P: PrincipalSheafData, seed: tuple[str, LieValuedOneForm],
@@ -354,8 +357,7 @@ def _propagate(P: PrincipalSheafData, a: str, b: str,
             f"cannot determine the form on {b!r} at {miss}: transition entry "
             f"({a!r}, {b!r}) or parent data not available there")
     rot = rho_dot_form(P.group, mat_inv(gab.restrict(pts)), wa.restrict(pts))
-    log = mc(P.group, gab.restrict(pts))
-    return LieValuedOneForm(b, {p: rot.data[p] + log.data[p] for p in pts})
+    return _form_sum(b, rot, mc(P.group, gab.restrict(pts)), list(pts))
 
 
 def evaluate_connection(P: PrincipalSheafData, D: PrincipalConnection,
@@ -367,6 +369,12 @@ def evaluate_connection(P: PrincipalSheafData, D: PrincipalConnection,
     """
     wa = D.form(s.chart).restrict(s.points)
     rot = rho_dot_form(P.group, mat_inv(s.factor), wa)
-    log = mc(P.group, s.factor)
-    return LieValuedOneForm(s.factor.region,
-                            {p: rot.data[p] + log.data[p] for p in wa.data})
+    return _form_sum(s.factor.region, rot, mc(P.group, s.factor), list(wa.data))
+
+
+def _form_sum(region: str, a: LieValuedOneForm, b: LieValuedOneForm,
+              points: list) -> LieValuedOneForm:
+    """a + b at ``points``, keyed in that order."""
+    tail = (1, a.rank or 1)
+    return LieValuedOneForm(region, dict(zip(
+        points, stack_arrays(a, points, tail) + stack_arrays(b, points, tail))))

@@ -7,7 +7,8 @@ names the scenario.  Sections begin with a bracketed header:
 
     [space]                 points = N and one ``region id = a .. b``
                             per region (inclusive circular index range,
-                            wrapping when b < a)
+                            wrapping when b < a; both bounds lie in
+                            0 .. N-1)
     [group]                 kind = gl(n) | so(2) | gl1+ | torus(n)
     [cocycle a b]           the transition element from chart b to
                             chart a, one ``row = e1; e2; ...`` line per
@@ -83,6 +84,7 @@ def parse_scenario(text: str) -> Scenario:
     s = Scenario()
     section: tuple | None = None
     seen_cocycle_rows: list[list] | None = None
+    region_lines: dict[str, int] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -148,6 +150,7 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioError(
                         f"line {line_no}: region wants a range like 0 .. 9")
                 s.regions[rid] = (int(m.group(1)), int(m.group(2)))
+                region_lines[rid] = line_no
             else:
                 raise ScenarioError(f"line {line_no}: unknown space key {key!r}")
         elif section[0] == "group":
@@ -181,6 +184,12 @@ def parse_scenario(text: str) -> Scenario:
             except ValueError:
                 raise ScenarioError(f"line {line_no}: tolerance wants a float") from None
 
+    for rid, bounds in s.regions.items():
+        for b in bounds:
+            if not 0 <= b < s.n_points:
+                raise ScenarioError(
+                    f"line {region_lines[rid]}: region {rid!r} bound {b} is outside "
+                    f"0 .. {s.n_points - 1}")
     _validate(s)
     return s
 

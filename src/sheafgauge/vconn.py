@@ -49,8 +49,13 @@ from .jets import (
     MatrixOneForm,
     ScalarField,
     constant_matrix_field,
-    max_diff,
+    first_true,
+    form_diff_rows,
+    max_diff_rows,
     point_order,
+    stack_arrays,
+    stack_grads,
+    stack_values,
 )
 from .principal import (
     PrincipalConnection,
@@ -131,9 +136,9 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
                 f"(residual {verdict.residual:.3e})", residual=verdict.residual)
     forms = {}
     for chart, w in D.forms.items():
-        forms[chart] = MatrixOneForm(
-            w.region, R.n, R.n,
-            {p: R.apply_phibar(c) for p, c in w.data.items()})
+        pts = list(w.data)
+        mats = R.apply_phibar(stack_arrays(w, pts, (1, R.source.rank)))
+        forms[chart] = MatrixOneForm(w.region, R.n, R.n, dict(zip(pts, mats)))
     return VectorConnection(forms)
 
 
@@ -149,14 +154,11 @@ def nabla_apply(E: VectorSheafData, nab: VectorConnection,
     for chart in sorted(s.components):
         comp = s.components[chart]
         theta = nab.form(chart).restrict(comp.points)
-        data = {}
-        for p in comp.data:
-            v = comp.data[p]          # JetMatrix (n, 1)
-            th = theta.data[p]        # (dim, n, n)
-            dv = v.grad               # (dim, n, 1)
-            conn = np.einsum("kij,jl->kil", th, v.value)
-            data[p] = dv + conn
-        out[chart] = MatrixOneForm(comp.region, E.rank, 1, data)
+        pts = list(comp.data)
+        th = stack_arrays(theta, pts, (1, E.rank, E.rank))      # (P, dim, n, n)
+        der = stack_grads(comp, pts) + np.einsum(
+            "pkij,pjl->pkil", th, stack_values(comp, pts))
+        out[chart] = MatrixOneForm(comp.region, E.rank, 1, dict(zip(pts, der)))
     return out
 
 
@@ -178,9 +180,11 @@ def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
                 continue
             gab = E.entry(a, b).restrict(shared)
             db = transport_form(der[b].restrict(shared), E.cover, a)
-            pairs += [(p, max_diff(der[a].data[p],
-                                   np.einsum("ij,kjl->kil", gab.data[p].value, db.data[p])))
-                      for p in point_order(shared)]
+            order = point_order(shared)
+            tail = (1, E.rank, 1)
+            want = np.einsum("pij,pkjl->pkil", stack_values(gab, order),
+                             stack_arrays(db, order, tail))
+            pairs += zip(order, max_diff_rows(stack_arrays(der[a], order, tail), want))
     return worst("nabla.agreement", tol, pairs)
 
 
@@ -196,13 +200,15 @@ def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
     lhs = nabla_apply(E, nab, scaled)
     base = nabla_apply(E, nab, s)
     pairs = []
+    tail = (1, E.rank, 1)
     for chart in sorted(lhs):
-        comp = s.components[chart]
-        for p in point_order(lhs[chart].data):
-            aj = a.data[p]
-            rhs = aj.value * base[chart].data[p] \
-                + np.einsum("k,il->kil", aj.gradient, comp.data[p].value)
-            pairs.append((p, max_diff(lhs[chart].data[p], rhs)))
+        order = lhs[chart].ordered_points()
+        jets = [a.data[p] for p in order]
+        av = np.array([j.value for j in jets]).reshape(-1, 1, 1, 1)
+        ag = np.array([j.gradient for j in jets]).reshape(-1, a.dim or 1)
+        rhs = av * stack_arrays(base[chart], order, tail) + np.einsum(
+            "pk,pil->pkil", ag, stack_values(s.components[chart], order))
+        pairs += zip(order, max_diff_rows(stack_arrays(lhs[chart], order, tail), rhs))
     return worst("koszul", tol, pairs)
 
 
@@ -222,18 +228,17 @@ def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
     forms = {}
     for chart in sorted(nab.forms):
         w = nab.forms[chart]
-        data = {}
-        for p in w.ordered_points():
-            flat = w.data[p].reshape(w.data[p].shape[0], -1)
-            coeff = flat @ pinv
-            recon = coeff @ R.phibar
-            res = float(np.max(np.abs(recon - flat), initial=0.0))
-            if res > image_tol:
-                raise PullbackImageError(
-                    f"connection matrices leave the image of phibar at {p!r} "
-                    f"(residual {res:.3e})", point=p, residual=res)
-            data[p] = coeff
-        forms[chart] = LieValuedOneForm(w.region, data)
+        pts = w.ordered_points()
+        mats = stack_arrays(w, pts, (1, R.n, R.n))
+        flat = mats.reshape(mats.shape[:2] + (R.n * R.n,))
+        coeff = flat @ pinv
+        res = max_diff_rows(coeff @ R.phibar, flat)
+        bad = first_true(np.greater(res, image_tol))
+        if bad < len(pts):
+            raise PullbackImageError(
+                f"connection matrices leave the image of phibar at {pts[bad]!r} "
+                f"(residual {res[bad]:.3e})", point=pts[bad], residual=res[bad])
+        forms[chart] = LieValuedOneForm(w.region, dict(zip(pts, coeff)))
     return PrincipalConnection(forms)
 
 
@@ -295,6 +300,8 @@ def check_frame_roundtrip(E: VectorSheafData, nab: VectorConnection,
     P, R = frame_sheaf(E)
     D = _as_principal_connection(nab)
     back = induce_connection(P, R, D, tol=law_tol, verify=False)
-    return worst("frame.roundtrip", tol,
-                 ((p, max_diff(nab.forms[c].data[p], back.forms[c].data[p]))
-                  for c in sorted(nab.forms) for p in point_order(nab.forms[c].data)))
+    pairs = []
+    for c in sorted(nab.forms):
+        order = nab.forms[c].ordered_points()
+        pairs += zip(order, form_diff_rows(nab.forms[c], back.forms[c], order))
+    return worst("frame.roundtrip", tol, pairs)
