@@ -31,7 +31,7 @@ from .errors import (
     FieldMismatchError,
     ScenarioError,
 )
-from .groups import GroupModel, gl_model, mc, rho_matrix, so2_model
+from .groups import MAX_AMBIENT, GroupModel, gl_model, mc, rho_matrix, so2_model
 from .jets import (
     Jet,
     JetMatrix,
@@ -136,20 +136,30 @@ def gl1_diag_powers(*powers: int) -> RepresentationModel:
 def rep_by_name(name: str, source: GroupModel | None = None) -> RepresentationModel:
     """Parse scenario representation names.
 
-    trivial(n), so2_in_gl2, gl1_diag_powers(p1, ..., pn).  When a source
-    model is given, its kind is checked against the representation.
+    trivial(n), so2_in_gl2, gl1_diag_powers(p1, ..., pn), with n at most
+    ``groups.MAX_AMBIENT``.  When a source model is given, its kind is
+    checked against the representation.
     """
     s = name.strip().replace(" ", "")
+
+    def bounded(rank: int) -> int:
+        if rank > MAX_AMBIENT:
+            raise ScenarioError(f"representation {name!r} has rank {rank}, "
+                                f"above the size limit {MAX_AMBIENT}")
+        return rank
+
     rep = None
     m = re.fullmatch(r"trivial\((\d+)\)", s)
     if m:
-        rep = trivial_rep(int(m.group(1)))
+        rep = trivial_rep(bounded(int(m.group(1))))
     elif s == "so2_in_gl2":
         rep = so2_in_gl2()
     else:
         m = re.fullmatch(r"gl1_diag_powers\(([-\d,]+)\)", s)
         if m:
-            rep = gl1_diag_powers(*[int(x) for x in m.group(1).split(",")])
+            powers = [int(x) for x in m.group(1).split(",")]
+            bounded(len(powers))
+            rep = gl1_diag_powers(*powers)
     if rep is None:
         raise ScenarioError(f"unknown representation {name!r}")
     if source is not None and source.ambient != rep.source.ambient:

@@ -110,6 +110,9 @@ def _keys(*families: str) -> tuple[str, ...]:
     return tuple(k for k in TOLERANCES if k.split(".")[0] in families)
 
 
+# Keys that need the seed connection: its evaluation is part of the build.
+SEED_KEYS = _keys("connection", "induced", "koszul", "cor1", "cor2")
+
 SUITES = {
     "cocycle": _keys("cocycle", "push"),
     "liehom": _keys("liehom"),
@@ -128,9 +131,11 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
 
     Construction of the cover, group, cocycle and representation is
     allowed to raise (a scenario that cannot even be built has no
-    meaningful report), and so are unknown ``[tolerances]`` keys;
-    everything after that lands in the report, including failures of
-    the package's own error kinds.
+    meaningful report), and so are unknown ``[tolerances]`` keys and
+    the evaluation of the seed connection, made once when a key of the
+    suite needs it; everything after that, connection completion
+    included, lands in the report, including failures of the package's
+    own error kinds.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
@@ -177,8 +182,7 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
         return once("def1", build)[part]
 
     def connection():
-        return once("connection", lambda: complete_connection(
-            P, build_seed(scn, cover, group)))
+        return once("connection", lambda: complete_connection(P, seed))
 
     def induced():
         return once("induced", lambda: induce_connection(P, R, connection()))
@@ -261,10 +265,12 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
                 "cor2.roundtrip": lambda: check_frame_roundtrip(E, induced()),
             })
 
+    keys = [k for k in SUITES[suite] if k in checks]
+    if any(k in SEED_KEYS for k in keys):
+        seed = build_seed(scn, cover, group)
+
     report = Report()
-    for key in SUITES[suite]:
-        if key not in checks:
-            continue
+    for key in keys:
         try:
             res = replace(checks[key](), name=key,
                           tolerance=scn.tolerance(key, TOLERANCES[key]))

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ExprDomainError, ParseError
-from .jets import Jet
+from .jets import Jet, jet_mul
 
 FUNCTIONS = ("cos", "exp", "sin")
 # Nesting bound of the recursive-descent parser: each level costs about
@@ -217,28 +217,31 @@ def parse_expr(src: str):
     return _Parser(src).parse()
 
 
+# Gradients of constants and of the variable, shared by every evaluation.
+_ZERO = (0.0,)
+_ONE = (1.0,)
+
+
 def eval_expr(e, t: float) -> Jet:
     """Evaluate at the sample value t; the result carries d/dt exactly.
 
     A value or derivative beyond the floating-point range raises
     ExprDomainError at the offset of the node whose operation left it.
+    Nodes dispatch on their exact type, most frequent kinds first.
     """
+    kind = type(e)
     try:
-        if isinstance(e, Num):
-            return Jet(e.value, [0.0])
-        if isinstance(e, Pi):
-            return Jet(math.pi, [0.0])
-        if isinstance(e, Var):
-            return Jet(float(t), [1.0])
-        if isinstance(e, Neg):
-            return -eval_expr(e.operand, t)
-        if isinstance(e, Call):
-            a = eval_expr(e.arg, t)
-            return getattr(a, e.func)()
-        if isinstance(e, BinOp):
+        if kind is BinOp:
             a = eval_expr(e.left, t)
-            if e.op == "^":
-                b = eval_expr(e.right, t)
+            b = eval_expr(e.right, t)
+            op = e.op
+            if op == "*":
+                return jet_mul(a, b)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "^":
                 if _max_abs(b.gradient) != 0.0:
                     raise ExprDomainError("exponent depends on the variable", e.pos)
                 if not float(b.value).is_integer():
@@ -247,16 +250,19 @@ def eval_expr(e, t: float) -> Jet:
                 if a.value == 0.0 and k < 0:
                     raise ExprDomainError("zero base with negative exponent", e.pos)
                 return a ** k
-            b = eval_expr(e.right, t)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
             if b.value == 0.0:
                 raise ExprDomainError("division by zero", e.pos)
             return a / b
+        if kind is Num:
+            return Jet(e.value, _ZERO)
+        if kind is Var:
+            return Jet(float(t), _ONE)
+        if kind is Call:
+            return getattr(eval_expr(e.arg, t), e.func)()
+        if kind is Neg:
+            return -eval_expr(e.operand, t)
+        if kind is Pi:
+            return Jet(math.pi, _ZERO)
     except (OverflowError, ValueError):
         # OverflowError from math.exp and float powers; ValueError from the
         # Jet constructor's finiteness check.  Children have already mapped

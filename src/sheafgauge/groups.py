@@ -68,7 +68,7 @@ class LieValuedOneForm(_FieldBase):
             if not _all_finite(a):
                 raise ValueError("lie-valued one-form coefficients must be finite")
             shapes.add(a.shape)
-            a.flags.writeable = False
+            a.setflags(write=False)
             clean[p] = a
         if len(shapes) > 1:
             raise DimensionMismatchError("mixed shapes in lie-valued one-form")
@@ -188,11 +188,23 @@ class GroupModel:
 
 # -- model factories ---------------------------------------------------------
 
+# Largest n of gl(n) and torus(n).  The gl(n) basis has n**4 entries and
+# every sample point carries n x n matrices; the demos use n <= 2.
+MAX_AMBIENT = 8
+
+
+def _check_ambient(kind: str, n: int) -> None:
+    if n < 1:
+        raise DimensionMismatchError(f"{kind}(n) needs n >= 1")
+    if n > MAX_AMBIENT:
+        raise ScenarioError(
+            f"group kind {kind}({n}) exceeds the size limit n <= {MAX_AMBIENT}")
+
+
 def gl_model(n: int) -> GroupModel:
     """Invertible n x n matrices; the algebra is all of M_n with the
     elementary-matrix basis in row-major order."""
-    if n < 1:
-        raise DimensionMismatchError("gl(n) needs n >= 1")
+    _check_ambient("gl", n)
     basis = np.eye(n * n).reshape(n * n, n, n)
     return GroupModel(f"gl({n})", n, basis)
 
@@ -210,8 +222,7 @@ def gl1_positive_model() -> GroupModel:
 
 def torus_model(n: int) -> GroupModel:
     """Invertible diagonal n x n matrices."""
-    if n < 1:
-        raise DimensionMismatchError("torus(n) needs n >= 1")
+    _check_ambient("torus", n)
     basis = np.zeros((n, n, n))
     for i in range(n):
         basis[i, i, i] = 1.0

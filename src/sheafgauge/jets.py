@@ -28,6 +28,18 @@ All field objects are immutable by convention: operations return new
 fields, and the backing numpy arrays are marked read-only.  Reductions
 over sample points run in sorted point order so results do not depend
 on dict insertion history.
+
+What remains per point is the fixed cost of each object, so the
+per-point paths stay in plain Python where numpy's per-call overhead
+would exceed the arithmetic.  ``_all_finite``, the check every
+constructor makes (``Jet``, ``JetMatrix``, ``OneForm``,
+``MatrixOneForm``, ``groups.LieValuedOneForm``), runs ``math.isfinite``
+over the flattened entries: it rejects NaN, +inf and -inf exactly as
+``np.isfinite`` does and accepts empty arrays, at a fraction of the cost
+of two ufunc calls on a one- to four-entry array.  ``Jet`` operators
+carry the gradient as Python floats: IEEE arithmetic gives the bits
+numpy would, an overflow becomes inf without numpy's RuntimeWarning,
+and the constructor rejects it.
 """
 
 from __future__ import annotations
@@ -53,7 +65,8 @@ def point_order(points) -> list:
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+    """True when no entry of ``a`` is NaN, +inf or -inf; true when empty."""
+    return all(map(math.isfinite, a.ravel().tolist()))
 
 
 class Jet:
@@ -63,14 +76,15 @@ class Jet:
 
     def __init__(self, value: float, gradient):
         g = np.array(gradient, dtype=float, ndmin=1)
-        if g.ndim != 1 or g.size < 1:
+        if g.ndim != 1 or not g.size:
             raise DimensionMismatchError("jet gradient must be a nonempty vector")
         v = float(value)
-        if not (math.isfinite(v) and _all_finite(g)):
+        # _all_finite without the ravel: a vector's list is already flat
+        if not (math.isfinite(v) and all(map(math.isfinite, g.tolist()))):
             raise ValueError("jet components must be finite")
-        g.flags.writeable = False
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "gradient", g)
+        g.setflags(write=False)
+        _set_jet_value(self, v)
+        _set_jet_gradient(self, g)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
@@ -81,32 +95,39 @@ class Jet:
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if other.dim != self.dim:
+            if other.gradient.shape != self.gradient.shape:
                 raise DimensionMismatchError(
                     f"jet dims differ: {self.dim} vs {other.dim}")
             return other
-        return Jet(float(other), np.zeros(self.dim))
+        return Jet(float(other), np.zeros(self.gradient.size))
+
+    def _scaled(self, value: float, c: float) -> "Jet":
+        """The jet (value, c * gradient)."""
+        return Jet(value, [c * x for x in self.gradient.tolist()])
 
     def __add__(self, other):
         o = self._coerce(other)
-        return Jet(self.value + o.value, self.gradient + o.gradient)
+        return Jet(self.value + o.value,
+                   [x + y for x, y in zip(self.gradient.tolist(), o.gradient.tolist())])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return Jet(self.value - o.value, self.gradient - o.gradient)
+        return Jet(self.value - o.value,
+                   [x - y for x, y in zip(self.gradient.tolist(), o.gradient.tolist())])
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Jet(-self.value, -self.gradient)
+        return Jet(-self.value, [-x for x in self.gradient.tolist()])
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             return jet_mul(self, other)
-        return Jet(self.value * float(other), self.gradient * float(other))
+        c = float(other)
+        return self._scaled(self.value * c, c)
 
     __rmul__ = __mul__
 
@@ -114,9 +135,14 @@ class Jet:
         o = self._coerce(other)
         if o.value == 0.0:
             raise ZeroDivisionError("jet division by zero value")
-        v = self.value / o.value
-        g = (self.gradient * o.value - self.value * o.gradient) / (o.value ** 2)
-        return Jet(v, g)
+        a, b = self.value, o.value
+        v = a / b
+        q = b ** 2
+        if q == 0.0:
+            # every gradient entry would be x / 0: infinite or NaN
+            raise ValueError("jet components must be finite")
+        return Jet(v, [(x * b - a * y) / q
+                       for x, y in zip(self.gradient.tolist(), o.gradient.tolist())])
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -125,22 +151,20 @@ class Jet:
         if not isinstance(n, int):
             raise TypeError("jet exponent must be an integer")
         if n == 0:
-            return Jet(1.0, np.zeros(self.dim))
+            return Jet(1.0, np.zeros(self.gradient.size))
         if self.value == 0.0 and n < 0:
             raise ZeroDivisionError("zero jet raised to a negative power")
-        v = self.value ** n
-        g = n * (self.value ** (n - 1)) * self.gradient
-        return Jet(v, g)
+        return self._scaled(self.value ** n, n * (self.value ** (n - 1)))
 
     def sin(self):
-        return Jet(math.sin(self.value), math.cos(self.value) * self.gradient)
+        return self._scaled(math.sin(self.value), math.cos(self.value))
 
     def cos(self):
-        return Jet(math.cos(self.value), -math.sin(self.value) * self.gradient)
+        return self._scaled(math.cos(self.value), -math.sin(self.value))
 
     def exp(self):
         e = math.exp(self.value)
-        return Jet(e, e * self.gradient)
+        return self._scaled(e, e)
 
     def max_abs_diff(self, other: "Jet") -> float:
         o = self._coerce(other)
@@ -151,11 +175,19 @@ class Jet:
         return f"Jet({self.value!r}, {self.gradient.tolist()!r})"
 
 
+# The slots' own setters: cheaper than object.__setattr__ and past the
+# classes' __setattr__, which refuses every assignment.
+_set_jet_value = Jet.value.__set__
+_set_jet_gradient = Jet.gradient.__set__
+
+
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Leibniz product: d(ab) = a db + b da, carried in the gradient slot."""
-    if a.dim != b.dim:
+    if a.gradient.shape != b.gradient.shape:
         raise DimensionMismatchError(f"jet dims differ: {a.dim} vs {b.dim}")
-    return Jet(a.value * b.value, a.value * b.gradient + b.value * a.gradient)
+    u, v = a.value, b.value
+    return Jet(u * v, [u * y + v * x
+                       for x, y in zip(a.gradient.tolist(), b.gradient.tolist())])
 
 
 class JetMatrix:
@@ -175,10 +207,10 @@ class JetMatrix:
             raise DimensionMismatchError("JetMatrix needs at least one chart direction")
         if not (_all_finite(v) and _all_finite(g)):
             raise ValueError("JetMatrix components must be finite")
-        v.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "grad", g)
+        v.setflags(write=False)
+        g.setflags(write=False)
+        _set_matrix_value(self, v)
+        _set_matrix_grad(self, g)
 
     def __setattr__(self, name, value):
         raise AttributeError("JetMatrix is immutable")
@@ -195,15 +227,12 @@ class JetMatrix:
     @classmethod
     def from_jets(cls, rows: Iterable[Iterable[Jet]]) -> "JetMatrix":
         grid = [list(r) for r in rows]
-        dim = grid[0][0].dim
+        shape = grid[0][0].gradient.shape
         v = np.array([[j.value for j in r] for r in grid])
-        g = np.empty((dim, len(grid), len(grid[0])))
-        for i, r in enumerate(grid):
-            for j, jet in enumerate(r):
-                if jet.dim != dim:
-                    raise DimensionMismatchError("mixed jet dims in one matrix")
-                g[:, i, j] = jet.gradient
-        return cls(v, g)
+        if any(j.gradient.shape != shape for r in grid for j in r):
+            raise DimensionMismatchError("mixed jet dims in one matrix")
+        g = np.array([[j.gradient for j in r] for r in grid])
+        return cls(v, g.transpose(2, 0, 1))
 
     @property
     def rows(self) -> int:
@@ -268,6 +297,10 @@ class JetMatrix:
 
     def __repr__(self):
         return f"JetMatrix(value={self.value.tolist()!r}, dim={self.dim})"
+
+
+_set_matrix_value = JetMatrix.value.__set__
+_set_matrix_grad = JetMatrix.grad.__set__
 
 
 class _FieldBase:
@@ -343,7 +376,7 @@ class OneForm(_FieldBase):
             if not _all_finite(a):
                 raise ValueError("one-form coefficients must be finite")
             dims.add(a.size)
-            a.flags.writeable = False
+            a.setflags(write=False)
             clean[p] = a
         if len(dims) > 1:
             raise DimensionMismatchError("mixed coefficient lengths in one-form")
@@ -412,7 +445,7 @@ class MatrixOneForm(_FieldBase):
                     f"expected (dim, {rows}, {cols})")
             if not _all_finite(a):
                 raise ValueError("matrix one-form coefficients must be finite")
-            a.flags.writeable = False
+            a.setflags(write=False)
             clean[p] = a
         object.__setattr__(self, "rows", int(rows))
         object.__setattr__(self, "cols", int(cols))

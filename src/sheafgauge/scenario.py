@@ -5,11 +5,12 @@ Format
 Blank lines and ``#`` comments are ignored.  Top-level ``name = ...``
 names the scenario.  Sections begin with a bracketed header:
 
-    [space]                 points = N and one ``region id = a .. b``
-                            per region (inclusive circular index range,
-                            wrapping when b < a; both bounds lie in
-                            0 .. N-1)
-    [group]                 kind = gl(n) | so(2) | gl1+ | torus(n)
+    [space]                 points = N (1 .. MAX_POINTS) and one
+                            ``region id = a .. b`` per region
+                            (inclusive circular index range, wrapping
+                            when b < a; both bounds lie in 0 .. N-1)
+    [group]                 kind = gl(n) | so(2) | gl1+ | torus(n),
+                            n at most ``groups.MAX_AMBIENT``
     [cocycle a b]           the transition element from chart b to
                             chart a, one ``row = e1; e2; ...`` line per
                             matrix row, entries in the expression
@@ -48,6 +49,10 @@ from .groups import GroupModel, LieValuedOneForm, model_by_name
 from .principal import PrincipalSheafData
 
 DEFAULT_POINTS = 24
+# Largest sample count.  A report costs about 1 ms of CPU and 10 kB of
+# memory per point (the three demos at 4800 points on a 2-vCPU VM), so
+# this keeps one within about a minute and half a gigabyte.
+MAX_POINTS = 50_000
 
 
 @dataclass
@@ -141,6 +146,10 @@ def parse_scenario(text: str) -> Scenario:
                     raise ScenarioError(f"line {line_no}: points wants an integer") from None
                 if s.n_points < 1:
                     raise ScenarioError(f"line {line_no}: points must be positive")
+                if s.n_points > MAX_POINTS:
+                    raise ScenarioError(
+                        f"line {line_no}: points = {s.n_points} exceeds the "
+                        f"size limit {MAX_POINTS}")
             elif key.startswith("region "):
                 rid = key[len("region "):].strip()
                 if not rid or rid in s.regions:
