@@ -19,6 +19,7 @@ from .errors import (
     MissingEntryError,
     MissingExtensionError,
     MissingJacobianError,
+    NonFiniteError,
     OverlapMismatchError,
     ParseError,
     PreconditionError,

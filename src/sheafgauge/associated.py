@@ -29,6 +29,7 @@ from .errors import (
     EmptyOverlapError,
     EquivarianceError,
     FieldMismatchError,
+    NonFiniteError,
     ScenarioError,
 )
 from .groups import MAX_AMBIENT, GroupModel, gl_model, mc, rho_matrix, so2_model
@@ -114,23 +115,30 @@ def gl1_diag_powers(*powers: int) -> RepresentationModel:
     pw = [int(p) for p in powers]
     n = len(pw)
     src = gl_model(1)
+    name = f"gl1_diag_powers({', '.join(map(str, pw))})"
 
     def phi(g: MatrixField) -> MatrixField:
-        def lift(m: JetMatrix) -> JetMatrix:
+        def lift(p, m: JetMatrix) -> JetMatrix:
             a = m.entry(0, 0)
-            zero = Jet(0.0, np.zeros(a.dim))
+            zero = Jet(0.0, (0.0,) * a.dim)
             rows = []
             for i in range(n):
                 row = [zero] * n
-                row[i] = a ** pw[i]
+                try:
+                    row[i] = a ** pw[i]
+                except (OverflowError, NonFiniteError):
+                    # OverflowError from the float power, NonFiniteError
+                    # from the Jet constructor
+                    raise ScenarioError(
+                        f"representation {name} leaves the floating-point range "
+                        f"at point {p} (a = {a.value:.6g}, power {pw[i]})") from None
                 rows.append(row)
             return JetMatrix.from_jets(rows)
         return MatrixField(g.region, n, n,
-                           {p: lift(m) for p, m in g.data.items()})
+                           {p: lift(p, m) for p, m in g.data.items()})
 
     phibar = np.diag([float(p) for p in pw]).reshape(1, n * n)
-    return RepresentationModel(f"gl1_diag_powers({', '.join(map(str, pw))})",
-                               src, n, phi, phibar)
+    return RepresentationModel(name, src, n, phi, phibar)
 
 
 def rep_by_name(name: str, source: GroupModel | None = None) -> RepresentationModel:

@@ -135,7 +135,9 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
     the evaluation of the seed connection, made once when a key of the
     suite needs it; everything after that, connection completion
     included, lands in the report, including failures of the package's
-    own error kinds.
+    own error kinds.  The one exception is ``ScenarioError``: raised by
+    a key (say, a representation whose powers overflow on a group
+    element), it still means unusable input and propagates.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; available: {', '.join(sorted(SUITES))}")
@@ -274,6 +276,8 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
         try:
             res = replace(checks[key](), name=key,
                           tolerance=scn.tolerance(key, TOLERANCES[key]))
+        except ScenarioError:
+            raise  # the input itself is unusable, not a failed check
         except SheafGaugeError as exc:
             res = CheckResult(key, float("inf"), 0.0,
                               error=f"{type(exc).__name__}: {exc}")

@@ -246,8 +246,8 @@ def transport_field(field, cover: SampledCover, to: str):
         grads = _pull_axis(stack_grads(field, pts), jac)
         data = {p: JetMatrix(field.data[p].value, g) for p, g in zip(pts, grads)}
     else:
-        grads = _pull_axis(np.array([field.data[p].gradient for p in pts]), jac)
-        data = {p: Jet(field.data[p].value, g) for p, g in zip(pts, grads)}
+        grads = _pull_axis(np.array([field.data[p].grad_tuple for p in pts]), jac)
+        data = {p: Jet(field.data[p].value, g) for p, g in zip(pts, grads.tolist())}
     return field._replace(to, data)
 
 

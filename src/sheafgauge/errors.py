@@ -11,6 +11,13 @@ class DimensionMismatchError(SheafGaugeError):
     """Jet gradients or coordinate vectors of incompatible lengths."""
 
 
+class NonFiniteError(SheafGaugeError, ValueError):
+    """A jet, matrix or form component is NaN or infinite.
+
+    Also a ValueError, so code that catches ValueError keeps working.
+    """
+
+
 class FieldMismatchError(SheafGaugeError):
     """Fields combined across different regions, point sets or shapes."""
 

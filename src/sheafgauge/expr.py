@@ -29,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import ExprDomainError, ParseError
+from .errors import ExprDomainError, NonFiniteError, ParseError
 from .jets import Jet, jet_mul
 
 FUNCTIONS = ("cos", "exp", "sin")
@@ -242,7 +242,7 @@ def eval_expr(e, t: float) -> Jet:
             if op == "-":
                 return a - b
             if op == "^":
-                if _max_abs(b.gradient) != 0.0:
+                if _max_abs(b.grad_tuple) != 0.0:
                     raise ExprDomainError("exponent depends on the variable", e.pos)
                 if not float(b.value).is_integer():
                     raise ExprDomainError(f"exponent {b.value!r} is not an integer", e.pos)
@@ -263,10 +263,10 @@ def eval_expr(e, t: float) -> Jet:
             return -eval_expr(e.operand, t)
         if kind is Pi:
             return Jet(math.pi, _ZERO)
-    except (OverflowError, ValueError):
-        # OverflowError from math.exp and float powers; ValueError from the
-        # Jet constructor's finiteness check.  Children have already mapped
-        # their own failures, so this node's operation is the one at fault.
+    except (OverflowError, NonFiniteError):
+        # OverflowError from math.exp and float powers; NonFiniteError from
+        # the Jet constructor.  Children have already mapped their own
+        # failures, so this node's operation is the one at fault.
         raise ExprDomainError(f"result out of floating-point range at t = {t:.6g}",
                               e.pos) from None
     raise TypeError(f"not an expression node: {e!r}")

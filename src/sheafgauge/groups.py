@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
+    NonFiniteError,
     ScenarioError,
     SpanError,
 )
@@ -66,7 +67,7 @@ class LieValuedOneForm(_FieldBase):
                 raise DimensionMismatchError(
                     "lie-valued one-form entries must be (dim, m) arrays")
             if not _all_finite(a):
-                raise ValueError("lie-valued one-form coefficients must be finite")
+                raise NonFiniteError("lie-valued one-form coefficients must be finite")
             shapes.add(a.shape)
             a.setflags(write=False)
             clean[p] = a

@@ -36,10 +36,19 @@ constructor makes (``Jet``, ``JetMatrix``, ``OneForm``,
 ``MatrixOneForm``, ``groups.LieValuedOneForm``), runs ``math.isfinite``
 over the flattened entries: it rejects NaN, +inf and -inf exactly as
 ``np.isfinite`` does and accepts empty arrays, at a fraction of the cost
-of two ufunc calls on a one- to four-entry array.  ``Jet`` operators
-carry the gradient as Python floats: IEEE arithmetic gives the bits
-numpy would, an overflow becomes inf without numpy's RuntimeWarning,
-and the constructor rejects it.
+of two ufunc calls on a one- to four-entry array; a non-finite entry
+raises ``NonFiniteError``, which is also a ``ValueError``.
+
+A ``Jet`` stores its value as a float and its gradient as a tuple of
+Python floats, ``grad_tuple``.  Its operators read and build these
+tuples directly: IEEE arithmetic gives the bits numpy would, an overflow
+becomes inf without numpy's RuntimeWarning, and the constructor rejects
+it.  Nothing on the hot path (expression nodes, the scalar field
+algebra, chart transport) treats a single jet's gradient as an array,
+so ``Jet.gradient``, the read-only float64 array of the same numbers, is
+built only when someone reads it; the first read caches it, and later
+reads return the same object.  Code that stacks jet gradients over
+points stacks the tuples.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
+    NonFiniteError,
     SingularMatrixError,
 )
 from .report import worst
@@ -70,58 +80,79 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 class Jet:
-    """Value and first derivative of a scalar at one sample point."""
+    """Value and first derivative of a scalar at one sample point.
 
-    __slots__ = ("value", "gradient")
+    The gradient is held as a tuple of Python floats (``grad_tuple``);
+    ``gradient`` is the same numbers as a read-only float64 array, built
+    on first access and cached.
+    """
+
+    __slots__ = ("value", "grad_tuple", "_gradient")
 
     def __init__(self, value: float, gradient):
-        g = np.array(gradient, dtype=float, ndmin=1)
-        if g.ndim != 1 or not g.size:
+        g = None
+        if isinstance(gradient, (tuple, list)):
+            try:
+                g = tuple(map(float, gradient))
+            except (TypeError, ValueError, OverflowError):
+                pass  # nested or non-numeric: numpy says what is wrong
+        if g is None:
+            a = np.array(gradient, dtype=float, ndmin=1)
+            g = tuple(a.tolist()) if a.ndim == 1 else ()  # () is rejected next
+        if not g:
             raise DimensionMismatchError("jet gradient must be a nonempty vector")
         v = float(value)
-        # _all_finite without the ravel: a vector's list is already flat
-        if not (math.isfinite(v) and all(map(math.isfinite, g.tolist()))):
-            raise ValueError("jet components must be finite")
-        g.setflags(write=False)
+        if not (math.isfinite(v) and all(map(math.isfinite, g))):
+            raise NonFiniteError("jet components must be finite")
         _set_jet_value(self, v)
-        _set_jet_gradient(self, g)
+        _set_jet_grad_tuple(self, g)
+        _set_jet_gradient(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Jet is immutable")
 
     @property
+    def gradient(self) -> np.ndarray:
+        a = self._gradient
+        if a is None:
+            a = np.array(self.grad_tuple)
+            a.setflags(write=False)
+            _set_jet_gradient(self, a)
+        return a
+
+    @property
     def dim(self) -> int:
-        return self.gradient.size
+        return len(self.grad_tuple)
 
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if other.gradient.shape != self.gradient.shape:
+            if len(other.grad_tuple) != len(self.grad_tuple):
                 raise DimensionMismatchError(
                     f"jet dims differ: {self.dim} vs {other.dim}")
             return other
-        return Jet(float(other), np.zeros(self.gradient.size))
+        return Jet(float(other), (0.0,) * len(self.grad_tuple))
 
     def _scaled(self, value: float, c: float) -> "Jet":
         """The jet (value, c * gradient)."""
-        return Jet(value, [c * x for x in self.gradient.tolist()])
+        return Jet(value, [c * x for x in self.grad_tuple])
 
     def __add__(self, other):
         o = self._coerce(other)
         return Jet(self.value + o.value,
-                   [x + y for x, y in zip(self.gradient.tolist(), o.gradient.tolist())])
+                   [x + y for x, y in zip(self.grad_tuple, o.grad_tuple)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
         return Jet(self.value - o.value,
-                   [x - y for x, y in zip(self.gradient.tolist(), o.gradient.tolist())])
+                   [x - y for x, y in zip(self.grad_tuple, o.grad_tuple)])
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Jet(-self.value, [-x for x in self.gradient.tolist()])
+        return Jet(-self.value, [-x for x in self.grad_tuple])
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -140,9 +171,9 @@ class Jet:
         q = b ** 2
         if q == 0.0:
             # every gradient entry would be x / 0: infinite or NaN
-            raise ValueError("jet components must be finite")
+            raise NonFiniteError("jet components must be finite")
         return Jet(v, [(x * b - a * y) / q
-                       for x, y in zip(self.gradient.tolist(), o.gradient.tolist())])
+                       for x, y in zip(self.grad_tuple, o.grad_tuple)])
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -151,7 +182,7 @@ class Jet:
         if not isinstance(n, int):
             raise TypeError("jet exponent must be an integer")
         if n == 0:
-            return Jet(1.0, np.zeros(self.gradient.size))
+            return Jet(1.0, (0.0,) * len(self.grad_tuple))
         if self.value == 0.0 and n < 0:
             raise ZeroDivisionError("zero jet raised to a negative power")
         return self._scaled(self.value ** n, n * (self.value ** (n - 1)))
@@ -169,25 +200,25 @@ class Jet:
     def max_abs_diff(self, other: "Jet") -> float:
         o = self._coerce(other)
         return max(abs(self.value - o.value),
-                   float(np.max(np.abs(self.gradient - o.gradient))))
+                   max(abs(x - y) for x, y in zip(self.grad_tuple, o.grad_tuple)))
 
     def __repr__(self):
-        return f"Jet({self.value!r}, {self.gradient.tolist()!r})"
+        return f"Jet({self.value!r}, {list(self.grad_tuple)!r})"
 
 
 # The slots' own setters: cheaper than object.__setattr__ and past the
 # classes' __setattr__, which refuses every assignment.
 _set_jet_value = Jet.value.__set__
-_set_jet_gradient = Jet.gradient.__set__
+_set_jet_grad_tuple = Jet.grad_tuple.__set__
+_set_jet_gradient = Jet._gradient.__set__
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Leibniz product: d(ab) = a db + b da, carried in the gradient slot."""
-    if a.gradient.shape != b.gradient.shape:
+    if len(a.grad_tuple) != len(b.grad_tuple):
         raise DimensionMismatchError(f"jet dims differ: {a.dim} vs {b.dim}")
     u, v = a.value, b.value
-    return Jet(u * v, [u * y + v * x
-                       for x, y in zip(a.gradient.tolist(), b.gradient.tolist())])
+    return Jet(u * v, [u * y + v * x for x, y in zip(a.grad_tuple, b.grad_tuple)])
 
 
 class JetMatrix:
@@ -206,7 +237,7 @@ class JetMatrix:
         if g.shape[0] < 1:
             raise DimensionMismatchError("JetMatrix needs at least one chart direction")
         if not (_all_finite(v) and _all_finite(g)):
-            raise ValueError("JetMatrix components must be finite")
+            raise NonFiniteError("JetMatrix components must be finite")
         v.setflags(write=False)
         g.setflags(write=False)
         _set_matrix_value(self, v)
@@ -227,11 +258,11 @@ class JetMatrix:
     @classmethod
     def from_jets(cls, rows: Iterable[Iterable[Jet]]) -> "JetMatrix":
         grid = [list(r) for r in rows]
-        shape = grid[0][0].gradient.shape
+        dim = len(grid[0][0].grad_tuple)
         v = np.array([[j.value for j in r] for r in grid])
-        if any(j.gradient.shape != shape for r in grid for j in r):
+        if any(len(j.grad_tuple) != dim for r in grid for j in r):
             raise DimensionMismatchError("mixed jet dims in one matrix")
-        g = np.array([[j.gradient for j in r] for r in grid])
+        g = np.array([[j.grad_tuple for j in r] for r in grid])
         return cls(v, g.transpose(2, 0, 1))
 
     @property
@@ -247,7 +278,7 @@ class JetMatrix:
         return self.grad.shape[0]
 
     def entry(self, i: int, j: int) -> Jet:
-        return Jet(self.value[i, j], self.grad[:, i, j])
+        return Jet(self.value[i, j], self.grad[:, i, j].tolist())
 
     def matmul(self, other: "JetMatrix") -> "JetMatrix":
         if self.cols != other.rows or self.dim != other.dim:
@@ -267,7 +298,8 @@ class JetMatrix:
             if s.dim != self.dim:
                 raise DimensionMismatchError("scalar jet dim mismatch")
             v = s.value * self.value
-            g = s.gradient[:, None, None] * self.value[None, :, :] + s.value * self.grad
+            g = (np.array(s.grad_tuple)[:, None, None] * self.value[None, :, :]
+                 + s.value * self.grad)
             return JetMatrix(v, g)
         return JetMatrix(float(s) * self.value, float(s) * self.grad)
 
@@ -374,7 +406,7 @@ class OneForm(_FieldBase):
             if a.ndim != 1:
                 raise DimensionMismatchError("one-form coefficients must be vectors")
             if not _all_finite(a):
-                raise ValueError("one-form coefficients must be finite")
+                raise NonFiniteError("one-form coefficients must be finite")
             dims.add(a.size)
             a.setflags(write=False)
             clean[p] = a
@@ -444,7 +476,7 @@ class MatrixOneForm(_FieldBase):
                     f"matrix one-form entry at {p} has shape {a.shape}, "
                     f"expected (dim, {rows}, {cols})")
             if not _all_finite(a):
-                raise ValueError("matrix one-form coefficients must be finite")
+                raise NonFiniteError("matrix one-form coefficients must be finite")
             a.setflags(write=False)
             clean[p] = a
         object.__setattr__(self, "rows", int(rows))
@@ -482,7 +514,7 @@ def field_add(s: ScalarField, t: ScalarField) -> ScalarField:
 
 def d_field(f: ScalarField) -> OneForm:
     """Exterior derivative: reads off each jet's gradient as coefficients."""
-    return OneForm(f.region, {p: j.gradient for p, j in f.data.items()})
+    return OneForm(f.region, {p: j.grad_tuple for p, j in f.data.items()})
 
 
 # -- stacks over sample points ---------------------------------------------
@@ -590,7 +622,7 @@ def mat_scale(a: MatrixField, s) -> MatrixField:
     if pts and s.dim != a.dim:
         raise DimensionMismatchError("scalar jet dim mismatch")
     sv = np.array([s.data[p].value for p in pts]).reshape(-1, 1, 1)
-    sg = np.array([s.data[p].gradient for p in pts]).reshape(-1, g.shape[1], 1, 1)
+    sg = np.array([s.data[p].grad_tuple for p in pts]).reshape(-1, g.shape[1], 1, 1)
     return MatrixField(a.region, a.rows, a.cols,
                        matrix_data(pts, sv * v, sg * v[:, None] + sv[:, None] * g))
 
@@ -610,7 +642,7 @@ def coordinate_field(region: str, coords: Mapping, axis: int = 0) -> ScalarField
     data = {}
     for p, c in coords.items():
         c = np.atleast_1d(np.asarray(c, dtype=float))
-        g = np.zeros(c.size)
+        g = [0.0] * c.size
         g[axis] = 1.0
         data[p] = Jet(c[axis], g)
     return ScalarField(region, data)
@@ -670,7 +702,7 @@ def field_residual(a: _FieldBase, b: _FieldBase) -> tuple[float, object]:
         ja, jb = [a.data[p] for p in pts], [b.data[p] for p in pts]
         rows = np.maximum(
             max_diff_rows([j.value for j in ja], [j.value for j in jb]),
-            max_diff_rows([j.gradient for j in ja], [j.gradient for j in jb])).tolist()
+            max_diff_rows([j.grad_tuple for j in ja], [j.grad_tuple for j in jb])).tolist()
     else:
         rows = form_diff_rows(a, b, pts)
     r = worst("field", 0.0, zip(pts, rows))

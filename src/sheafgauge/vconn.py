@@ -205,7 +205,7 @@ def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
         order = lhs[chart].ordered_points()
         jets = [a.data[p] for p in order]
         av = np.array([j.value for j in jets]).reshape(-1, 1, 1, 1)
-        ag = np.array([j.gradient for j in jets]).reshape(-1, a.dim or 1)
+        ag = np.array([j.grad_tuple for j in jets]).reshape(-1, a.dim or 1)
         rhs = av * stack_arrays(base[chart], order, tail) + np.einsum(
             "pk,pil->pkil", ag, stack_values(s.components[chart], order))
         pairs += zip(order, max_diff_rows(stack_arrays(lhs[chart], order, tail), rhs))
