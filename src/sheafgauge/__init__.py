@@ -39,7 +39,6 @@ from .jets import (
     OneForm,
     ScalarField,
     constant_matrix_field,
-    coordinate_field,
     d_field,
     field_add,
     field_mul,

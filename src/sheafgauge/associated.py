@@ -45,7 +45,6 @@ from .jets import (
     mat_scale,
     max_diff_rows,
     point_order,
-    stack_arrays,
 )
 from .principal import (
     PrincipalSectionLocal,
@@ -267,10 +266,8 @@ def check_lie_type(R: RepresentationModel, elements,
         img = R.phi(g)
         lhs = mc(R.target, img)
         rhs = mc(R.source, g)
-        order = lhs.ordered_points()
-        mc_pairs += zip(order, max_diff_rows(
-            stack_arrays(lhs, order, (1, n2)),
-            stack_arrays(rhs, order, (1, m)) @ R.phibar))
+        mc_pairs += zip(lhs.ordered_points(),
+                        max_diff_rows(lhs.coeffs, rhs.coeffs @ R.phibar))
 
         rs = rho_matrix(R.source, g)
         rt = rho_matrix(R.target, img)

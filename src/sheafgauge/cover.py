@@ -33,7 +33,6 @@ from .jets import (
     _FieldBase,
     _entry_diff,
     point_order,
-    stack_arrays,
     stack_grads,
 )
 
@@ -219,18 +218,17 @@ def _jacobians(cover: SampledCover, src: str, to: str, points) -> np.ndarray:
 def transport_form(form, cover: SampledCover, to: str):
     """Rewrite one-form coefficients in the coordinates of chart ``to``.
 
-    Works on OneForm, MatrixOneForm and any field whose per-point data is
-    an array with the chart-direction axis first.  The form must live on
-    points of the overlap between its own chart and ``to``.
+    Works on every form kind: the chart-direction axis of ``coeffs`` is
+    the one rewritten.  The form must live on points of the overlap
+    between its own chart and ``to``.
     """
     src = form.region
     if src == to:
         return form
     pts = form.ordered_points()
     if not pts:
-        return form._replace(to, {})
-    coeffs = _pull_axis(stack_arrays(form, pts, ()), _jacobians(cover, src, to, pts))
-    return form._replace(to, dict(zip(pts, coeffs)))
+        return form.relabel(to)
+    return form._like(to, _pull_axis(form.coeffs, _jacobians(cover, src, to, pts)))
 
 
 def transport_field(field, cover: SampledCover, to: str):

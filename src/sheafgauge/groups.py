@@ -35,15 +35,13 @@ from .errors import (
 from .jets import (
     DET_FLOOR,
     MatrixField,
-    _FieldBase,
-    _all_finite,
+    _FormField,
     _require_aligned,
     first_true,
     identity_matrix_field,
     mat_inv,
     mat_mul,
     max_diff_rows,
-    stack_arrays,
     stack_grads,
     stack_values,
 )
@@ -54,41 +52,20 @@ BRACKET_TOL = 1e-12
 LOG_RULE_TOL = 1e-9
 
 
-class LieValuedOneForm(_FieldBase):
+class LieValuedOneForm(_FormField):
     """Per point: a (dim, m) array of coefficients, chart directions first,
     Lie basis second."""
 
-    def __init__(self, region: str, data: Mapping):
-        clean = {}
-        shapes = set()
-        for p, arr in dict(data).items():
-            a = np.array(arr, dtype=float)
-            if a.ndim != 2:
-                raise DimensionMismatchError(
-                    "lie-valued one-form entries must be (dim, m) arrays")
-            if not _all_finite(a):
-                raise NonFiniteError("lie-valued one-form coefficients must be finite")
-            shapes.add(a.shape)
-            a.setflags(write=False)
-            clean[p] = a
-        if len(shapes) > 1:
-            raise DimensionMismatchError("mixed shapes in lie-valued one-form")
-        super().__init__(region, clean)
+    KIND, NDIM = "lie-valued one-form", 2
+    SHAPE_MESSAGE = "lie-valued one-form entries must be (dim, m) arrays"
+    MIXED_MESSAGE = "mixed shapes in lie-valued one-form"
 
-    @property
-    def dim(self):
-        for a in self.data.values():
-            return a.shape[0]
-        return None
+    def __init__(self, region: str, data: Mapping):
+        self._from_mapping(region, data)
 
     @property
     def rank(self):
-        for a in self.data.values():
-            return a.shape[1]
-        return None
-
-    def _replace(self, region, data):
-        return LieValuedOneForm(region, data)
+        return self.coeffs.shape[2] if self.data else None
 
 
 class GroupModel:
@@ -164,9 +141,12 @@ class GroupModel:
         """Expand stacks (..., q, k, k) of matrices at once.
 
         Returns coefficients (..., q, m) and, per leading index, the
-        reconstruction residual of its q matrices in max norm.
+        reconstruction residual of its q matrices in max norm.  A
+        non-finite entry raises NonFiniteError before any arithmetic.
         """
         flat = mats.reshape(mats.shape[:-2] + (mats.shape[-2] * mats.shape[-1],))
+        if not np.isfinite(flat).all():
+            raise NonFiniteError(f"matrices expanded in the {self.kind} basis must be finite")
         coeff = flat @ self._pinv.T
         res = np.max(np.abs(coeff @ self._flat - flat), axis=(-2, -1), initial=0.0)
         return coeff, res
@@ -324,7 +304,7 @@ def mc(model: GroupModel, g: MatrixField, det_floor: float = DET_FLOOR,
             f"(residual {res[bad]:.3e})", point=pts[bad], residual=float(res[bad]))
     if stop < len(pts):
         raise SpanError(f"group element not invertible at {pts[stop]!r}", point=pts[stop])
-    return LieValuedOneForm(g.region, dict(zip(pts, coeff)))
+    return LieValuedOneForm.from_stack(g.region, pts, coeff)
 
 
 def rho_dot_form(model: GroupModel, g: MatrixField,
@@ -332,14 +312,13 @@ def rho_dot_form(model: GroupModel, g: MatrixField,
     """Apply Ad(g) to the Lie coefficients of a one-form, directionwise.
 
     The chart-direction index is untouched: the action is one tensor
-    identity on coefficients of each differential separately.
+    identity on coefficients of each differential separately.  An empty
+    form, which may not know its rank, comes back as it is.
     """
     _require_aligned(g, w)
-    rho = rho_matrix(model, g)
-    pts = list(w.data)
-    ws = stack_arrays(w, pts, (1, model.rank))
-    rt = np.array([rho[p].T for p in pts]).reshape(-1, model.rank, model.rank)
-    return LieValuedOneForm(w.region, dict(zip(pts, ws @ rt)))
+    rho = rho_matrix(model, g)           # keyed in point_order, as w's rows
+    rt = np.array([r.T for r in rho.values()]).reshape(-1, model.rank, model.rank)
+    return w._like(w.region, w.coeffs @ rt) if len(w) else w
 
 
 def check_logarithmic_rule(model: GroupModel, s: MatrixField, t: MatrixField,
@@ -348,8 +327,5 @@ def check_logarithmic_rule(model: GroupModel, s: MatrixField, t: MatrixField,
     lhs = mc(model, group_mul(s, t))
     rot = rho_dot_form(model, mat_inv(t), mc(model, s))
     dt_part = mc(model, t)
-    pts = lhs.ordered_points()
-    tail = (1, model.rank)
-    rhs = stack_arrays(rot, pts, tail) + stack_arrays(dt_part, pts, tail)
-    return worst("log.crossed", tol,
-                 zip(pts, max_diff_rows(stack_arrays(lhs, pts, tail), rhs)))
+    return worst("log.crossed", tol, zip(
+        lhs.ordered_points(), max_diff_rows(lhs.coeffs, rot.coeffs + dt_part.coeffs)))

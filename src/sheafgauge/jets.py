@@ -7,37 +7,32 @@ product rule, so the derivation ``d_field`` satisfies the Leibniz
 identity by construction; the only deviation ever observed is
 floating-point rounding.
 
-One-forms are plain coefficient arrays per point (the module action of
-a jet on a one-form uses the jet's value).  Matrices of jets are stored
-as a value array of shape (rows, cols) plus a gradient array of shape
-(dim, rows, cols).
+Matrices of jets are stored as a value array of shape (rows, cols) plus
+a gradient array of shape (dim, rows, cols).
 
-Fields keep one object per sample point, but their operations are
-batched over the points: ``stack_values`` and ``stack_grads`` gather the
-per-point arrays into (P, ...) stacks, one numpy call computes the
-products, inverses or residuals of all points at once, and the
-per-point results are then built from the slices through the same
-validating ``Jet`` and ``JetMatrix`` constructors, as many as a loop
-over the points would build.  Each point's arithmetic is the one-point
-computation, so the numbers equal those of ``JetMatrix.matmul`` and
-``JetMatrix.inv`` bit for bit (``tests/test_batched.py`` holds them to
-it).  A check that fails reports the first failing point in the order
-the operation documents.
+Only the jet fields, ``ScalarField`` and ``MatrixField``, keep one
+object per sample point, but their operations are batched: ``stack_values``
+and ``stack_grads`` gather the per-point arrays into (P, ...) stacks, one
+numpy call computes the products, inverses or residuals of all points,
+and the per-point results are built from the slices through the same
+validating ``Jet`` and ``JetMatrix`` constructors.  Each point's
+arithmetic is the one-point computation, so the numbers equal those of
+``JetMatrix.matmul`` and ``JetMatrix.inv`` bit for bit
+(``tests/test_batched.py`` holds them to it).  A check that fails
+reports the first failing point in the order the operation documents.
 
-All field objects are immutable by convention: operations return new
-fields, and the backing numpy arrays are marked read-only.  Reductions
-over sample points run in sorted point order so results do not depend
-on dict insertion history.
+The form fields (``OneForm``, ``MatrixOneForm``,
+``groups.LieValuedOneForm``) are stacked: one read-only float64 array
+``coeffs`` of shape (P, dim, ...) holds the coefficients of every point
+in ``point_order``, checked once per form.  Form kernels read ``coeffs``
+and build their results from a stack.  The module action of a jet
+on a one-form uses the jet's value.
 
-What remains per point is the fixed cost of each object, so the
-per-point paths stay in plain Python where numpy's per-call overhead
-would exceed the arithmetic.  ``_all_finite``, the check every
-constructor makes (``Jet``, ``JetMatrix``, ``OneForm``,
-``MatrixOneForm``, ``groups.LieValuedOneForm``), runs ``math.isfinite``
-over the flattened entries: it rejects NaN, +inf and -inf exactly as
-``np.isfinite`` does and accepts empty arrays, at a fraction of the cost
-of two ufunc calls on a one- to four-entry array; a non-finite entry
-raises ``NonFiniteError``, which is also a ``ValueError``.
+All field objects are immutable: no attribute can be set or deleted,
+operations return new fields, and the backing arrays are read-only.  A
+non-finite entry raises ``NonFiniteError``, also a ``ValueError``.
+Reductions over sample points run in sorted point order so results do
+not depend on dict insertion history.
 
 A ``Jet`` stores its value as a float and its gradient as a tuple of
 Python floats, ``grad_tuple``.  Its operators read and build these
@@ -54,6 +49,7 @@ points stacks the tuples.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -75,7 +71,10 @@ def point_order(points) -> list:
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """True when no entry of ``a`` is NaN, +inf or -inf; true when empty."""
+    """True when no entry of ``a`` is NaN, +inf or -inf; true when empty.
+
+    Plain Python: on a one- to four-entry array this costs a fraction of
+    two ufunc calls."""
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
@@ -108,8 +107,10 @@ class Jet:
         _set_jet_grad_tuple(self, g)
         _set_jet_gradient(self, None)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Jet is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def gradient(self) -> np.ndarray:
@@ -243,8 +244,10 @@ class JetMatrix:
         _set_matrix_value(self, v)
         _set_matrix_grad(self, g)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("JetMatrix is immutable")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def constant(cls, matrix, dim: int) -> "JetMatrix":
@@ -336,7 +339,7 @@ _set_matrix_grad = JetMatrix.grad.__set__
 
 
 class _FieldBase:
-    """Shared plumbing: a region label plus a per-point data dict."""
+    """Shared plumbing: a region label plus a per-point ``data`` mapping."""
 
     __slots__ = ("region", "data")
 
@@ -344,8 +347,10 @@ class _FieldBase:
         object.__setattr__(self, "region", str(region))
         object.__setattr__(self, "data", dict(data))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def points(self) -> frozenset:
@@ -356,10 +361,13 @@ class _FieldBase:
 
     def restrict(self, points) -> "_FieldBase":
         pts = set(points)
-        missing = pts - set(self.data)
+        missing = pts - self.points
         if missing:
             raise FieldMismatchError(
                 f"restriction outside field domain: {point_order(missing)[:4]}")
+        return self._restricted(pts)
+
+    def _restricted(self, pts: set) -> "_FieldBase":
         return self._replace(self.region, {p: self.data[p] for p in pts})
 
     def relabel(self, region: str) -> "_FieldBase":
@@ -393,35 +401,6 @@ class ScalarField(_FieldBase):
 
     def _replace(self, region, data):
         return ScalarField(region, data)
-
-
-class OneForm(_FieldBase):
-    """Differential one-form: per point, real coefficients on the chart basis."""
-
-    def __init__(self, region: str, data: Mapping):
-        clean = {}
-        dims = set()
-        for p, arr in dict(data).items():
-            a = np.array(arr, dtype=float, ndmin=1)
-            if a.ndim != 1:
-                raise DimensionMismatchError("one-form coefficients must be vectors")
-            if not _all_finite(a):
-                raise NonFiniteError("one-form coefficients must be finite")
-            dims.add(a.size)
-            a.setflags(write=False)
-            clean[p] = a
-        if len(dims) > 1:
-            raise DimensionMismatchError("mixed coefficient lengths in one-form")
-        super().__init__(region, clean)
-
-    @property
-    def dim(self):
-        for a in self.data.values():
-            return a.size
-        return None
-
-    def _replace(self, region, data):
-        return OneForm(region, data)
 
 
 class MatrixField(_FieldBase):
@@ -462,41 +441,120 @@ class MatrixField(_FieldBase):
         return MatrixField(self.region, r, c, out)
 
 
-class MatrixOneForm(_FieldBase):
-    """Matrix-valued one-form: per point an array of shape (dim, rows, cols)."""
+class _FormField(_FieldBase):
+    """A form field: the coefficients of every point in one read-only
+    float64 stack ``coeffs`` of shape (P, dim, *tail), rows in
+    ``point_order``, checked once per form.  ``data`` maps each point to
+    its row, a view of the stack.  Each kind sets ``KIND``, ``NDIM`` (the
+    axes of one row) and its messages.
+    """
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, region: str, rows: int, cols: int, data: Mapping):
-        clean = {}
-        for p, arr in dict(data).items():
-            a = np.array(arr, dtype=float)
-            if a.ndim != 3 or a.shape[1:] != (rows, cols):
-                raise FieldMismatchError(
-                    f"matrix one-form entry at {p} has shape {a.shape}, "
-                    f"expected (dim, {rows}, {cols})")
-            if not _all_finite(a):
-                raise NonFiniteError("matrix one-form coefficients must be finite")
-            a.setflags(write=False)
-            clean[p] = a
-        object.__setattr__(self, "rows", int(rows))
-        object.__setattr__(self, "cols", int(cols))
-        super().__init__(region, clean)
+    @classmethod
+    def from_stack(cls, region: str, points, coeffs) -> "_FormField":
+        """The form holding row i of ``coeffs`` at ``points[i]``; the points
+        must be distinct and in ``point_order``."""
+        points = list(points)
+        keys = [str(p) for p in points]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise FieldMismatchError(f"{cls.KIND} points must be distinct and in point_order")
+        return object.__new__(cls)._checked(region, points, coeffs, None)
+
+    def _from_mapping(self, region: str, data: Mapping, tail=None, ndmin=0) -> "_FormField":
+        data = dict(data)
+        order = point_order(data)
+        rows = [np.array(data[p], dtype=float, ndmin=ndmin) for p in order]
+        if len({r.shape for r in rows}) > 1:
+            for p, r in zip(order, rows):
+                self._check_row(p, r.shape, tail)
+            raise DimensionMismatchError(self.MIXED_MESSAGE)
+        return self._checked(region, order, rows or np.zeros(
+            (0, 0) + (tail or (0,) * (self.NDIM - 1))), tail)
+
+    def _checked(self, region: str, order, coeffs, tail) -> "_FormField":
+        c = np.array(coeffs, dtype=float, order="C")
+        self._check_row(order[0] if len(order) else None, c.shape[1:], tail)
+        if len(c) != len(order):
+            raise FieldMismatchError(f"{len(order)} points for {len(c)} {self.KIND} rows")
+        if not np.isfinite(c).all():
+            raise NonFiniteError(f"{self.KIND} coefficients must be finite")
+        return self._set(region, order, c)
+
+    def _set(self, region: str, order, coeffs: np.ndarray) -> "_FormField":
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "region", str(region))
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "data", MappingProxyType(dict(zip(order, coeffs))))
+        return self
+
+    def _check_row(self, p, shape: tuple, tail) -> None:
+        if len(shape) != self.NDIM or (tail is not None and shape[1:] != tail):
+            raise DimensionMismatchError(self.SHAPE_MESSAGE)
+
+    def ordered_points(self) -> list:
+        return list(self.data)
 
     @property
     def dim(self):
-        for a in self.data.values():
-            return a.shape[0]
-        return None
+        return self.coeffs.shape[1] if self.data else None
+
+    def _like(self, region: str, coeffs) -> "_FormField":
+        """A form of this kind on the same points holding ``coeffs``."""
+        return object.__new__(type(self))._checked(
+            region, list(self.data), coeffs, self.coeffs.shape[2:])
+
+    def _restricted(self, pts: set) -> "_FormField":
+        keep = [i for i, p in enumerate(self.data) if p in pts]
+        return object.__new__(type(self))._set(
+            self.region, [p for p in self.data if p in pts], self.coeffs[keep])
+
+    def relabel(self, region: str) -> "_FormField":
+        return object.__new__(type(self))._set(region, self.data, self.coeffs)
 
     def _replace(self, region, data):
-        return MatrixOneForm(region, self.rows, self.cols, data)
+        return object.__new__(type(self))._from_mapping(region, data, self.coeffs.shape[2:])
+
+
+class OneForm(_FormField):
+    """Differential one-form: per point, real coefficients on the chart basis."""
+
+    KIND, NDIM = "one-form", 1
+    SHAPE_MESSAGE = "one-form coefficients must be vectors"
+    MIXED_MESSAGE = "mixed coefficient lengths in one-form"
+
+    def __init__(self, region: str, data: Mapping):
+        self._from_mapping(region, data, ndmin=1)
+
+
+class MatrixOneForm(_FormField):
+    """Matrix-valued one-form: per point an array of shape (dim, rows, cols)."""
+
+    KIND, NDIM = "matrix one-form", 3
+    MIXED_MESSAGE = "mixed chart dimensions in matrix one-form"
+
+    def __init__(self, region: str, rows: int, cols: int, data: Mapping):
+        self._from_mapping(region, data, (int(rows), int(cols)))
+
+    @property
+    def rows(self) -> int:
+        return self.coeffs.shape[2]
+
+    @property
+    def cols(self) -> int:
+        return self.coeffs.shape[3]
+
+    def _check_row(self, p, shape: tuple, tail) -> None:
+        if len(shape) != 3 or (tail is not None and shape[1:] != tail):
+            rows, cols = tail or ("rows", "cols")
+            raise FieldMismatchError(f"matrix one-form entry at {p} has shape {shape}, "
+                                     f"expected (dim, {rows}, {cols})")
 
 
 def _require_aligned(a: _FieldBase, b: _FieldBase) -> None:
     if a.region != b.region:
         raise FieldMismatchError(f"regions differ: {a.region!r} vs {b.region!r}")
-    if set(a.data) != set(b.data):
+    if a.points != b.points:
         raise FieldMismatchError("fields are defined on different point sets")
 
 
@@ -514,7 +572,9 @@ def field_add(s: ScalarField, t: ScalarField) -> ScalarField:
 
 def d_field(f: ScalarField) -> OneForm:
     """Exterior derivative: reads off each jet's gradient as coefficients."""
-    return OneForm(f.region, {p: j.grad_tuple for p, j in f.data.items()})
+    pts = f.ordered_points()
+    grads = np.array([f.data[p].grad_tuple for p in pts]).reshape(len(pts), f.dim or 0)
+    return OneForm.from_stack(f.region, pts, grads)
 
 
 # -- stacks over sample points ---------------------------------------------
@@ -531,17 +591,6 @@ def stack_grads(f: MatrixField, points) -> np.ndarray:
     """
     return np.array([f.data[p].grad for p in points]).reshape(
         -1, f.dim or 1, f.rows, f.cols)
-
-
-def stack_arrays(f: _FieldBase, points, tail: tuple) -> np.ndarray:
-    """Per-point arrays of a form field at ``points`` on a new first axis.
-
-    ``tail`` is the per-point shape of an empty stack; a nonempty stack
-    takes the shape of its arrays.
-    """
-    if not points:
-        return np.zeros((0,) + tuple(tail))
-    return np.array([f.data[p] for p in points], dtype=float)
 
 
 def matrix_data(points, values, grads) -> dict:
@@ -600,8 +649,8 @@ def mat_inv(a: MatrixField, det_floor: float = DET_FLOOR) -> MatrixField:
 
 def mat_d(a: MatrixField) -> MatrixOneForm:
     """Entrywise derivative of a matrix of jets."""
-    return MatrixOneForm(a.region, a.rows, a.cols,
-                         {p: m.grad for p, m in a.data.items()})
+    pts = a.ordered_points()
+    return MatrixOneForm.from_stack(a.region, pts, stack_grads(a, pts))
 
 
 def mat_transpose(a: MatrixField) -> MatrixField:
@@ -637,17 +686,6 @@ def constant_matrix_field(region: str, points, matrix, dim: int) -> MatrixField:
     return MatrixField(region, m.rows, m.cols, {p: m for p in points})
 
 
-def coordinate_field(region: str, coords: Mapping, axis: int = 0) -> ScalarField:
-    """The axis-th chart coordinate as a jet field (unit gradient seed)."""
-    data = {}
-    for p, c in coords.items():
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        g = [0.0] * c.size
-        g[axis] = 1.0
-        data[p] = Jet(c[axis], g)
-    return ScalarField(region, data)
-
-
 # -- residuals --------------------------------------------------------------
 
 def max_diff(a, b) -> float:
@@ -661,9 +699,12 @@ def max_diff_rows(a, b) -> list[float]:
     return np.max(d, axis=tuple(range(1, d.ndim)), initial=0.0).tolist()
 
 
-def form_diff_rows(a: _FieldBase, b: _FieldBase, points) -> list[float]:
-    """Per point, ``max_diff`` of the arrays two form fields hold there."""
-    return max_diff_rows(stack_arrays(a, points, ()), stack_arrays(b, points, ()))
+def form_diff_rows(a: _FormField, b: _FormField, points) -> list[float]:
+    """Per point, ``max_diff`` of the rows two form fields hold there;
+    ``points`` are the forms' common ``ordered_points()``."""
+    if not list(points) == list(a.data) == list(b.data):
+        raise FieldMismatchError("form rows are compared on the forms' common points")
+    return max_diff_rows(a.coeffs, b.coeffs)
 
 
 def jet_diff_rows(a: MatrixField, b: MatrixField, points) -> list[float]:
@@ -689,7 +730,7 @@ def field_residual(a: _FieldBase, b: _FieldBase) -> tuple[float, object]:
     """
     if type(a) is not type(b):
         raise FieldMismatchError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
-    if set(a.data) != set(b.data):
+    if a.points != b.points:
         raise FieldMismatchError("fields are defined on different point sets")
     pts = a.ordered_points()
     if not pts:

@@ -51,7 +51,6 @@ from .jets import (
     mat_mul,
     max_diff_rows,
     point_order,
-    stack_arrays,
     stack_grads,
     stack_values,
 )
@@ -270,7 +269,7 @@ def _transition_apply(P: PrincipalSheafData, a: str, b: str,
     """
     gab = P.entry(a, b).restrict(wa.points)
     rot = rho_dot_form(P.group, mat_inv(gab), wa)
-    return _form_sum(wa.region, rot, mc(P.group, gab), list(wa.data))
+    return _form_sum(wa.region, rot, mc(P.group, gab))
 
 
 def complete_connection(P: PrincipalSheafData, seed: tuple[str, LieValuedOneForm],
@@ -357,7 +356,7 @@ def _propagate(P: PrincipalSheafData, a: str, b: str,
             f"cannot determine the form on {b!r} at {miss}: transition entry "
             f"({a!r}, {b!r}) or parent data not available there")
     rot = rho_dot_form(P.group, mat_inv(gab.restrict(pts)), wa.restrict(pts))
-    return _form_sum(b, rot, mc(P.group, gab.restrict(pts)), list(pts))
+    return _form_sum(b, rot, mc(P.group, gab.restrict(pts)))
 
 
 def evaluate_connection(P: PrincipalSheafData, D: PrincipalConnection,
@@ -369,12 +368,10 @@ def evaluate_connection(P: PrincipalSheafData, D: PrincipalConnection,
     """
     wa = D.form(s.chart).restrict(s.points)
     rot = rho_dot_form(P.group, mat_inv(s.factor), wa)
-    return _form_sum(s.factor.region, rot, mc(P.group, s.factor), list(wa.data))
+    return _form_sum(s.factor.region, rot, mc(P.group, s.factor))
 
 
-def _form_sum(region: str, a: LieValuedOneForm, b: LieValuedOneForm,
-              points: list) -> LieValuedOneForm:
-    """a + b at ``points``, keyed in that order."""
-    tail = (1, a.rank or 1)
-    return LieValuedOneForm(region, dict(zip(
-        points, stack_arrays(a, points, tail) + stack_arrays(b, points, tail))))
+def _form_sum(region: str, a: LieValuedOneForm,
+              b: LieValuedOneForm) -> LieValuedOneForm:
+    """a + b on the same points as a form on ``region`` (b when both are empty)."""
+    return a._like(region, a.coeffs + b.coeffs) if len(a) else b.relabel(region)

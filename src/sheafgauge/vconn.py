@@ -52,8 +52,6 @@ from .jets import (
     first_true,
     form_diff_rows,
     max_diff_rows,
-    point_order,
-    stack_arrays,
     stack_grads,
     stack_values,
 )
@@ -83,14 +81,13 @@ class VectorConnection:
 
 def matrix_form_to_lie(w: MatrixOneForm) -> LieValuedOneForm:
     """Reshape (dim, n, n) data to GL(n) Lie coefficients (dim, n*n)."""
-    n2 = w.rows * w.cols
-    return LieValuedOneForm(w.region,
-                            {p: a.reshape(a.shape[0], n2) for p, a in w.data.items()})
+    shape = w.coeffs.shape[:2] + (w.rows * w.cols,)
+    return LieValuedOneForm.from_stack(w.region, w.ordered_points(), w.coeffs.reshape(shape))
 
 
 def lie_form_to_matrix(w: LieValuedOneForm, n: int) -> MatrixOneForm:
-    return MatrixOneForm(w.region, n, n,
-                         {p: a.reshape(a.shape[0], n, n) for p, a in w.data.items()})
+    return MatrixOneForm.from_stack(
+        w.region, w.ordered_points(), w.coeffs.reshape(w.coeffs.shape[:2] + (n, n)))
 
 
 def _as_principal_connection(nab: VectorConnection) -> PrincipalConnection:
@@ -136,9 +133,8 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
                 f"(residual {verdict.residual:.3e})", residual=verdict.residual)
     forms = {}
     for chart, w in D.forms.items():
-        pts = list(w.data)
-        mats = R.apply_phibar(stack_arrays(w, pts, (1, R.source.rank)))
-        forms[chart] = MatrixOneForm(w.region, R.n, R.n, dict(zip(pts, mats)))
+        forms[chart] = MatrixOneForm.from_stack(
+            w.region, w.ordered_points(), R.apply_phibar(w.coeffs))
     return VectorConnection(forms)
 
 
@@ -154,11 +150,10 @@ def nabla_apply(E: VectorSheafData, nab: VectorConnection,
     for chart in sorted(s.components):
         comp = s.components[chart]
         theta = nab.form(chart).restrict(comp.points)
-        pts = list(comp.data)
-        th = stack_arrays(theta, pts, (1, E.rank, E.rank))      # (P, dim, n, n)
+        pts = theta.ordered_points()
         der = stack_grads(comp, pts) + np.einsum(
-            "pkij,pjl->pkil", th, stack_values(comp, pts))
-        out[chart] = MatrixOneForm(comp.region, E.rank, 1, dict(zip(pts, der)))
+            "pkij,pjl->pkil", theta.coeffs, stack_values(comp, pts))
+        out[chart] = MatrixOneForm.from_stack(comp.region, pts, der)
     return out
 
 
@@ -180,11 +175,9 @@ def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
                 continue
             gab = E.entry(a, b).restrict(shared)
             db = transport_form(der[b].restrict(shared), E.cover, a)
-            order = point_order(shared)
-            tail = (1, E.rank, 1)
-            want = np.einsum("pij,pkjl->pkil", stack_values(gab, order),
-                             stack_arrays(db, order, tail))
-            pairs += zip(order, max_diff_rows(stack_arrays(der[a], order, tail), want))
+            order = db.ordered_points()
+            want = np.einsum("pij,pkjl->pkil", stack_values(gab, order), db.coeffs)
+            pairs += zip(order, max_diff_rows(der[a].restrict(shared).coeffs, want))
     return worst("nabla.agreement", tol, pairs)
 
 
@@ -200,15 +193,14 @@ def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
     lhs = nabla_apply(E, nab, scaled)
     base = nabla_apply(E, nab, s)
     pairs = []
-    tail = (1, E.rank, 1)
     for chart in sorted(lhs):
         order = lhs[chart].ordered_points()
         jets = [a.data[p] for p in order]
         av = np.array([j.value for j in jets]).reshape(-1, 1, 1, 1)
         ag = np.array([j.grad_tuple for j in jets]).reshape(-1, a.dim or 1)
-        rhs = av * stack_arrays(base[chart], order, tail) + np.einsum(
+        rhs = av * base[chart].coeffs + np.einsum(
             "pk,pil->pkil", ag, stack_values(s.components[chart], order))
-        pairs += zip(order, max_diff_rows(stack_arrays(lhs[chart], order, tail), rhs))
+        pairs += zip(order, max_diff_rows(lhs[chart].coeffs, rhs))
     return worst("koszul", tol, pairs)
 
 
@@ -229,8 +221,7 @@ def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
     for chart in sorted(nab.forms):
         w = nab.forms[chart]
         pts = w.ordered_points()
-        mats = stack_arrays(w, pts, (1, R.n, R.n))
-        flat = mats.reshape(mats.shape[:2] + (R.n * R.n,))
+        flat = w.coeffs.reshape(w.coeffs.shape[:2] + (R.n * R.n,))
         coeff = flat @ pinv
         res = max_diff_rows(coeff @ R.phibar, flat)
         bad = first_true(np.greater(res, image_tol))
@@ -238,7 +229,7 @@ def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
             raise PullbackImageError(
                 f"connection matrices leave the image of phibar at {pts[bad]!r} "
                 f"(residual {res[bad]:.3e})", point=pts[bad], residual=res[bad])
-        forms[chart] = LieValuedOneForm(w.region, dict(zip(pts, coeff)))
+        forms[chart] = LieValuedOneForm.from_stack(w.region, pts, coeff)
     return PrincipalConnection(forms)
 
 
