@@ -32,7 +32,7 @@ from .errors import (
     NonFiniteError,
     ScenarioError,
 )
-from .groups import MAX_AMBIENT, GroupModel, gl_model, mc, rho_matrix, so2_model
+from .groups import MAX_AMBIENT, GroupModel, _rho_stack, gl_model, mc, so2_model
 from .jets import (
     Jet,
     JetMatrix,
@@ -260,7 +260,6 @@ def check_lie_type(R: RepresentationModel, elements,
     applied to that of g; ``rho`` compares the two ways of carrying the
     adjoint action across phibar.  Reported separately.
     """
-    m, n2 = R.phibar.shape
     mc_pairs, rho_pairs = [], []
     for g in elements:
         img = R.phi(g)
@@ -269,12 +268,10 @@ def check_lie_type(R: RepresentationModel, elements,
         mc_pairs += zip(lhs.ordered_points(),
                         max_diff_rows(lhs.coeffs, rhs.coeffs @ R.phibar))
 
-        rs = rho_matrix(R.source, g)
-        rt = rho_matrix(R.target, img)
-        order = point_order(rs)
-        # stacks of coefficient matrices; rho is their transpose
-        cs = np.array([rs[p].T for p in order]).reshape(-1, m, m)
-        ct = np.array([rt[p].T for p in order]).reshape(-1, n2, n2)
+        # stacks of coefficient matrices, rows in point_order; rho is
+        # their transpose
+        order, cs = _rho_stack(R.source, g)
+        _, ct = _rho_stack(R.target, img)
         rho_pairs += zip(order, max_diff_rows(R.phibar.T @ cs.swapaxes(1, 2),
                                               ct.swapaxes(1, 2) @ R.phibar.T))
     return {"mc": worst("lie_type.mc", tol, mc_pairs),

@@ -16,8 +16,10 @@ import numpy as np
 
 from .associated import AssociatedSection, VectorSheafData
 from .cover import SampledCover
-from .errors import MissingEntryError, ScenarioError
-from .expr import eval_expr, parse_expr
+from .errors import DimensionMismatchError, MissingEntryError, ScenarioError
+# eval_expr stays bound here: bench/tracing.py rebinds it in every module
+# that holds it, and its self-test looks for it in this one.
+from .expr import compile_exprs, eval_expr, parse_expr  # noqa: F401
 from .groups import GroupModel
 from .jets import Jet, JetMatrix, MatrixField, ScalarField, point_order
 from .principal import PrincipalSectionLocal, PrincipalSheafData
@@ -29,16 +31,30 @@ def stable_seed(name: str) -> int:
 
 
 def eval_matrix(rows, region: str, coords, points=None) -> MatrixField:
-    """Evaluate a matrix of expression strings or trees over sample points."""
+    """Evaluate a matrix of expression strings or trees over sample points.
+
+    The entries are compiled once into one program (``compile_exprs``),
+    so a subexpression shared by several entries is evaluated once per
+    point; the program then runs at each point's first coordinate.  An
+    entry that fails raises ExprDomainError at the first point, in
+    ``points`` order, and at the first failing entry in row-major order.
+    """
     parsed = [[parse_expr(e) if isinstance(e, str) else e for e in row]
               for row in rows]
-    pts = coords.keys() if points is None else points
-    data = {}
+    shape = (len(parsed), len(parsed[0]))
+    if any(len(row) != shape[1] for row in parsed):
+        raise DimensionMismatchError("expression matrix rows differ in length")
+    program = compile_exprs([e for row in parsed for e in row])
+    pts = list(coords.keys() if points is None else points)
+    values, grads = [], []
     for p in pts:
-        t = float(np.atleast_1d(coords[p])[0])
-        data[p] = JetMatrix.from_jets(
-            [[eval_expr(e, t) for e in row] for row in parsed])
-    return MatrixField(region, len(parsed), len(parsed[0]), data)
+        jets = program.run(float(np.atleast_1d(coords[p])[0]))
+        values.append([j.value for j in jets])
+        grads.append([j.grad_tuple for j in jets])
+    v = np.array(values).reshape((-1,) + shape)
+    g = np.array(grads).reshape((-1,) + shape + (1,)).transpose(0, 3, 1, 2)
+    return MatrixField(region, *shape, {p: JetMatrix(v[i], g[i])
+                                        for i, p in enumerate(pts)})
 
 
 def _rotation_rows(angle_expr: str) -> list[list[str]]:

@@ -32,6 +32,7 @@ from .jets import (
     MatrixField,
     _FieldBase,
     _entry_diff,
+    first_true,
     point_order,
     stack_grads,
 )
@@ -103,21 +104,51 @@ class SampledCover:
         self._validate_jacobians(tol)
 
     def _validate_jacobians(self, tol: float) -> None:
-        for (a, b, p), j in self.jacobians.items():
+        """Identity on the diagonal, invertible off it, and the chain rule.
+
+        Each check runs once per region pair over the stack of its
+        entries.  The first failure raises: every identity and
+        singularity check comes before the chain rule, and within each
+        kind entries are taken in the order they were supplied, the
+        third region in region order.
+        """
+        order = {key: i for i, key in enumerate(self.jacobians)}
+        by_pair: dict[tuple, list] = {}
+        for a, b, p in self.jacobians:
+            by_pair.setdefault((a, b), []).append(p)
+
+        def stack(a, b, pts):
+            return np.array([self.jacobians[(a, b, p)] for p in pts])
+
+        fails = []                       # ((entry index, region rank), message)
+        for (a, b), pts in by_pair.items():
+            j = stack(a, b, pts)
             if a == b:
-                if np.max(np.abs(j - np.eye(j.shape[0]))) > tol:
-                    raise CoverError(f"jacobian ({a}, {a}) at {p!r} is not the identity")
-            elif abs(np.linalg.det(j)) < 1e-12:
-                raise CoverError(f"jacobian ({a}, {b}) at {p!r} is singular")
+                k = first_true(np.max(np.abs(j - np.eye(j.shape[1])),
+                                      axis=(1, 2), initial=0.0) > tol)
+                what = "is not the identity"
+            else:
+                k = first_true(np.abs(np.linalg.det(j)) < 1e-12)
+                what = "is singular"
+            if k < len(pts):
+                fails.append(((order[(a, b, pts[k])], 0),
+                              f"jacobian ({a}, {b}) at {pts[k]!r} {what}"))
+        if fails:
+            raise CoverError(min(fails)[1])
         # chain rule on whatever triples are present
-        for (a, b, p), jab in self.jacobians.items():
-            for c in self.regions:
-                jbc = self.jacobians.get((b, c, p))
-                jac = self.jacobians.get((a, c, p))
-                if jbc is not None and jac is not None:
-                    if np.max(np.abs(jab @ jbc - jac)) > tol:
-                        raise CoverError(
-                            f"jacobian chain rule fails for ({a}, {b}, {c}) at {p!r}")
+        for (a, b), pts in by_pair.items():
+            for rank, c in enumerate(self.regions):
+                trip = [p for p in pts
+                        if (b, c, p) in self.jacobians and (a, c, p) in self.jacobians]
+                if not trip:
+                    continue
+                gap = stack(a, b, trip) @ stack(b, c, trip) - stack(a, c, trip)
+                k = first_true(np.max(np.abs(gap), axis=(1, 2), initial=0.0) > tol)
+                if k < len(trip):
+                    fails.append(((order[(a, b, trip[k])], rank),
+                                  f"jacobian chain rule fails for ({a}, {b}, {c}) at {trip[k]!r}"))
+        if fails:
+            raise CoverError(min(fails)[1])
 
     def region(self, rid: str) -> Region:
         if rid not in self.regions:

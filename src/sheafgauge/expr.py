@@ -20,7 +20,12 @@ varying exponents, values or derivatives beyond the floating-point
 range) carry the offset of the offending node.
 
 Evaluation seeds the variable with a unit gradient, so the result jet
-holds the value and the exact derivative of the expression.
+holds the value and the exact derivative of the expression.  Trees are
+evaluated by compiling them (``compile_exprs``) into one flat program
+that holds each distinct subtree once, in left-to-right post-order, and
+running it at each sample value; ``eval_expr`` is the program of a
+single tree.  A matrix compiled as one program evaluates a subexpression
+shared by several of its entries once per point.
 """
 
 from __future__ import annotations
@@ -221,59 +226,143 @@ def parse_expr(src: str):
 _ZERO = (0.0,)
 _ONE = (1.0,)
 
+# Jet operations of the nodes that need no check of their own; ``-`` is
+# Jet.__neg__ as an unary node and Jet.__sub__ as a binary one.
+_UNARY = {"sin": Jet.sin, "cos": Jet.cos, "exp": Jet.exp}
+_BINARY = {"*": jet_mul, "+": Jet.__add__, "-": Jet.__sub__}
+
+
+@dataclass(frozen=True)
+class Program:
+    """A list of expression trees compiled into one flat instruction list.
+
+    ``code`` holds one ``(op, fn, x, y, pos)`` instruction per distinct
+    subtree, in the left-to-right post-order of the trees, so operands
+    come before the instructions that read them: ``x`` and ``y`` index
+    earlier instructions (``x`` is the value of a ``const``), ``fn`` is
+    the jet operation of a ``call1`` or ``call2`` and ``pos`` is the
+    source offset where the subtree first occurs.  ``outputs`` indexes
+    the instruction of each tree's root.
+    """
+
+    code: tuple
+    outputs: tuple
+
+    def run(self, t: float) -> list[Jet]:
+        """The jets of the trees at the sample value t, in order.
+
+        Each instruction builds one jet; a value or derivative beyond
+        the floating-point range raises ExprDomainError at the offset of
+        the first instruction whose operation left it.
+        """
+        t = float(t)
+        vals = []
+        push = vals.append
+        try:
+            for op, fn, x, y, pos in self.code:
+                if op == "call2":
+                    push(fn(vals[x], vals[y]))
+                elif op == "call1":
+                    push(fn(vals[x]))
+                elif op == "const":
+                    push(Jet(x, _ZERO))
+                elif op == "var":
+                    push(Jet(t, _ONE))
+                elif op == "/":
+                    a, b = vals[x], vals[y]
+                    if b.value == 0.0:
+                        raise ExprDomainError("division by zero", pos)
+                    push(a / b)
+                else:
+                    a, b = vals[x], vals[y]
+                    if any(b.grad_tuple):
+                        raise ExprDomainError("exponent depends on the variable", pos)
+                    if not b.value.is_integer():
+                        raise ExprDomainError(f"exponent {b.value!r} is not an integer", pos)
+                    k = int(b.value)
+                    if a.value == 0.0 and k < 0:
+                        raise ExprDomainError("zero base with negative exponent", pos)
+                    push(a ** k)
+        except (OverflowError, NonFiniteError):
+            # OverflowError from math.exp and float powers; NonFiniteError
+            # from the Jet constructor.  Operands are already built, so
+            # this instruction's operation is the one at fault.
+            raise ExprDomainError(f"result out of floating-point range at t = {t:.6g}",
+                                  pos) from None
+        return [vals[i] for i in self.outputs]
+
+
+def compile_exprs(trees) -> Program:
+    """Compile expression trees into one program, each distinct subtree once.
+
+    Two subtrees are the same when they have the same kind, operator or
+    function, constant and children; offsets do not count, and a shared
+    subtree keeps the offset of its first occurrence.  Constants are
+    compared by their bits, so 0.0 and -0.0 stay apart.  Running the
+    program builds the same jets, bit for bit, as evaluating each tree
+    node by node, and its first failure is the one that evaluation
+    meets first.  The trees are walked with an explicit stack, so a long
+    sum, which parses into a deep left spine, needs no recursion.
+    """
+    code = []
+    index = {}                   # structural key -> instruction index
+    outputs = []
+    for tree in trees:
+        todo = [(tree, False)]   # (node, operands done)
+        done = []                # instruction indices of finished operands
+        while todo:
+            e, ready = todo.pop()
+            kind = type(e)
+            if not ready:
+                todo.append((e, True))
+                if kind is BinOp:
+                    todo += ((e.right, False), (e.left, False))
+                    if e.op not in _BINARY and e.op not in ("/", "^"):
+                        raise TypeError(f"not an expression node: {e!r}")
+                elif kind is Neg:
+                    todo.append((e.operand, False))
+                elif kind is Call and e.func in _UNARY:
+                    todo.append((e.arg, False))
+                elif kind not in (Num, Pi, Var):
+                    raise TypeError(f"not an expression node: {e!r}")
+                continue
+            if kind is BinOp:
+                y, x = done.pop(), done.pop()
+                fn = _BINARY.get(e.op)
+                op = e.op if fn is None else "call2"
+                key = ("bin", e.op, x, y)
+            elif kind is Num:
+                v = e.value
+                op, fn, x, y = "const", None, v, None
+                key = ("const", v.hex() if isinstance(v, float) else v)
+            elif kind is Var:
+                op, fn, x, y = "var", None, None, None
+                key = ("var",)
+            elif kind is Pi:
+                op, fn, x, y = "const", None, math.pi, None
+                key = ("pi",)
+            else:
+                x, y = done.pop(), None
+                op = "call1"
+                fn = Jet.__neg__ if kind is Neg else _UNARY[e.func]
+                key = ("neg", x) if kind is Neg else ("call", e.func, x)
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(code)
+                code.append((op, fn, x, y, e.pos))
+            done.append(i)
+        outputs.append(done.pop())
+    return Program(tuple(code), tuple(outputs))
+
 
 def eval_expr(e, t: float) -> Jet:
     """Evaluate at the sample value t; the result carries d/dt exactly.
 
-    A value or derivative beyond the floating-point range raises
-    ExprDomainError at the offset of the node whose operation left it.
-    Nodes dispatch on their exact type, most frequent kinds first.
+    The one-tree program of ``compile_exprs``: a value or derivative
+    beyond the floating-point range raises ExprDomainError at the offset
+    of the node whose operation left it.
     """
-    kind = type(e)
-    try:
-        if kind is BinOp:
-            a = eval_expr(e.left, t)
-            b = eval_expr(e.right, t)
-            op = e.op
-            if op == "*":
-                return jet_mul(a, b)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "^":
-                if _max_abs(b.grad_tuple) != 0.0:
-                    raise ExprDomainError("exponent depends on the variable", e.pos)
-                if not float(b.value).is_integer():
-                    raise ExprDomainError(f"exponent {b.value!r} is not an integer", e.pos)
-                k = int(b.value)
-                if a.value == 0.0 and k < 0:
-                    raise ExprDomainError("zero base with negative exponent", e.pos)
-                return a ** k
-            if b.value == 0.0:
-                raise ExprDomainError("division by zero", e.pos)
-            return a / b
-        if kind is Num:
-            return Jet(e.value, _ZERO)
-        if kind is Var:
-            return Jet(float(t), _ONE)
-        if kind is Call:
-            return getattr(eval_expr(e.arg, t), e.func)()
-        if kind is Neg:
-            return -eval_expr(e.operand, t)
-        if kind is Pi:
-            return Jet(math.pi, _ZERO)
-    except (OverflowError, NonFiniteError):
-        # OverflowError from math.exp and float powers; NonFiniteError from
-        # the Jet constructor.  Children have already mapped their own
-        # failures, so this node's operation is the one at fault.
-        raise ExprDomainError(f"result out of floating-point range at t = {t:.6g}",
-                              e.pos) from None
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _max_abs(a) -> float:
-    return max((abs(float(x)) for x in a), default=0.0)
+    return compile_exprs((e,)).run(t)[0]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}

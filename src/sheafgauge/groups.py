@@ -267,6 +267,15 @@ def rho_matrix(model: GroupModel, g: MatrixField,
     leaves the span raises SpanError, and an exactly singular element
     raises numpy's LinAlgError, as ``np.linalg.inv`` does.
     """
+    pts, coeff = _rho_stack(model, g, span_tol)
+    return dict(zip(pts, coeff.swapaxes(1, 2)))
+
+
+def _rho_stack(model: GroupModel, g: MatrixField,
+               span_tol: float = SPAN_TOL) -> tuple[list, np.ndarray]:
+    """``rho_matrix`` as ``(points, stack)``: entry k of the (P, m, m)
+    stack is rho at ``points[k]`` transposed, so its row i holds the
+    coefficients of g E_i g^-1."""
     pts = g.ordered_points()
     v = stack_values(g, pts)
     sign, _ = np.linalg.slogdet(v)       # zero exactly where inv finds a zero pivot
@@ -281,7 +290,7 @@ def rho_matrix(model: GroupModel, g: MatrixField,
             f"(residual {res[bad]:.3e})", point=pts[bad], residual=float(res[bad]))
     if stop < len(pts):
         raise np.linalg.LinAlgError("Singular matrix")
-    return dict(zip(pts, coeff.swapaxes(1, 2)))
+    return pts, coeff
 
 
 def mc(model: GroupModel, g: MatrixField, det_floor: float = DET_FLOOR,
@@ -316,8 +325,7 @@ def rho_dot_form(model: GroupModel, g: MatrixField,
     form, which may not know its rank, comes back as it is.
     """
     _require_aligned(g, w)
-    rho = rho_matrix(model, g)           # keyed in point_order, as w's rows
-    rt = np.array([r.T for r in rho.values()]).reshape(-1, model.rank, model.rank)
+    _, rt = _rho_stack(model, g)         # rows in point_order, as w's
     return w._like(w.region, w.coeffs @ rt) if len(w) else w
 
 

@@ -133,8 +133,9 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
                 f"(residual {verdict.residual:.3e})", residual=verdict.residual)
     forms = {}
     for chart, w in D.forms.items():
-        forms[chart] = MatrixOneForm.from_stack(
-            w.region, w.ordered_points(), R.apply_phibar(w.coeffs))
+        # an empty form may not know its rank; its image holds no matrices
+        coeffs = R.apply_phibar(w.coeffs) if len(w) else np.zeros((0, 0, R.n, R.n))
+        forms[chart] = MatrixOneForm.from_stack(w.region, w.ordered_points(), coeffs)
     return VectorConnection(forms)
 
 

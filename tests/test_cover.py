@@ -75,6 +75,73 @@ class TestCoverConstruction:
             c.dim("nope")
 
 
+def five_point_jacobians():
+    """Identity Jacobians of two full-overlap charts u, v at points 0..4,
+    supplied point by point."""
+    jac = {}
+    for p in range(5):
+        for a, b in (("u", "v"), ("v", "u"), ("u", "u"), ("v", "v")):
+            jac[(a, b, p)] = [[1.0]]
+    return jac
+
+
+def five_point_cover(jac):
+    pts = list(range(5))
+    coords = {(r, p): [float(p)] for r in "uv" for p in pts}
+    return SampledCover(pts, {"u": pts, "v": pts}, coords, jac)
+
+
+class TestJacobianValidation:
+    """A bad entry at a middle point is found, named, and reported first
+    in the order the entries were supplied."""
+
+    def test_identity_cover_is_accepted(self):
+        assert len(five_point_cover(five_point_jacobians()).jacobians) == 20
+
+    def test_non_identity_diagonal_at_middle_point(self):
+        jac = five_point_jacobians()
+        jac[("v", "v", 2)] = [[1.5]]
+        with pytest.raises(CoverError, match=r"^jacobian \(v, v\) at 2 is not the identity$"):
+            five_point_cover(jac)
+
+    def test_singular_entry_at_middle_point(self):
+        jac = five_point_jacobians()
+        jac[("u", "v", 3)] = [[0.0]]
+        with pytest.raises(CoverError, match=r"^jacobian \(u, v\) at 3 is singular$"):
+            five_point_cover(jac)
+
+    def test_chain_rule_at_middle_point(self):
+        jac = five_point_jacobians()
+        jac[("v", "u", 2)] = [[0.5]]
+        # (u, v, 2) is supplied before (v, u, 2); with c = u it meets
+        # J_uv J_vu = 0.5 against J_uu = 1
+        with pytest.raises(CoverError,
+                           match=r"^jacobian chain rule fails for \(u, v, u\) at 2$"):
+            five_point_cover(jac)
+
+    def test_first_supplied_failure_wins_across_pairs(self):
+        jac = five_point_jacobians()
+        jac[("u", "v", 3)] = [[0.0]]          # the pair whose entries come first
+        jac[("v", "v", 1)] = [[2.0]]          # but this entry is supplied earlier
+        with pytest.raises(CoverError, match=r"^jacobian \(v, v\) at 1 is not the identity$"):
+            five_point_cover(jac)
+
+    def test_pointwise_checks_come_before_the_chain_rule(self):
+        jac = five_point_jacobians()
+        jac[("u", "v", 1)] = [[3.0]]          # breaks the chain rule only
+        jac[("v", "v", 4)] = [[2.0]]
+        with pytest.raises(CoverError, match=r"^jacobian \(v, v\) at 4 is not the identity$"):
+            five_point_cover(jac)
+
+    def test_third_region_in_region_order(self):
+        jac = five_point_jacobians()
+        jac[("u", "u", 2)] = [[1.0 + 1e-13]]   # within the identity tolerance
+        jac[("v", "u", 2)] = [[1.0 + 1e-11]]   # fails with c = u, before c = v
+        with pytest.raises(CoverError,
+                           match=r"^jacobian chain rule fails for \(u, v, u\) at 2$"):
+            five_point_cover(jac)
+
+
 class TestOverlap:
     def test_self_overlap_is_the_region(self, cover12):
         assert overlap(cover12, "alpha", "alpha").points == cover12.regions["alpha"]

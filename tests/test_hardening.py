@@ -71,6 +71,16 @@ class TestOverflowThroughTheCli:
         assert "floating-point range" in r.stderr
         assert "Traceback" not in r.output + r.stderr
 
+    def test_long_sum_entry_completes(self, runner, tmp_path):
+        # a sum parses into a left spine one node deep per term, deeper
+        # than the interpreter's recursion limit
+        entry = "cos(t) + " + " + ".join(["0 * t"] * 3000)
+        f = tmp_path / "long.scn"
+        f.write_text(DEMO_SO2.replace("row = cos(t); -sin(t)", f"row = {entry}; -sin(t)"))
+        r = runner.invoke(main, ["check", str(f), "--strict"])
+        assert r.exit_code == 0, r.output + r.stderr
+        assert "17 passed" in r.output
+
     @pytest.mark.parametrize("coeff", ["exp(exp(exp(t)))", "t^100000"])
     def test_overflowing_connection_coefficient_becomes_error_rows(
             self, runner, tmp_path, coeff):

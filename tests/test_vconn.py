@@ -15,6 +15,7 @@ from sheafgauge import (
     PrincipalConnection,
     PullbackImageError,
     RepresentationModel,
+    SampledCover,
     ScalarField,
     VectorConnection,
     check_frame_roundtrip,
@@ -88,6 +89,16 @@ class TestInduce:
             induce_connection(so2_pipe.P, so2_pipe.R, crooked)
         assert exc.value.residual >= 5e-4
         induce_connection(so2_pipe.P, so2_pipe.R, crooked, verify=False)
+
+    def test_empty_chart_form_induces_empty_matrix_form(self):
+        cover = SampledCover(range(4), {"a": range(4)},
+                             {("a", p): [p / 4] for p in range(4)})
+        P = trivial_principal(cover, gl_model(2))
+        D = PrincipalConnection({"a": LieValuedOneForm("a", {})})
+        theta = induce_connection(P, trivial_rep(2), D, verify=False).form("a")
+        assert isinstance(theta, MatrixOneForm)
+        assert theta.coeffs.shape == (0, 0, 2, 2)
+        assert (theta.region, len(theta)) == ("a", 0)
 
     def test_incompatible_representation_rejected(self, so2_pipe):
         scaled = RepresentationModel("stretched", so2_model(), 2,
