@@ -38,7 +38,7 @@ from .jets import (
     JetMatrix,
     MatrixField,
     ScalarField,
-    jet_diff_rows,
+    diff_rows,
     mat_add,
     mat_inv,
     mat_mul,
@@ -245,7 +245,7 @@ def check_representation(R: RepresentationModel, samples,
         lhs = R.phi(mat_mul(g, h))
         rhs = mat_mul(R.phi(g), R.phi(h))
         order = lhs.ordered_points()
-        pairs += zip(order, jet_diff_rows(lhs, rhs, order))
+        pairs += zip(order, diff_rows(lhs, rhs, order))
     if first is not None:
         unit = R.source.unit_field(first.region, first.points, first.dim)
         pairs += _from_identity([R.phi(unit)])
@@ -294,8 +294,8 @@ def check_components(E: VectorSheafData, comps: Mapping[str, MatrixField],
             gab = E.entry(a, b).restrict(shared)
             vb = transport_field(comps[b].restrict(shared), E.cover, a)
             order = point_order(shared)
-            pairs += zip(order, jet_diff_rows(comps[a].restrict(shared),
-                                              mat_mul(gab, vb), order))
+            pairs += zip(order, diff_rows(comps[a].restrict(shared),
+                                          mat_mul(gab, vb), order))
     return worst("compat", tol, pairs)
 
 

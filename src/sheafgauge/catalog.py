@@ -21,7 +21,7 @@ from .errors import DimensionMismatchError, MissingEntryError, ScenarioError
 # that holds it, and its self-test looks for it in this one.
 from .expr import compile_exprs, eval_expr, parse_expr  # noqa: F401
 from .groups import GroupModel
-from .jets import Jet, JetMatrix, MatrixField, ScalarField, point_order
+from .jets import Jet, JetMatrix, MatrixField, ScalarField, jet_stack, point_order
 from .principal import PrincipalSectionLocal, PrincipalSheafData
 
 
@@ -53,8 +53,7 @@ def eval_matrix(rows, region: str, coords, points=None) -> MatrixField:
         grads.append([j.grad_tuple for j in jets])
     v = np.array(values).reshape((-1,) + shape)
     g = np.array(grads).reshape((-1,) + shape + (1,)).transpose(0, 3, 1, 2)
-    return MatrixField(region, *shape, {p: JetMatrix(v[i], g[i])
-                                        for i, p in enumerate(pts)})
+    return MatrixField.from_stack(region, pts, jet_stack(v, g))
 
 
 def _rotation_rows(angle_expr: str) -> list[list[str]]:

@@ -57,7 +57,7 @@ from .catalog import (
 from .cover import TAU_GLUE
 from .errors import ScenarioError, SheafGaugeError
 from .groups import LOG_RULE_TOL, check_logarithmic_rule, group_mul
-from .jets import field_residual, form_diff_rows, mat_inv, mat_mul
+from .jets import diff_rows, field_residual, mat_inv, mat_mul
 from .principal import (
     COCYCLE_TOL,
     PrincipalSectionLocal,
@@ -237,7 +237,7 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
         pairs = []
         for c in sorted(D.forms):
             order = D.forms[c].ordered_points()
-            pairs += zip(order, form_diff_rows(D.forms[c], back.forms[c], order))
+            pairs += zip(order, diff_rows(D.forms[c], back.forms[c], order))
         return worst("cor1.roundtrip", ROUNDTRIP_TOL, pairs)
 
     checks = {

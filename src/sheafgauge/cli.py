@@ -8,7 +8,8 @@
 the report table.  ``demo`` does the same for a built-in scenario.
 Exit status: 0 when the run completed (failed checks included), 1 when
 checks failed and --strict was given, 2 for unreadable or malformed
-input.  --out writes flat ``key = value`` lines for machine use.
+input or an --out file that cannot be written.  --out writes flat
+``key = value`` lines for machine use.
 """
 
 from __future__ import annotations
@@ -48,8 +49,12 @@ def _run(scn: Scenario, suite: str, strict: bool, out: str | None) -> None:
     click.echo(f"scenario: {scn.name}")
     click.echo(report.table())
     if out is not None:
-        with open(out, "w") as fh:
-            fh.write("\n".join(report.kv_lines()) + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write("\n".join(report.kv_lines()) + "\n")
+        except OSError as exc:
+            click.echo(f"error: cannot write {out}: {exc.strerror}", err=True)
+            sys.exit(2)
     if strict and not report.passed:
         sys.exit(1)
 

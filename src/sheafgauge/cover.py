@@ -5,7 +5,8 @@ covering it, chart coordinates per region, and overlap Jacobians that
 relate the charts.  Jacobian entries are indexed (a, b, p) and hold
 d(coords of a)/d(coords of b) at p, so they satisfy the chain rule
 J_ab J_bc = J_ac on triple overlaps and J_aa = I; this is validated at
-construction for every entry supplied.
+construction for every entry supplied, after every coordinate and
+Jacobian entry has been checked finite in the order supplied.
 
 Gradients and one-form coefficients transform the same way under a
 chart change (both are coefficients of differentials), which is why
@@ -26,16 +27,7 @@ from .errors import (
     OverlapMismatchError,
     UnknownRegionError,
 )
-from .jets import (
-    Jet,
-    JetMatrix,
-    MatrixField,
-    _FieldBase,
-    _entry_diff,
-    first_true,
-    point_order,
-    stack_grads,
-)
+from .jets import _StackedField, _all_finite, diff_rows, first_true, point_order
 
 JACOBIAN_TOL = 1e-12
 TAU_GLUE = 1e-9
@@ -80,6 +72,8 @@ class SampledCover:
             a = np.atleast_1d(np.asarray(c, dtype=float))
             if rid in self._dims and self._dims[rid] != a.size:
                 raise CoverError(f"inconsistent chart dimension in region {rid!r}")
+            if not _all_finite(a):
+                raise CoverError(f"coords of region {rid!r} at {p!r} must be finite")
             self._dims[rid] = a.size
             a.setflags(write=False)
             self.coords[(rid, p)] = a
@@ -99,6 +93,8 @@ class SampledCover:
                 raise CoverError(f"jacobian at {p!r} outside overlap of {a!r}, {b!r}")
             if j.shape != (self._dims[a], self._dims[b]):
                 raise CoverError(f"jacobian shape {j.shape} wrong for ({a}, {b})")
+            if not _all_finite(j):
+                raise CoverError(f"jacobian ({a}, {b}) at {p!r} must be finite")
             j.setflags(write=False)
             self.jacobians[(a, b, p)] = j
         self._validate_jacobians(tol)
@@ -200,13 +196,13 @@ def overlap(cover: SampledCover, a: str, b: str) -> Region:
     return Region(f"{a}&{b}", cover.overlap_points(a, b))
 
 
-def restrict(f: _FieldBase, r) -> _FieldBase:
+def restrict(f: _StackedField, r) -> _StackedField:
     """Restrict a field to a sub-point-set (Region or iterable of points)."""
     pts = r.points if isinstance(r, Region) else frozenset(r)
     return f.restrict(pts)
 
 
-def glue(pieces: Mapping[str, _FieldBase], tol: float = TAU_GLUE) -> _FieldBase:
+def glue(pieces: Mapping[str, _StackedField], tol: float = TAU_GLUE) -> _StackedField:
     """Join fields that agree on shared points into one field on the union.
 
     Raises OverlapMismatchError naming the first offending pair and point
@@ -222,18 +218,20 @@ def glue(pieces: Mapping[str, _FieldBase], tol: float = TAU_GLUE) -> _FieldBase:
     for i, la in enumerate(labels):
         for lb in labels[i + 1:]:
             fa, fb = pieces[la], pieces[lb]
-            shared = fa.points & fb.points
-            for p in point_order(shared):
-                d = _entry_diff(fa.data[p], fb.data[p])
-                if d > tol:
-                    raise OverlapMismatchError(
-                        f"glue pieces {la!r} and {lb!r} differ by {d:.3e} at {p!r}",
-                        region_a=la, region_b=lb, point=p, residual=d)
+            shared = point_order(fa.points & fb.points)
+            rows = diff_rows(fa, fb, shared)
+            k = first_true(np.greater(rows, tol))
+            if k < len(shared):
+                p, d = shared[k], rows[k]
+                raise OverlapMismatchError(
+                    f"glue pieces {la!r} and {lb!r} differ by {d:.3e} at {p!r}",
+                    region_a=la, region_b=lb, point=p, residual=d)
     merged = {}
     for lab in labels:
         for p, v in pieces[lab].data.items():
             merged.setdefault(p, v)
-    return first._replace("+".join(labels), merged)
+    return object.__new__(type(first))._from_mapping(
+        "+".join(labels), merged, first.coeffs.shape[2:])
 
 
 def _pull_axis(arr: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -253,31 +251,23 @@ def transport_form(form, cover: SampledCover, to: str):
     the one rewritten.  The form must live on points of the overlap
     between its own chart and ``to``.
     """
-    src = form.region
-    if src == to:
-        return form
-    pts = form.ordered_points()
-    if not pts:
-        return form.relabel(to)
-    return form._like(to, _pull_axis(form.coeffs, _jacobians(cover, src, to, pts)))
+    return _transport(form, cover, to)
 
 
 def transport_field(field, cover: SampledCover, to: str):
-    """Rewrite jet gradients of a scalar or matrix field in chart ``to``."""
-    src = field.region
-    if src == to:
-        return field
-    pts = field.ordered_points()
-    if not pts:
-        return field._replace(to, {})
-    jac = _jacobians(cover, src, to, pts)
-    if isinstance(field, MatrixField):
-        grads = _pull_axis(stack_grads(field, pts), jac)
-        data = {p: JetMatrix(field.data[p].value, g) for p, g in zip(pts, grads)}
-    else:
-        grads = _pull_axis(np.array([field.data[p].grad_tuple for p in pts]), jac)
-        data = {p: Jet(field.data[p].value, g) for p, g in zip(pts, grads.tolist())}
-    return field._replace(to, data)
+    """Rewrite jet gradients of a scalar or matrix field in chart ``to``;
+    the values and the row order stay."""
+    return _transport(field, cover, to)
+
+
+def _transport(f, cover: SampledCover, to: str):
+    if f.region == to:
+        return f
+    if not len(f):
+        return f.relabel(to)
+    c, k = f.coeffs, f.LEAD
+    jac = _jacobians(cover, f.region, to, list(f.data))
+    return f._like(to, np.concatenate((c[:, :k], _pull_axis(c[:, k:], jac)), axis=1))
 
 
 def circle_cover(n_points: int, arcs: Mapping[str, Iterable[int]]) -> SampledCover:

@@ -35,15 +35,14 @@ from .errors import (
 from .jets import (
     DET_FLOOR,
     MatrixField,
-    _FormField,
+    _StackedField,
     _require_aligned,
     first_true,
+    gather,
     identity_matrix_field,
     mat_inv,
     mat_mul,
     max_diff_rows,
-    stack_grads,
-    stack_values,
 )
 from .report import CheckResult, worst
 
@@ -52,13 +51,14 @@ BRACKET_TOL = 1e-12
 LOG_RULE_TOL = 1e-9
 
 
-class LieValuedOneForm(_FormField):
+class LieValuedOneForm(_StackedField):
     """Per point: a (dim, m) array of coefficients, chart directions first,
     Lie basis second."""
 
     KIND, NDIM = "lie-valued one-form", 2
     SHAPE_MESSAGE = "lie-valued one-form entries must be (dim, m) arrays"
     MIXED_MESSAGE = "mixed shapes in lie-valued one-form"
+    FINITE_MESSAGE = "lie-valued one-form coefficients must be finite"
 
     def __init__(self, region: str, data: Mapping):
         self._from_mapping(region, data)
@@ -233,7 +233,7 @@ def group_mul(g: MatrixField, h: MatrixField,
     """Pointwise product of group-element fields; result must stay invertible."""
     out = mat_mul(g, h)
     pts = out.ordered_points()
-    det = np.linalg.det(stack_values(out, pts))
+    det = np.linalg.det(gather(out, pts)[:, 0])
     bad = first_true(np.abs(det) < det_floor)
     if bad < len(pts):
         raise FieldMismatchError(
@@ -247,7 +247,7 @@ def ad_action(model: GroupModel, g: MatrixField, a: MatrixField,
     """Conjugation g a g^-1 on an algebra-valued field, span-checked."""
     out = mat_mul(mat_mul(g, a), mat_inv(g))
     pts = out.ordered_points()
-    _, res = model.expand_stack(stack_values(out, pts)[:, None])
+    _, res = model.expand_stack(gather(out, pts)[:, :1])
     bad = first_true(res > span_tol)
     if bad < len(pts):
         raise SpanError(
@@ -277,7 +277,7 @@ def _rho_stack(model: GroupModel, g: MatrixField,
     stack is rho at ``points[k]`` transposed, so its row i holds the
     coefficients of g E_i g^-1."""
     pts = g.ordered_points()
-    v = stack_values(g, pts)
+    v = gather(g, pts)[:, 0]
     sign, _ = np.linalg.slogdet(v)       # zero exactly where inv finds a zero pivot
     stop = first_true(sign == 0.0)
     vi = np.linalg.inv(v[:stop])
@@ -302,7 +302,8 @@ def mc(model: GroupModel, g: MatrixField, det_floor: float = DET_FLOOR,
     SpanError.
     """
     pts = g.ordered_points()
-    v, grad = stack_values(g, pts), stack_grads(g, pts)
+    c = gather(g, pts)
+    v, grad = c[:, 0], c[:, 1:]
     stop = first_true(np.abs(np.linalg.det(v)) < det_floor)
     vi = np.linalg.inv(v[:stop])
     coeff, res = model.expand_stack(np.einsum("pij,pkjl->pkil", vi, grad[:stop]))

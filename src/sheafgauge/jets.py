@@ -10,29 +10,29 @@ floating-point rounding.
 Matrices of jets are stored as a value array of shape (rows, cols) plus
 a gradient array of shape (dim, rows, cols).
 
-Only the jet fields, ``ScalarField`` and ``MatrixField``, keep one
-object per sample point, but their operations are batched: ``stack_values``
-and ``stack_grads`` gather the per-point arrays into (P, ...) stacks, one
-numpy call computes the products, inverses or residuals of all points,
-and the per-point results are built from the slices through the same
-validating ``Jet`` and ``JetMatrix`` constructors.  Each point's
-arithmetic is the one-point computation, so the numbers equal those of
-``JetMatrix.matmul`` and ``JetMatrix.inv`` bit for bit
-(``tests/test_batched.py`` holds them to it).  A check that fails
-reports the first failing point in the order the operation documents.
-
-The form fields (``OneForm``, ``MatrixOneForm``,
-``groups.LieValuedOneForm``) are stacked: one read-only float64 array
-``coeffs`` of shape (P, dim, ...) holds the coefficients of every point
-in ``point_order``, checked once per form.  Form kernels read ``coeffs``
-and build their results from a stack.  The module action of a jet
-on a one-form uses the jet's value.
+Every field kind keeps its numbers in one read-only float64 stack
+``coeffs``, one row per sample point, checked once per field, with
+``data`` a read-only mapping from each point to its entry.  A jet-field
+row holds the value at index 0 and the gradient at ``1:``, so a
+``MatrixField`` stack is (P, 1 + dim, rows, cols) and a ``ScalarField``
+stack (P, 1 + dim); its rows follow the mapping it was built from, or a
+kernel's first operand, and ``data`` holds one ``Jet`` or ``JetMatrix``
+per point.  The form fields (``OneForm``, ``MatrixOneForm``,
+``groups.LieValuedOneForm``) hold (P, dim, ...) in ``point_order``, and
+``data[p]`` is a view of its row.  Kernels read the stacks, in one numpy
+call over all points; a jet-field result builds one object per point
+through the validating constructor.  Each point's arithmetic is the
+one-point computation, so the numbers equal those of ``JetMatrix.matmul``
+and ``JetMatrix.inv`` bit for bit (``tests/test_batched.py`` holds them
+to it).  A check that fails reports the first failing point in the order
+the operation documents.  The module action of a jet on a one-form uses
+the jet's value.
 
 All field objects are immutable: no attribute can be set or deleted,
-operations return new fields, and the backing arrays are read-only.  A
-non-finite entry raises ``NonFiniteError``, also a ``ValueError``.
-Reductions over sample points run in sorted point order so results do
-not depend on dict insertion history.
+operations return new fields, and the backing arrays and mappings are
+read-only.  A non-finite entry raises ``NonFiniteError``, also a
+``ValueError``.  Reductions over sample points run in sorted point order
+so results do not depend on dict insertion history.
 
 A ``Jet`` stores its value as a float and its gradient as a tuple of
 Python floats, ``grad_tuple``.  Its operators read and build these
@@ -291,10 +291,6 @@ class JetMatrix:
              + np.einsum("ij,kjl->kil", self.value, other.grad))
         return JetMatrix(v, g)
 
-    def add(self, other: "JetMatrix") -> "JetMatrix":
-        self._same_shape(other)
-        return JetMatrix(self.value + other.value, self.grad + other.grad)
-
     def scale(self, s) -> "JetMatrix":
         """Multiply by a scalar jet (Leibniz) or a plain number."""
         if isinstance(s, Jet):
@@ -323,12 +319,9 @@ class JetMatrix:
         return JetMatrix(self.value.T, np.transpose(self.grad, (0, 2, 1)))
 
     def max_abs_diff(self, other: "JetMatrix") -> float:
-        self._same_shape(other)
-        return max(max_diff(self.value, other.value), max_diff(self.grad, other.grad))
-
-    def _same_shape(self, other: "JetMatrix") -> None:
         if self.value.shape != other.value.shape or self.dim != other.dim:
             raise DimensionMismatchError("JetMatrix shape mismatch")
+        return max(max_diff(self.value, other.value), max_diff(self.grad, other.grad))
 
     def __repr__(self):
         return f"JetMatrix(value={self.value.tolist()!r}, dim={self.dim})"
@@ -338,130 +331,42 @@ _set_matrix_value = JetMatrix.value.__set__
 _set_matrix_grad = JetMatrix.grad.__set__
 
 
-class _FieldBase:
-    """Shared plumbing: a region label plus a per-point ``data`` mapping."""
+class _StackedField:
+    """A field over the sample points of one region, held as one stack.
 
-    __slots__ = ("region", "data")
+    ``coeffs`` is a read-only float64 array of shape (P, k, *tail), one
+    row per point, checked once per field; ``data`` is a read-only
+    mapping from each point to its entry.  The defaults here are the
+    form kinds': a row holds the coefficients on the chart basis
+    (k = dim), rows are in ``point_order`` and ``data[p]`` is a view of
+    its row.  Each kind sets ``KIND``, ``NDIM`` (the axes of one row)
+    and its messages.
+    """
 
-    def __init__(self, region: str, data: Mapping):
-        object.__setattr__(self, "region", str(region))
-        object.__setattr__(self, "data", dict(data))
+    __slots__ = ("region", "data", "coeffs")
+    LEAD = 0            # slots of a point's row before its chart directions
+    MISMATCH_MESSAGE = "{a.KIND} shapes differ"
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
 
-    @property
-    def points(self) -> frozenset:
-        return frozenset(self.data)
-
-    def ordered_points(self) -> list:
-        return point_order(self.data)
-
-    def restrict(self, points) -> "_FieldBase":
-        pts = set(points)
-        missing = pts - self.points
-        if missing:
-            raise FieldMismatchError(
-                f"restriction outside field domain: {point_order(missing)[:4]}")
-        return self._restricted(pts)
-
-    def _restricted(self, pts: set) -> "_FieldBase":
-        return self._replace(self.region, {p: self.data[p] for p in pts})
-
-    def relabel(self, region: str) -> "_FieldBase":
-        return self._replace(region, self.data)
-
-    def _replace(self, region, data):
-        raise NotImplementedError
-
-    def __len__(self):
-        return len(self.data)
-
-
-class ScalarField(_FieldBase):
-    """Jet-valued scalar field over the sample points of one region."""
-
-    def __init__(self, region: str, data: Mapping[object, Jet]):
-        data = dict(data)
-        dims = {j.dim for j in data.values()}
-        if len(dims) > 1:
-            raise DimensionMismatchError("mixed jet dims in scalar field")
-        for p, j in data.items():
-            if not isinstance(j, Jet):
-                raise TypeError(f"scalar field entry at {p} is not a Jet")
-        super().__init__(region, data)
-
-    @property
-    def dim(self):
-        for j in self.data.values():
-            return j.dim
-        return None
-
-    def _replace(self, region, data):
-        return ScalarField(region, data)
-
-
-class MatrixField(_FieldBase):
-    """Matrix-of-jets field.  Column vectors are the cols == 1 case."""
-
-    __slots__ = ("rows", "cols")
-
-    def __init__(self, region: str, rows: int, cols: int, data: Mapping):
-        data = dict(data)
-        dims = set()
-        for p, m in data.items():
-            if not isinstance(m, JetMatrix):
-                raise TypeError(f"matrix field entry at {p} is not a JetMatrix")
-            if m.value.shape != (rows, cols):
-                raise FieldMismatchError(
-                    f"entry at {p} has shape {m.value.shape}, expected {(rows, cols)}")
-            dims.add(m.grad.shape[0])
-        if len(dims) > 1:
-            raise DimensionMismatchError("mixed jet dims in matrix field")
-        object.__setattr__(self, "rows", int(rows))
-        object.__setattr__(self, "cols", int(cols))
-        super().__init__(region, data)
-
-    @property
-    def dim(self):
-        for m in self.data.values():
-            return m.dim
-        return None
-
-    def _replace(self, region, data):
-        return MatrixField(region, self.rows, self.cols, data)
-
-    def map_entries(self, fn: Callable[[object, JetMatrix], JetMatrix],
-                    rows=None, cols=None) -> "MatrixField":
-        out = {p: fn(p, m) for p, m in self.data.items()}
-        r = self.rows if rows is None else rows
-        c = self.cols if cols is None else cols
-        return MatrixField(self.region, r, c, out)
-
-
-class _FormField(_FieldBase):
-    """A form field: the coefficients of every point in one read-only
-    float64 stack ``coeffs`` of shape (P, dim, *tail), rows in
-    ``point_order``, checked once per form.  ``data`` maps each point to
-    its row, a view of the stack.  Each kind sets ``KIND``, ``NDIM`` (the
-    axes of one row) and its messages.
-    """
-
-    __slots__ = ("coeffs",)
+    @classmethod
+    def from_stack(cls, region: str, points, coeffs) -> "_StackedField":
+        """The field holding a copy of row i of ``coeffs`` at ``points[i]``;
+        the points must be distinct, and for a form in ``point_order``."""
+        points = list(points)
+        cls._check_points(points)
+        return object.__new__(cls)._checked(region, points, np.array(coeffs, dtype=float), None)
 
     @classmethod
-    def from_stack(cls, region: str, points, coeffs) -> "_FormField":
-        """The form holding row i of ``coeffs`` at ``points[i]``; the points
-        must be distinct and in ``point_order``."""
-        points = list(points)
+    def _check_points(cls, points: list) -> None:
         keys = [str(p) for p in points]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise FieldMismatchError(f"{cls.KIND} points must be distinct and in point_order")
-        return object.__new__(cls)._checked(region, points, coeffs, None)
 
-    def _from_mapping(self, region: str, data: Mapping, tail=None, ndmin=0) -> "_FormField":
+    def _from_mapping(self, region: str, data: Mapping, tail=None, ndmin=0) -> "_StackedField":
         data = dict(data)
         order = point_order(data)
         rows = [np.array(data[p], dtype=float, ndmin=ndmin) for p in order]
@@ -472,77 +377,201 @@ class _FormField(_FieldBase):
         return self._checked(region, order, rows or np.zeros(
             (0, 0) + (tail or (0,) * (self.NDIM - 1))), tail)
 
-    def _checked(self, region: str, order, coeffs, tail) -> "_FormField":
-        c = np.array(coeffs, dtype=float, order="C")
-        self._check_row(order[0] if len(order) else None, c.shape[1:], tail)
+    def _checked(self, region: str, order: list, coeffs, tail,
+                 entries=None) -> "_StackedField":
+        c = np.asarray(coeffs, dtype=float, order="C")
+        self._check_row(order[0] if order else None, c.shape[1:], tail)
         if len(c) != len(order):
             raise FieldMismatchError(f"{len(order)} points for {len(c)} {self.KIND} rows")
         if not np.isfinite(c).all():
-            raise NonFiniteError(f"{self.KIND} coefficients must be finite")
-        return self._set(region, order, c)
+            raise NonFiniteError(self.FINITE_MESSAGE)
+        return self._set(region, order, c, entries)
 
-    def _set(self, region: str, order, coeffs: np.ndarray) -> "_FormField":
+    def _set(self, region: str, order, coeffs: np.ndarray, entries=None) -> "_StackedField":
+        """Store ``coeffs`` and map ``order`` to ``entries``, by default
+        those ``_entries`` makes of the rows."""
+        if entries is None:
+            entries = self._entries(coeffs)
         coeffs.setflags(write=False)
         object.__setattr__(self, "region", str(region))
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "data", MappingProxyType(dict(zip(order, coeffs))))
+        object.__setattr__(self, "data", MappingProxyType(dict(zip(order, entries))))
         return self
 
     def _check_row(self, p, shape: tuple, tail) -> None:
         if len(shape) != self.NDIM or (tail is not None and shape[1:] != tail):
             raise DimensionMismatchError(self.SHAPE_MESSAGE)
 
+    @staticmethod
+    def _entries(coeffs: np.ndarray):
+        return coeffs
+
+    def _kept(self, order: list):
+        """The entries of the rows at ``order`` kept by a restriction; None
+        makes them anew."""
+        return None
+
+    @property
+    def points(self) -> frozenset:
+        return frozenset(self.data)
+
     def ordered_points(self) -> list:
         return list(self.data)
 
     @property
     def dim(self):
-        return self.coeffs.shape[1] if self.data else None
+        return self.coeffs.shape[1] - self.LEAD if self.data else None
 
-    def _like(self, region: str, coeffs) -> "_FormField":
-        """A form of this kind on the same points holding ``coeffs``."""
-        return object.__new__(type(self))._checked(
-            region, list(self.data), coeffs, self.coeffs.shape[2:])
+    def __len__(self):
+        return len(self.data)
 
-    def _restricted(self, pts: set) -> "_FormField":
+    def _like(self, region: str, coeffs) -> "_StackedField":
+        """A field of this kind holding ``coeffs`` on the same points, in
+        the same order."""
+        return object.__new__(type(self))._checked(region, list(self.data), coeffs, None)
+
+    def restrict(self, points) -> "_StackedField":
+        pts = set(points)
+        missing = pts - self.points
+        if missing:
+            raise FieldMismatchError(
+                f"restriction outside field domain: {point_order(missing)[:4]}")
         keep = [i for i, p in enumerate(self.data) if p in pts]
-        return object.__new__(type(self))._set(
-            self.region, [p for p in self.data if p in pts], self.coeffs[keep])
+        order = [p for p in self.data if p in pts]
+        return object.__new__(type(self))._set(self.region, order, self.coeffs[keep],
+                                               self._kept(order))
 
-    def relabel(self, region: str) -> "_FormField":
-        return object.__new__(type(self))._set(region, self.data, self.coeffs)
-
-    def _replace(self, region, data):
-        return object.__new__(type(self))._from_mapping(region, data, self.coeffs.shape[2:])
+    def relabel(self, region: str) -> "_StackedField":
+        return object.__new__(type(self))._set(region, self.data, self.coeffs,
+                                               self.data.values())
 
 
-class OneForm(_FormField):
+class _JetField(_StackedField):
+    """A jet field: row 0 of a point's (1 + dim, *tail) row is the value,
+    rows 1: the gradient.  Rows keep the order of the mapping the field
+    was built from, or of a kernel's first operand.  ``data`` holds the
+    caller's ``Jet`` or ``JetMatrix`` objects, or, for a stack, one object
+    per row built by the public validating constructor.
+    """
+
+    __slots__ = ()
+    LEAD = 1
+
+    @classmethod
+    def _check_points(cls, points: list) -> None:
+        if len(set(points)) != len(points):
+            raise FieldMismatchError(f"{cls.KIND} points must be distinct")
+
+    def _from_mapping(self, region: str, data: Mapping, tail: tuple) -> "_JetField":
+        data = dict(data)
+        for p, x in data.items():
+            self._check_entry(p, x, tail)
+        if len({x.dim for x in data.values()}) > 1:
+            raise DimensionMismatchError(self.MIXED_MESSAGE)
+        entries = list(data.values())
+        c = self._stack(entries, tail) if entries else np.zeros((0, 2) + tail)
+        return self._checked(region, list(data), c, tail, entries)
+
+    def _kept(self, order: list):
+        return [self.data[p] for p in order]
+
+    def ordered_points(self) -> list:
+        return point_order(self.data)
+
+
+class ScalarField(_JetField):
+    """Jet-valued scalar field over the sample points of one region;
+    ``coeffs`` has shape (P, 1 + dim)."""
+
+    KIND, NDIM = "scalar field", 1
+    SHAPE_MESSAGE = "scalar field rows must be (1 + dim,) vectors"
+    MIXED_MESSAGE = "mixed jet dims in scalar field"
+    MISMATCH_MESSAGE = "jet dims differ: {a.dim} vs {b.dim}"
+    FINITE_MESSAGE = "jet components must be finite"
+
+    def __init__(self, region: str, data: Mapping[object, Jet]):
+        self._from_mapping(region, data, ())
+
+    @staticmethod
+    def _check_entry(p, j, tail) -> None:
+        if not isinstance(j, Jet):
+            raise TypeError(f"scalar field entry at {p} is not a Jet")
+
+    @staticmethod
+    def _stack(entries: list, tail) -> np.ndarray:
+        return np.array([(j.value,) + j.grad_tuple for j in entries])
+
+    @staticmethod
+    def _entries(coeffs: np.ndarray) -> list:
+        return [Jet(r[0], r[1:]) for r in coeffs.tolist()]
+
+
+class _Matrices:
+    """``rows`` and ``cols`` of a stack of shape (P, k, rows, cols)."""
+
+    __slots__ = ()
+    rows = property(lambda self: self.coeffs.shape[2])
+    cols = property(lambda self: self.coeffs.shape[3])
+
+
+class MatrixField(_Matrices, _JetField):
+    """Matrix-of-jets field.  Column vectors are the cols == 1 case;
+    ``coeffs`` has shape (P, 1 + dim, rows, cols)."""
+
+    KIND, NDIM = "matrix field", 3
+    SHAPE_MESSAGE = "matrix field rows must be (1 + dim, rows, cols) arrays"
+    MIXED_MESSAGE = "mixed jet dims in matrix field"
+    MISMATCH_MESSAGE = "JetMatrix shape mismatch"
+    FINITE_MESSAGE = "JetMatrix components must be finite"
+
+    def __init__(self, region: str, rows: int, cols: int, data: Mapping):
+        self._from_mapping(region, data, (int(rows), int(cols)))
+
+    @staticmethod
+    def _check_entry(p, m, tail) -> None:
+        if not isinstance(m, JetMatrix):
+            raise TypeError(f"matrix field entry at {p} is not a JetMatrix")
+        if m.value.shape != tail:
+            raise FieldMismatchError(f"entry at {p} has shape {m.value.shape}, expected {tail}")
+
+    @staticmethod
+    def _stack(entries: list, tail) -> np.ndarray:
+        return jet_stack(np.array([m.value for m in entries]),
+                         np.array([m.grad for m in entries]))
+
+    @staticmethod
+    def _entries(coeffs: np.ndarray) -> list:
+        return [JetMatrix(r[0], r[1:]) for r in coeffs]
+
+    def map_entries(self, fn: Callable[[object, JetMatrix], JetMatrix],
+                    rows=None, cols=None) -> "MatrixField":
+        out = {p: fn(p, m) for p, m in self.data.items()}
+        r = self.rows if rows is None else rows
+        c = self.cols if cols is None else cols
+        return MatrixField(self.region, r, c, out)
+
+
+class OneForm(_StackedField):
     """Differential one-form: per point, real coefficients on the chart basis."""
 
     KIND, NDIM = "one-form", 1
     SHAPE_MESSAGE = "one-form coefficients must be vectors"
     MIXED_MESSAGE = "mixed coefficient lengths in one-form"
+    FINITE_MESSAGE = "one-form coefficients must be finite"
 
     def __init__(self, region: str, data: Mapping):
         self._from_mapping(region, data, ndmin=1)
 
 
-class MatrixOneForm(_FormField):
+class MatrixOneForm(_Matrices, _StackedField):
     """Matrix-valued one-form: per point an array of shape (dim, rows, cols)."""
 
     KIND, NDIM = "matrix one-form", 3
     MIXED_MESSAGE = "mixed chart dimensions in matrix one-form"
+    FINITE_MESSAGE = "matrix one-form coefficients must be finite"
 
     def __init__(self, region: str, rows: int, cols: int, data: Mapping):
         self._from_mapping(region, data, (int(rows), int(cols)))
-
-    @property
-    def rows(self) -> int:
-        return self.coeffs.shape[2]
-
-    @property
-    def cols(self) -> int:
-        return self.coeffs.shape[3]
 
     def _check_row(self, p, shape: tuple, tail) -> None:
         if len(shape) != 3 or (tail is not None and shape[1:] != tail):
@@ -551,11 +580,32 @@ class MatrixOneForm(_FormField):
                                      f"expected (dim, {rows}, {cols})")
 
 
-def _require_aligned(a: _FieldBase, b: _FieldBase) -> None:
+def _require_aligned(a: _StackedField, b: _StackedField) -> None:
     if a.region != b.region:
         raise FieldMismatchError(f"regions differ: {a.region!r} vs {b.region!r}")
     if a.points != b.points:
         raise FieldMismatchError("fields are defined on different point sets")
+
+
+def gather(f: _StackedField, points: list) -> np.ndarray:
+    """The rows of ``f.coeffs`` at ``points``, in that order: the stack
+    itself when the orders agree, else an index take."""
+    order = list(f.data)
+    if order == points:
+        return f.coeffs
+    at = {p: i for i, p in enumerate(order)}
+    return f.coeffs[[at[p] for p in points]]
+
+
+def first_true(mask) -> int:
+    """Index of the first true entry of a boolean vector, else its length."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else len(mask)
+
+
+def jet_stack(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """A jet-field stack from value (P, *tail) and gradient (P, dim, *tail) stacks."""
+    return np.concatenate((values[:, None], grads), axis=1)
 
 
 # -- scalar field algebra ---------------------------------------------------
@@ -573,35 +623,7 @@ def field_add(s: ScalarField, t: ScalarField) -> ScalarField:
 def d_field(f: ScalarField) -> OneForm:
     """Exterior derivative: reads off each jet's gradient as coefficients."""
     pts = f.ordered_points()
-    grads = np.array([f.data[p].grad_tuple for p in pts]).reshape(len(pts), f.dim or 0)
-    return OneForm.from_stack(f.region, pts, grads)
-
-
-# -- stacks over sample points ---------------------------------------------
-
-def stack_values(f: MatrixField, points) -> np.ndarray:
-    """Values of a matrix field at ``points``, in that order: (P, rows, cols)."""
-    return np.array([f.data[p].value for p in points]).reshape(-1, f.rows, f.cols)
-
-
-def stack_grads(f: MatrixField, points) -> np.ndarray:
-    """Gradients at ``points``, in that order: (P, dim, rows, cols).
-
-    An empty stack gets one placeholder chart direction.
-    """
-    return np.array([f.data[p].grad for p in points]).reshape(
-        -1, f.dim or 1, f.rows, f.cols)
-
-
-def matrix_data(points, values, grads) -> dict:
-    """Per-point ``JetMatrix`` objects from stacked values and gradients."""
-    return {p: JetMatrix(v, g) for p, v, g in zip(points, values, grads)}
-
-
-def first_true(mask) -> int:
-    """Index of the first true entry of a boolean vector, else its length."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if hits.size else len(mask)
+    return OneForm.from_stack(f.region, pts, gather(f, pts)[:, 1:])
 
 
 # -- matrix field algebra ---------------------------------------------------
@@ -614,17 +636,19 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     pts = list(a.data)
     if pts and a.dim != b.dim:
         raise DimensionMismatchError("JetMatrix product shape mismatch")
-    va, ga = stack_values(a, pts), stack_grads(a, pts)
-    vb, gb = stack_values(b, pts), stack_grads(b, pts)
+    ca, cb = a.coeffs, gather(b, pts)
+    va, ga, vb, gb = ca[:, 0], ca[:, 1:], cb[:, 0], cb[:, 1:]
     grad = (np.einsum("pkij,pjl->pkil", ga, vb)
             + np.einsum("pij,pkjl->pkil", va, gb))
-    return MatrixField(a.region, a.rows, b.cols, matrix_data(pts, va @ vb, grad))
+    return a._like(a.region, jet_stack(va @ vb, grad))
 
 
 def mat_add(a: MatrixField, b: MatrixField) -> MatrixField:
     _require_aligned(a, b)
-    return MatrixField(a.region, a.rows, a.cols,
-                       {p: a.data[p].add(b.data[p]) for p in a.data})
+    cb = gather(b, list(a.data))
+    if len(a) and cb.shape != a.coeffs.shape:
+        raise DimensionMismatchError(a.MISMATCH_MESSAGE)
+    return a._like(a.region, a.coeffs + cb)
 
 
 def mat_inv(a: MatrixField, det_floor: float = DET_FLOOR) -> MatrixField:
@@ -633,47 +657,42 @@ def mat_inv(a: MatrixField, det_floor: float = DET_FLOOR) -> MatrixField:
     pts = list(a.data)
     if pts and a.rows != a.cols:
         raise DimensionMismatchError("only square matrices invert")
-    v, g = stack_values(a, pts), stack_grads(a, pts)
+    v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
     det = np.linalg.det(v)
     stop = first_true(np.abs(det) < det_floor)
     vi = np.linalg.inv(v[:stop])
     gi = -np.einsum("pij,pkjl,plm->pkim", vi, g[:stop], vi)
-    data = matrix_data(pts, vi, gi)
+    out = MatrixField.from_stack(a.region, pts[:stop], jet_stack(vi, gi))
     if stop < len(pts):
         p = pts[stop]
         raise SingularMatrixError(
             f"determinant {float(det[stop]):.3e} below floor {det_floor:.1e} "
             f"at point {p}", point=p)
-    return MatrixField(a.region, a.rows, a.cols, data)
+    return out
 
 
 def mat_d(a: MatrixField) -> MatrixOneForm:
     """Entrywise derivative of a matrix of jets."""
     pts = a.ordered_points()
-    return MatrixOneForm.from_stack(a.region, pts, stack_grads(a, pts))
+    return MatrixOneForm.from_stack(a.region, pts, gather(a, pts)[:, 1:])
 
 
 def mat_transpose(a: MatrixField) -> MatrixField:
-    pts = list(a.data)
-    v, g = stack_values(a, pts), stack_grads(a, pts)
-    return MatrixField(a.region, a.cols, a.rows,
-                       matrix_data(pts, v.swapaxes(1, 2), g.swapaxes(2, 3)))
+    return a._like(a.region, a.coeffs.swapaxes(2, 3))
 
 
 def mat_scale(a: MatrixField, s) -> MatrixField:
     """Scale a matrix field by a scalar field (jetwise) or a number."""
-    pts = list(a.data)
-    v, g = stack_values(a, pts), stack_grads(a, pts)
     if not isinstance(s, ScalarField):
-        f = float(s)
-        return MatrixField(a.region, a.rows, a.cols, matrix_data(pts, f * v, f * g))
+        return a._like(a.region, float(s) * a.coeffs)
     _require_aligned(a, s)
+    pts = list(a.data)
     if pts and s.dim != a.dim:
         raise DimensionMismatchError("scalar jet dim mismatch")
-    sv = np.array([s.data[p].value for p in pts]).reshape(-1, 1, 1)
-    sg = np.array([s.data[p].grad_tuple for p in pts]).reshape(-1, g.shape[1], 1, 1)
-    return MatrixField(a.region, a.rows, a.cols,
-                       matrix_data(pts, sv * v, sg * v[:, None] + sv[:, None] * g))
+    cs = gather(s, pts)
+    sv, sg = cs[:, 0, None, None], cs[:, 1:, None, None]
+    v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
+    return a._like(a.region, jet_stack(sv * v, sg * v[:, None] + sv[:, None] * g))
 
 
 def identity_matrix_field(region: str, points, n: int, dim: int) -> MatrixField:
@@ -699,52 +718,31 @@ def max_diff_rows(a, b) -> list[float]:
     return np.max(d, axis=tuple(range(1, d.ndim)), initial=0.0).tolist()
 
 
-def form_diff_rows(a: _FormField, b: _FormField, points) -> list[float]:
-    """Per point, ``max_diff`` of the rows two form fields hold there;
-    ``points`` are the forms' common ``ordered_points()``."""
-    if not list(points) == list(a.data) == list(b.data):
-        raise FieldMismatchError("form rows are compared on the forms' common points")
-    return max_diff_rows(a.coeffs, b.coeffs)
+def diff_rows(a: _StackedField, b: _StackedField, points: list) -> list[float]:
+    """Per point, the largest deviation between the rows two fields of one
+    kind hold there: value and gradient entries for jet fields."""
+    if not points:
+        return []
+    ra, rb = gather(a, points), gather(b, points)
+    if ra.shape != rb.shape:
+        raise DimensionMismatchError(a.MISMATCH_MESSAGE.format(a=a, b=b))
+    return max_diff_rows(ra, rb)
 
 
-def jet_diff_rows(a: MatrixField, b: MatrixField, points) -> list[float]:
-    """Per point, the largest deviation of value and gradient entries."""
-    va, ga = stack_values(a, points), stack_grads(a, points)
-    vb, gb = stack_values(b, points), stack_grads(b, points)
-    if va.shape != vb.shape or ga.shape != gb.shape:
-        raise DimensionMismatchError("JetMatrix shape mismatch")
-    return np.maximum(max_diff_rows(va, vb), max_diff_rows(ga, gb)).tolist()
+# the per-kind names, still imported from outside the package
+jet_diff_rows = form_diff_rows = diff_rows
 
 
-def _entry_diff(a, b) -> float:
-    if isinstance(a, (Jet, JetMatrix)):
-        return a.max_abs_diff(b)
-    return max_diff(a, b)
-
-
-def field_residual(a: _FieldBase, b: _FieldBase) -> tuple[float, object]:
+def field_residual(a: _StackedField, b: _StackedField) -> tuple[float, object]:
     """Max pointwise deviation between two fields of the same kind.
 
     Returns (residual, worst point id); (0.0, None) for empty fields.
-    Value and gradient parts both count for jet-carrying fields.
+    Value and gradient parts both count for jet fields.
     """
     if type(a) is not type(b):
         raise FieldMismatchError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if a.points != b.points:
         raise FieldMismatchError("fields are defined on different point sets")
     pts = a.ordered_points()
-    if not pts:
-        return 0.0, None
-    if isinstance(a, MatrixField):
-        rows = jet_diff_rows(a, b, pts)
-    elif isinstance(a, ScalarField):
-        if a.dim != b.dim:
-            raise DimensionMismatchError(f"jet dims differ: {a.dim} vs {b.dim}")
-        ja, jb = [a.data[p] for p in pts], [b.data[p] for p in pts]
-        rows = np.maximum(
-            max_diff_rows([j.value for j in ja], [j.value for j in jb]),
-            max_diff_rows([j.grad_tuple for j in ja], [j.grad_tuple for j in jb])).tolist()
-    else:
-        rows = form_diff_rows(a, b, pts)
-    r = worst("field", 0.0, zip(pts, rows))
+    r = worst("field", 0.0, zip(pts, diff_rows(a, b, pts)))
     return r.residual, r.worst_point

@@ -45,14 +45,12 @@ from .groups import GroupModel, LieValuedOneForm, mc, rho_dot_form
 from .jets import (
     DET_FLOOR,
     MatrixField,
-    form_diff_rows,
-    jet_diff_rows,
+    diff_rows,
+    gather,
     mat_inv,
     mat_mul,
     max_diff_rows,
     point_order,
-    stack_grads,
-    stack_values,
 )
 from .report import CheckResult, worst
 
@@ -203,7 +201,7 @@ def check_cocycle(P: PrincipalSheafData,
                 bc = transport_field(P.cocycle[(b, c)].restrict(pts), cover, a)
                 ac = P.cocycle[(a, c)].restrict(pts)
                 order = point_order(pts)
-                triples += zip(order, jet_diff_rows(mat_mul(ab, bc), ac, order))
+                triples += zip(order, diff_rows(mat_mul(ab, bc), ac, order))
 
     return {"unit": worst("unit", tol, _from_identity(units)),
             "inverse": worst("inverse", tol, _from_identity(inverses)),
@@ -214,9 +212,9 @@ def _from_identity(fields):
     """(point, deviation from the constant identity) over each field in turn."""
     for f in fields:
         pts = f.ordered_points()
-        yield from zip(pts, np.maximum(
-            max_diff_rows(stack_values(f, pts), np.eye(f.rows)),
-            max_diff_rows(stack_grads(f, pts), 0.0)).tolist())
+        unit = np.zeros(f.coeffs.shape[1:])
+        unit[0] = np.eye(f.rows)
+        yield from zip(pts, max_diff_rows(gather(f, pts), unit))
 
 
 def section_transition(P: PrincipalSheafData, s: PrincipalSectionLocal,
@@ -255,7 +253,7 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection,
             rhs = _transition_apply(P, x, y, D.form(x).restrict(pts))
             lhs = transport_form(D.form(y).restrict(pts), P.cover, x)
             order = lhs.ordered_points()
-            pairs += zip(order, form_diff_rows(lhs, rhs, order))
+            pairs += zip(order, diff_rows(lhs, rhs, order))
     return worst("connection", tol, pairs)
 
 

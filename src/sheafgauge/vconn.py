@@ -49,11 +49,10 @@ from .jets import (
     MatrixOneForm,
     ScalarField,
     constant_matrix_field,
+    diff_rows,
     first_true,
-    form_diff_rows,
+    gather,
     max_diff_rows,
-    stack_grads,
-    stack_values,
 )
 from .principal import (
     PrincipalConnection,
@@ -152,8 +151,8 @@ def nabla_apply(E: VectorSheafData, nab: VectorConnection,
         comp = s.components[chart]
         theta = nab.form(chart).restrict(comp.points)
         pts = theta.ordered_points()
-        der = stack_grads(comp, pts) + np.einsum(
-            "pkij,pjl->pkil", theta.coeffs, stack_values(comp, pts))
+        c = gather(comp, pts)
+        der = c[:, 1:] + np.einsum("pkij,pjl->pkil", theta.coeffs, c[:, 0])
         out[chart] = MatrixOneForm.from_stack(comp.region, pts, der)
     return out
 
@@ -177,7 +176,7 @@ def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
             gab = E.entry(a, b).restrict(shared)
             db = transport_form(der[b].restrict(shared), E.cover, a)
             order = db.ordered_points()
-            want = np.einsum("pij,pkjl->pkil", stack_values(gab, order), db.coeffs)
+            want = np.einsum("pij,pkjl->pkil", gather(gab, order)[:, 0], db.coeffs)
             pairs += zip(order, max_diff_rows(der[a].restrict(shared).coeffs, want))
     return worst("nabla.agreement", tol, pairs)
 
@@ -196,11 +195,9 @@ def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
     pairs = []
     for chart in sorted(lhs):
         order = lhs[chart].ordered_points()
-        jets = [a.data[p] for p in order]
-        av = np.array([j.value for j in jets]).reshape(-1, 1, 1, 1)
-        ag = np.array([j.grad_tuple for j in jets]).reshape(-1, a.dim or 1)
-        rhs = av * base[chart].coeffs + np.einsum(
-            "pk,pil->pkil", ag, stack_values(s.components[chart], order))
+        ca = gather(a, order)
+        rhs = ca[:, 0, None, None, None] * base[chart].coeffs + np.einsum(
+            "pk,pil->pkil", ca[:, 1:], gather(s.components[chart], order)[:, 0])
         pairs += zip(order, max_diff_rows(lhs[chart].coeffs, rhs))
     return worst("koszul", tol, pairs)
 
@@ -295,5 +292,5 @@ def check_frame_roundtrip(E: VectorSheafData, nab: VectorConnection,
     pairs = []
     for c in sorted(nab.forms):
         order = nab.forms[c].ordered_points()
-        pairs += zip(order, form_diff_rows(nab.forms[c], back.forms[c], order))
+        pairs += zip(order, diff_rows(nab.forms[c], back.forms[c], order))
     return worst("frame.roundtrip", tol, pairs)

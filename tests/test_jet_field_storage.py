@@ -1,0 +1,183 @@
+"""How a jet field stores its numbers, and how many jet objects it builds.
+
+``ScalarField`` and ``MatrixField`` keep every point in one read-only
+float64 stack ``coeffs``: index 0 of a row is the value, ``1:`` the
+gradient, shapes (P, 1 + dim) and (P, 1 + dim, rows, cols).  ``data`` is
+a read-only mapping in the order of the mapping the field was built
+from, or of a kernel's first operand.  A mapping keeps the caller's
+``Jet``/``JetMatrix`` objects; a kernel builds exactly one per point,
+through the validating constructor; restriction, relabelling and gluing
+reuse what they are given.
+"""
+
+import numpy as np
+import pytest
+
+from sheafgauge import (
+    FieldMismatchError,
+    Jet,
+    JetMatrix,
+    MatrixField,
+    NonFiniteError,
+    ScalarField,
+    glue,
+    identity_matrix_field,
+    mat_inv,
+    mat_mul,
+    mat_scale,
+)
+from sheafgauge.catalog import eval_matrix
+
+POINTS = [11, 2, 0, 10, 1]          # a mapping order that is not point_order
+DIM = 2
+BAD = [float("nan"), float("inf"), float("-inf")]
+
+
+def matrix_field(points=POINTS, seed=0, region="u", shape=(2, 2)):
+    rng = np.random.default_rng(seed)
+    return MatrixField(region, *shape, {
+        p: JetMatrix(np.eye(*shape) * 2.0 + rng.uniform(-0.5, 0.5, shape),
+                     rng.uniform(-1.0, 1.0, (DIM,) + shape)) for p in points})
+
+
+def scalar_field(points=POINTS, seed=0, region="u"):
+    rng = np.random.default_rng(seed)
+    return ScalarField(region, {p: Jet(rng.uniform(1.0, 2.0), rng.uniform(-1, 1, DIM))
+                                for p in points})
+
+
+def row_of(entry) -> np.ndarray:
+    if isinstance(entry, Jet):
+        return np.array((entry.value,) + entry.grad_tuple)
+    return np.concatenate((entry.value[None], entry.grad))
+
+
+FIELDS = {
+    "scalar": scalar_field,
+    "matrix": matrix_field,
+    "product": lambda: mat_mul(matrix_field(), matrix_field(seed=1)),
+    "inverse": lambda: mat_inv(matrix_field()),
+}
+
+
+@pytest.fixture(params=sorted(FIELDS))
+def field(request):
+    return FIELDS[request.param]()
+
+
+class TestStack:
+    def test_data_refuses_assignment_insertion_and_del(self, field):
+        entry = field.data[POINTS[0]]
+        with pytest.raises(TypeError):
+            field.data[POINTS[0]] = field.data[POINTS[1]]
+        with pytest.raises(TypeError):
+            field.data["x"] = "not a jet"
+        with pytest.raises(TypeError):
+            del field.data[POINTS[0]]
+        assert field.data[POINTS[0]] is entry and len(field) == len(POINTS)
+
+    def test_coeffs_is_read_only_float64(self, field):
+        assert field.coeffs.dtype == np.float64
+        assert not field.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            field.coeffs[0] = 0.0
+
+    def test_each_entry_equals_its_stack_row_bit_for_bit(self, field):
+        for p, row in zip(field.data, field.coeffs):
+            assert row_of(field.data[p]).tobytes() == row.tobytes()
+
+    def test_rows_follow_the_mapping_order(self, field):
+        assert list(field.data) == POINTS
+        assert field.ordered_points() == [0, 1, 10, 11, 2]
+
+    def test_layout(self):
+        assert scalar_field().coeffs.shape == (len(POINTS), 1 + DIM)
+        assert matrix_field(shape=(2, 3)).coeffs.shape == (len(POINTS), 1 + DIM, 2, 3)
+        assert scalar_field().dim == matrix_field().dim == DIM
+
+    def test_restrict_keeps_the_order_and_the_objects(self, field):
+        r = field.restrict({0, 11, 1})
+        assert list(r.data) == [11, 0, 1]
+        assert all(r.data[p] is field.data[p] for p in r.data)
+        assert np.array_equal(r.coeffs, field.coeffs[[0, 2, 4]])
+        assert not r.coeffs.flags.writeable
+
+
+class TestStackedConstructor:
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("cls,field,message", [
+        (MatrixField, matrix_field, "JetMatrix components must be finite"),
+        (ScalarField, scalar_field, "jet components must be finite"),
+    ])
+    def test_non_finite_anywhere_gives_the_old_message(self, cls, field, message, bad):
+        stack = field().coeffs
+        for index in np.ndindex(stack.shape):
+            broken = stack.copy()
+            broken[index] = bad
+            with pytest.raises(NonFiniteError, match=f"^{message}$"):
+                cls.from_stack("u", POINTS, broken)
+
+    def test_stack_built_equals_mapping_built(self, field):
+        again = type(field).from_stack(field.region, list(field.data), field.coeffs)
+        assert list(again.data) == list(field.data)
+        assert again.coeffs.tobytes() == field.coeffs.tobytes()
+
+    def test_points_must_be_distinct(self):
+        with pytest.raises(FieldMismatchError, match="distinct"):
+            MatrixField.from_stack("u", [0, 0], matrix_field([0, 1]).coeffs)
+
+
+class TestEmpty:
+    def test_empty_fields_keep_their_shape(self):
+        for f in (MatrixField("u", 2, 3, {}), matrix_field(shape=(2, 3)).restrict(()),
+                  eval_matrix([["t", "1", "0"], ["0", "t", "1"]], "u", {})):
+            assert (len(f), f.rows, f.cols, f.dim) == (0, 2, 3, None)
+            assert f.coeffs.shape[0] == 0 and not f.coeffs.flags.writeable
+        s = ScalarField("u", {})
+        assert (len(s), s.dim, s.coeffs.shape[0]) == (0, None, 0)
+
+
+# -- construction counts ------------------------------------------------------
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of ``Jet`` and ``JetMatrix`` constructor calls."""
+    counts = {Jet: 0, JetMatrix: 0}
+    for cls in counts:
+        init = cls.__init__
+
+        def counting(self, *args, _cls=cls, _init=init, **kwargs):
+            counts[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+class TestConstructionCounts:
+    def test_kernels_build_one_object_per_point(self, built):
+        a, b = matrix_field(), matrix_field(seed=1)
+        s = scalar_field()
+        for op in (lambda: mat_mul(a, b), lambda: mat_inv(a),
+                   lambda: mat_scale(a, s), lambda: mat_scale(a, 2.0)):
+            built[Jet] = built[JetMatrix] = 0
+            op()
+            assert (built[Jet], built[JetMatrix]) == (0, len(POINTS))
+
+    def test_eval_matrix_builds_one_matrix_per_point(self, built):
+        eval_matrix([["t", "1"], ["0", "t"]], "u", {p: np.array([0.1 * p]) for p in POINTS})
+        assert built[JetMatrix] == len(POINTS)
+
+    def test_mapping_restrict_relabel_and_glue_build_none(self, built):
+        entries, jets = dict(matrix_field().data), dict(scalar_field().data)
+        built[Jet] = built[JetMatrix] = 0
+        f = MatrixField("u", 2, 2, entries)
+        f.restrict({0, 1})
+        f.relabel("v")
+        glue({"a": f.restrict({0, 1, 2}).relabel("a"), "b": f.restrict({1, 2, 10}).relabel("b")})
+        ScalarField("u", jets).restrict({0}).relabel("v")
+        assert (built[Jet], built[JetMatrix]) == (0, 0)
+        assert all(f.data[p] is entries[p] for p in POINTS)
+
+    def test_identity_field_builds_one_matrix(self, built):
+        identity_matrix_field("u", POINTS, 2, DIM)
+        assert built[JetMatrix] == 1
