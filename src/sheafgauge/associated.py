@@ -49,8 +49,8 @@ from .jets import (
 from .principal import (
     PrincipalSectionLocal,
     PrincipalSheafData,
+    _cocycle_pairs,
     _from_identity,
-    check_cocycle,
     section_transition,
 )
 from .report import CheckResult, worst
@@ -219,9 +219,10 @@ class TensorialMorphismData:
     values: Mapping[str, MatrixField]
 
 
-def check_vector_cocycle(E: VectorSheafData,
-                         tol: float = PUSH_TOL) -> dict[str, CheckResult]:
-    return check_cocycle(E.as_principal(), tol)
+def check_vector_cocycle(E: VectorSheafData) -> dict[str, CheckResult]:
+    """The cocycle identities of E's transition data against ``PUSH_TOL``."""
+    return {k: worst(k, PUSH_TOL, pairs)
+            for k, pairs in _cocycle_pairs(E.as_principal()).items()}
 
 
 def push_cocycle(P: PrincipalSheafData, R: RepresentationModel) -> VectorSheafData:
@@ -234,8 +235,7 @@ def push_cocycle(P: PrincipalSheafData, R: RepresentationModel) -> VectorSheafDa
     return VectorSheafData(P.cover, R.n, cocycle, ext)
 
 
-def check_representation(R: RepresentationModel, samples,
-                         tol: float = REP_TOL) -> CheckResult:
+def check_representation(R: RepresentationModel, samples) -> CheckResult:
     """Morphism residual of phi over sample pairs: phi(gh) = phi(g)phi(h),
     and phi(1) = 1 on the domain of the first sample."""
     pairs = []
@@ -249,11 +249,10 @@ def check_representation(R: RepresentationModel, samples,
     if first is not None:
         unit = R.source.unit_field(first.region, first.points, first.dim)
         pairs += _from_identity([R.phi(unit)])
-    return worst("rep.hom", tol, pairs)
+    return worst("rep.hom", REP_TOL, pairs)
 
 
-def check_lie_type(R: RepresentationModel, elements,
-                   tol: float = LIE_TYPE_TOL) -> dict[str, CheckResult]:
+def check_lie_type(R: RepresentationModel, elements) -> dict[str, CheckResult]:
     """Residuals of the two compatibility conditions over the elements.
 
     ``mc``  compares the logarithmic differential of phi(g) with phibar
@@ -274,14 +273,14 @@ def check_lie_type(R: RepresentationModel, elements,
         _, ct = _rho_stack(R.target, img)
         rho_pairs += zip(order, max_diff_rows(R.phibar.T @ cs.swapaxes(1, 2),
                                               ct.swapaxes(1, 2) @ R.phibar.T))
-    return {"mc": worst("lie_type.mc", tol, mc_pairs),
-            "rho": worst("lie_type.rho", tol, rho_pairs)}
+    return {"mc": worst("lie_type.mc", LIE_TYPE_TOL, mc_pairs),
+            "rho": worst("lie_type.rho", LIE_TYPE_TOL, rho_pairs)}
 
 
 # -- sections -----------------------------------------------------------------
 
-def check_components(E: VectorSheafData, comps: Mapping[str, MatrixField],
-                     tol: float = TAU_GLUE) -> CheckResult:
+def check_components(E: VectorSheafData,
+                     comps: Mapping[str, MatrixField]) -> CheckResult:
     """Compatibility of chart components: v_a = G_ab v_b where both live."""
     pairs = []
     charts = sorted(comps)
@@ -296,11 +295,11 @@ def check_components(E: VectorSheafData, comps: Mapping[str, MatrixField],
             order = point_order(shared)
             pairs += zip(order, diff_rows(comps[a].restrict(shared),
                                           mat_mul(gab, vb), order))
-    return worst("compat", tol, pairs)
+    return worst("compat", TAU_GLUE, pairs)
 
 
-def _demand_compatible(E, comps, tol, what):
-    verdict = check_components(E, comps, tol)
+def _demand_compatible(E, comps, what):
+    verdict = check_components(E, comps)
     if not verdict.passed:
         raise EquivarianceError(
             f"{what} violates the transition law by {verdict.residual:.3e} "
@@ -309,24 +308,24 @@ def _demand_compatible(E, comps, tol, what):
     return verdict
 
 
-def section_add(E: VectorSheafData, s: AssociatedSection, t: AssociatedSection,
-                tol: float = TAU_GLUE) -> AssociatedSection:
-    _demand_compatible(E, s.components, tol, "left summand")
-    _demand_compatible(E, t.components, tol, "right summand")
+def section_add(E: VectorSheafData, s: AssociatedSection,
+                t: AssociatedSection) -> AssociatedSection:
+    _demand_compatible(E, s.components, "left summand")
+    _demand_compatible(E, t.components, "right summand")
     if set(s.components) != set(t.components):
         raise FieldMismatchError("sections have different chart families")
     out = {a: mat_add(s.components[a], t.components[a]) for a in s.components}
     return AssociatedSection(out)
 
 
-def section_smul(E: VectorSheafData, a: ScalarField, s: AssociatedSection,
-                 tol: float = TAU_GLUE) -> AssociatedSection:
+def section_smul(E: VectorSheafData, a: ScalarField,
+                 s: AssociatedSection) -> AssociatedSection:
     """Multiply a section by a scalar field, chart by chart.
 
     The scalar may be given on any superset of each component's points;
     it is restricted and relabelled per chart.
     """
-    _demand_compatible(E, s.components, tol, "section")
+    _demand_compatible(E, s.components, "section")
     out = {}
     for chart, comp in s.components.items():
         if not comp.points <= a.points:
@@ -352,30 +351,29 @@ def quotient_reduce(P: PrincipalSheafData, R: RepresentationModel,
 
 
 def tensorial_to_section(E: VectorSheafData, P: PrincipalSheafData,
-                         R: RepresentationModel, f: TensorialMorphismData,
-                         tol: float = TAU_GLUE) -> AssociatedSection:
+                         R: RepresentationModel,
+                         f: TensorialMorphismData) -> AssociatedSection:
     """Read an equivariant morphism as a global section of E.
 
     The section's chart components are the values of f on the natural
     sections; equivariance is exactly their compatibility, which is
     validated before conversion.
     """
-    _demand_compatible(E, f.values, tol, "tensorial morphism")
+    _demand_compatible(E, f.values, "tensorial morphism")
     return AssociatedSection(dict(f.values))
 
 
 def section_to_tensorial(E: VectorSheafData, P: PrincipalSheafData,
-                         R: RepresentationModel, s: AssociatedSection,
-                         tol: float = TAU_GLUE) -> TensorialMorphismData:
+                         R: RepresentationModel,
+                         s: AssociatedSection) -> TensorialMorphismData:
     """Inverse of ``tensorial_to_section``: the morphism whose value on the
     natural section of each chart is the section's component there."""
-    _demand_compatible(E, s.components, tol, "section")
+    _demand_compatible(E, s.components, "section")
     return TensorialMorphismData(dict(s.components))
 
 
 def evaluate_tensorial(P: PrincipalSheafData, R: RepresentationModel,
-                       f: TensorialMorphismData, s: PrincipalSectionLocal,
-                       tol: float = TAU_GLUE) -> MatrixField:
+                       f: TensorialMorphismData, s: PrincipalSectionLocal) -> MatrixField:
     """Value of the morphism on an arbitrary local section.
 
     On each chart a meeting the section's domain, write s = s_a g_a and
@@ -396,5 +394,5 @@ def evaluate_tensorial(P: PrincipalSheafData, R: RepresentationModel,
         pieces[a] = transport_field(val, P.cover, s.chart)
     if not pieces:
         raise EmptyOverlapError("morphism values do not meet the section domain")
-    out = glue(pieces, tol)
+    out = glue(pieces)
     return out.relabel(s.chart)

@@ -20,12 +20,19 @@ reported as an ``error`` entry rather than aborting the batch.  All
 randomness is drawn from generators seeded by the scenario name and the
 check key, so repeated runs produce byte-identical reports.
 
-Each key passes when its residual is at most ``TOLERANCES[key]``.  A
+Each key passes when its residual is at most ``TOLERANCES[key]``; for a
+key a library check function computes, that is the module constant the
+function itself reports (``principal.COCYCLE_TOL``, ``vconn.KOSZUL_TOL``
+and so on).  A
 scenario's ``[tolerances]`` section overrides that threshold per report
 key and changes nothing else; any other key there is a ScenarioError,
 raised before any check runs.  The build steps the checks rest on
-(connection completion and induction, section compatibility, the
-pull-back image test) keep the library's fixed tolerances.
+(cover Jacobians, inversion, Lie-basis expansion, connection completion
+and induction, section compatibility, the pull-back image test) read
+fixed module constants: ``cover.JACOBIAN_TOL``, ``jets.DET_FLOOR``,
+``groups.SPAN_TOL``, ``groups.BRACKET_TOL``, ``cover.TAU_GLUE``,
+``associated.LIE_TYPE_TOL`` and ``vconn.IMAGE_TOL``.  No function takes
+a threshold as an argument, so each one is decided in one place.
 """
 
 from __future__ import annotations

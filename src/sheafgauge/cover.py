@@ -46,8 +46,7 @@ class SampledCover:
     """Point set, covering regions, chart coordinates, overlap Jacobians."""
 
     def __init__(self, points: Iterable, regions: Mapping[str, Iterable],
-                 coords: Mapping, jacobians: Mapping | None = None,
-                 tol: float = JACOBIAN_TOL):
+                 coords: Mapping, jacobians: Mapping | None = None):
         self.points = frozenset(points)
         if not self.points:
             raise CoverError("cover needs at least one point")
@@ -97,9 +96,9 @@ class SampledCover:
                 raise CoverError(f"jacobian ({a}, {b}) at {p!r} must be finite")
             j.setflags(write=False)
             self.jacobians[(a, b, p)] = j
-        self._validate_jacobians(tol)
+        self._validate_jacobians()
 
-    def _validate_jacobians(self, tol: float) -> None:
+    def _validate_jacobians(self) -> None:
         """Identity on the diagonal, invertible off it, and the chain rule.
 
         Each check runs once per region pair over the stack of its
@@ -121,7 +120,7 @@ class SampledCover:
             j = stack(a, b, pts)
             if a == b:
                 k = first_true(np.max(np.abs(j - np.eye(j.shape[1])),
-                                      axis=(1, 2), initial=0.0) > tol)
+                                      axis=(1, 2), initial=0.0) > JACOBIAN_TOL)
                 what = "is not the identity"
             else:
                 k = first_true(np.abs(np.linalg.det(j)) < 1e-12)
@@ -139,7 +138,8 @@ class SampledCover:
                 if not trip:
                     continue
                 gap = stack(a, b, trip) @ stack(b, c, trip) - stack(a, c, trip)
-                k = first_true(np.max(np.abs(gap), axis=(1, 2), initial=0.0) > tol)
+                k = first_true(np.max(np.abs(gap), axis=(1, 2),
+                                      initial=0.0) > JACOBIAN_TOL)
                 if k < len(trip):
                     fails.append(((order[(a, b, trip[k])], rank),
                                   f"jacobian chain rule fails for ({a}, {b}, {c}) at {trip[k]!r}"))
@@ -202,11 +202,12 @@ def restrict(f: _StackedField, r) -> _StackedField:
     return f.restrict(pts)
 
 
-def glue(pieces: Mapping[str, _StackedField], tol: float = TAU_GLUE) -> _StackedField:
+def glue(pieces: Mapping[str, _StackedField]) -> _StackedField:
     """Join fields that agree on shared points into one field on the union.
 
     Raises OverlapMismatchError naming the first offending pair and point
-    when two pieces deviate by more than ``tol`` somewhere they both live.
+    when two pieces deviate by more than ``TAU_GLUE`` somewhere they both
+    live.
     """
     if not pieces:
         raise FieldMismatchError("nothing to glue")
@@ -220,7 +221,7 @@ def glue(pieces: Mapping[str, _StackedField], tol: float = TAU_GLUE) -> _Stacked
             fa, fb = pieces[la], pieces[lb]
             shared = point_order(fa.points & fb.points)
             rows = diff_rows(fa, fb, shared)
-            k = first_true(np.greater(rows, tol))
+            k = first_true(np.greater(rows, TAU_GLUE))
             if k < len(shared):
                 p, d = shared[k], rows[k]
                 raise OverlapMismatchError(

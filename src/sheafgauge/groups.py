@@ -1,8 +1,9 @@
 """Matrix group models with adjoint action and logarithmic differential.
 
-A ``GroupModel`` fixes an ambient matrix size k, a basis of the Lie
-algebra as k x k matrices, and the structure constants of the bracket
-in that basis.  Group elements are invertible ``MatrixField`` values.
+A ``GroupModel`` fixes an ambient matrix size k and a basis of the Lie
+algebra as k x k matrices; the structure constants of the bracket in
+that basis are derived from it.  Group elements are invertible
+``MatrixField`` values.
 
 Two maps matter here.  The adjoint representation sends g to the
 conjugation a -> g a g^-1, expressed in the Lie basis by
@@ -14,8 +15,10 @@ homomorphism rule
 
 which ``check_logarithmic_rule`` verifies numerically.  Both maps
 expand matrices in the Lie basis by least squares and insist the
-expansion residual stays tiny, so feeding elements whose conjugation
-leaves the modeled algebra is caught at runtime.
+expansion residual stays within ``SPAN_TOL``, so feeding elements whose
+conjugation leaves the modeled algebra is caught at runtime.  Elements
+whose determinant falls below ``jets.DET_FLOOR`` count as singular.
+These thresholds are fixed module constants, not parameters.
 """
 
 from __future__ import annotations
@@ -69,10 +72,14 @@ class LieValuedOneForm(_StackedField):
 
 
 class GroupModel:
-    """A matrix group kind together with its modeled Lie algebra."""
+    """A matrix group kind together with its modeled Lie algebra.
 
-    def __init__(self, kind: str, ambient: int, lie_basis,
-                 structure_constants=None, bracket_tol: float = BRACKET_TOL):
+    The structure constants are derived from ``lie_basis``: the bracket
+    of every pair of basis matrices must lie in their span to within
+    ``BRACKET_TOL``, else SpanError.
+    """
+
+    def __init__(self, kind: str, ambient: int, lie_basis):
         self.kind = str(kind)
         self.ambient = int(ambient)
         basis = np.asarray(lie_basis, dtype=float)
@@ -89,19 +96,14 @@ class GroupModel:
         # where SVD-based pinv loses an ulp and spoils unit-element checks
         gram = self._flat @ self._flat.T
         self._pinv = np.linalg.solve(gram, self._flat)   # (m, k*k): coeffs = pinv @ flat
-        if structure_constants is None:
-            structure_constants = self._derive_structure(bracket_tol)
-        self.structure_constants = np.asarray(structure_constants, dtype=float)
-        if self.structure_constants.shape != (m, m, m):
-            raise DimensionMismatchError("structure constants must be (m, m, m)")
+        self.structure_constants = self._derive_structure()
         self.structure_constants.setflags(write=False)
-        self._check_brackets(bracket_tol)
 
     @property
     def rank(self) -> int:
         return self.lie_basis.shape[0]
 
-    def _derive_structure(self, tol: float) -> np.ndarray:
+    def _derive_structure(self) -> np.ndarray:
         m = self.lie_basis.shape[0]
         c = np.empty((m, m, m))
         for i in range(m):
@@ -109,23 +111,12 @@ class GroupModel:
                 br = self.lie_basis[i] @ self.lie_basis[j] \
                     - self.lie_basis[j] @ self.lie_basis[i]
                 coeff, res = self.expand(br)
-                if res > tol:
+                if res > BRACKET_TOL:
                     raise SpanError(
                         f"bracket of basis elements {i}, {j} leaves the span "
                         f"(residual {res:.3e})", residual=res)
                 c[i, j] = coeff
         return c
-
-    def _check_brackets(self, tol: float) -> None:
-        for i in range(self.rank):
-            for j in range(self.rank):
-                br = self.lie_basis[i] @ self.lie_basis[j] \
-                    - self.lie_basis[j] @ self.lie_basis[i]
-                recon = np.einsum("k,kab->ab", self.structure_constants[i, j],
-                                  self.lie_basis)
-                if np.max(np.abs(br - recon)) > tol:
-                    raise SpanError(
-                        f"structure constants disagree with brackets at ({i}, {j})")
 
     def expand(self, matrix: np.ndarray) -> tuple[np.ndarray, float]:
         """Least-squares coefficients of a matrix in the Lie basis.
@@ -228,13 +219,12 @@ def model_by_name(name: str) -> GroupModel:
 
 # -- operations ---------------------------------------------------------------
 
-def group_mul(g: MatrixField, h: MatrixField,
-              det_floor: float = DET_FLOOR) -> MatrixField:
+def group_mul(g: MatrixField, h: MatrixField) -> MatrixField:
     """Pointwise product of group-element fields; result must stay invertible."""
     out = mat_mul(g, h)
     pts = out.ordered_points()
     det = np.linalg.det(gather(out, pts)[:, 0])
-    bad = first_true(np.abs(det) < det_floor)
+    bad = first_true(np.abs(det) < DET_FLOOR)
     if bad < len(pts):
         raise FieldMismatchError(
             f"group product leaves the invertible range at {pts[bad]!r} "
@@ -242,13 +232,12 @@ def group_mul(g: MatrixField, h: MatrixField,
     return out
 
 
-def ad_action(model: GroupModel, g: MatrixField, a: MatrixField,
-              span_tol: float = SPAN_TOL) -> MatrixField:
+def ad_action(model: GroupModel, g: MatrixField, a: MatrixField) -> MatrixField:
     """Conjugation g a g^-1 on an algebra-valued field, span-checked."""
     out = mat_mul(mat_mul(g, a), mat_inv(g))
     pts = out.ordered_points()
     _, res = model.expand_stack(gather(out, pts)[:, :1])
-    bad = first_true(res > span_tol)
+    bad = first_true(res > SPAN_TOL)
     if bad < len(pts):
         raise SpanError(
             f"adjoint action leaves span(lie_basis) at {pts[bad]!r} "
@@ -256,8 +245,7 @@ def ad_action(model: GroupModel, g: MatrixField, a: MatrixField,
     return out
 
 
-def rho_matrix(model: GroupModel, g: MatrixField,
-               span_tol: float = SPAN_TOL) -> dict:
+def rho_matrix(model: GroupModel, g: MatrixField) -> dict:
     """Per point, the matrix of Ad(g) in the Lie basis.
 
     Column i holds the coefficients of g E_i g^-1, so coefficient
@@ -267,12 +255,11 @@ def rho_matrix(model: GroupModel, g: MatrixField,
     leaves the span raises SpanError, and an exactly singular element
     raises numpy's LinAlgError, as ``np.linalg.inv`` does.
     """
-    pts, coeff = _rho_stack(model, g, span_tol)
+    pts, coeff = _rho_stack(model, g)
     return dict(zip(pts, coeff.swapaxes(1, 2)))
 
 
-def _rho_stack(model: GroupModel, g: MatrixField,
-               span_tol: float = SPAN_TOL) -> tuple[list, np.ndarray]:
+def _rho_stack(model: GroupModel, g: MatrixField) -> tuple[list, np.ndarray]:
     """``rho_matrix`` as ``(points, stack)``: entry k of the (P, m, m)
     stack is rho at ``points[k]`` transposed, so its row i holds the
     coefficients of g E_i g^-1."""
@@ -283,7 +270,7 @@ def _rho_stack(model: GroupModel, g: MatrixField,
     vi = np.linalg.inv(v[:stop])
     images = np.einsum("pij,mjk,pkl->pmil", v[:stop], model.lie_basis, vi)
     coeff, res = model.expand_stack(images)
-    bad = first_true(res > span_tol)
+    bad = first_true(res > SPAN_TOL)
     if bad < stop:
         raise SpanError(
             f"adjoint action leaves span(lie_basis) at {pts[bad]!r} "
@@ -293,8 +280,7 @@ def _rho_stack(model: GroupModel, g: MatrixField,
     return pts, coeff
 
 
-def mc(model: GroupModel, g: MatrixField, det_floor: float = DET_FLOOR,
-       span_tol: float = SPAN_TOL) -> LieValuedOneForm:
+def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
     """Logarithmic differential g^-1 dg as a Lie-algebra valued one-form.
 
     Points are taken in ``ordered_points`` order; the first one that is
@@ -304,10 +290,10 @@ def mc(model: GroupModel, g: MatrixField, det_floor: float = DET_FLOOR,
     pts = g.ordered_points()
     c = gather(g, pts)
     v, grad = c[:, 0], c[:, 1:]
-    stop = first_true(np.abs(np.linalg.det(v)) < det_floor)
+    stop = first_true(np.abs(np.linalg.det(v)) < DET_FLOOR)
     vi = np.linalg.inv(v[:stop])
     coeff, res = model.expand_stack(np.einsum("pij,pkjl->pkil", vi, grad[:stop]))
-    bad = first_true(res > span_tol)
+    bad = first_true(res > SPAN_TOL)
     if bad < stop:
         raise SpanError(
             f"logarithmic differential leaves span(lie_basis) at {pts[bad]!r} "
@@ -330,11 +316,11 @@ def rho_dot_form(model: GroupModel, g: MatrixField,
     return w._like(w.region, w.coeffs @ rt) if len(w) else w
 
 
-def check_logarithmic_rule(model: GroupModel, s: MatrixField, t: MatrixField,
-                           tol: float = LOG_RULE_TOL) -> CheckResult:
+def check_logarithmic_rule(model: GroupModel, s: MatrixField,
+                           t: MatrixField) -> CheckResult:
     """Residual of mc(s t) = rho(t^-1) . mc(s) + mc(t) over the common points."""
     lhs = mc(model, group_mul(s, t))
     rot = rho_dot_form(model, mat_inv(t), mc(model, s))
     dt_part = mc(model, t)
-    return worst("log.crossed", tol, zip(
+    return worst("log.crossed", LOG_RULE_TOL, zip(
         lhs.ordered_points(), max_diff_rows(lhs.coeffs, rot.coeffs + dt_part.coeffs)))

@@ -302,13 +302,13 @@ class JetMatrix:
             return JetMatrix(v, g)
         return JetMatrix(float(s) * self.value, float(s) * self.grad)
 
-    def inv(self, det_floor: float = DET_FLOOR, point=None) -> "JetMatrix":
+    def inv(self, point=None) -> "JetMatrix":
         if self.rows != self.cols:
             raise DimensionMismatchError("only square matrices invert")
         det = float(np.linalg.det(self.value))
-        if abs(det) < det_floor:
+        if abs(det) < DET_FLOOR:
             raise SingularMatrixError(
-                f"determinant {det:.3e} below floor {det_floor:.1e}"
+                f"determinant {det:.3e} below floor {DET_FLOOR:.1e}"
                 + (f" at point {point}" if point is not None else ""),
                 point=point)
         vi = np.linalg.inv(self.value)
@@ -651,22 +651,22 @@ def mat_add(a: MatrixField, b: MatrixField) -> MatrixField:
     return a._like(a.region, a.coeffs + cb)
 
 
-def mat_inv(a: MatrixField, det_floor: float = DET_FLOOR) -> MatrixField:
+def mat_inv(a: MatrixField) -> MatrixField:
     """Pointwise inverse; the first point in dict order whose determinant
-    lies below ``det_floor`` raises SingularMatrixError."""
+    lies below ``DET_FLOOR`` raises SingularMatrixError."""
     pts = list(a.data)
     if pts and a.rows != a.cols:
         raise DimensionMismatchError("only square matrices invert")
     v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
     det = np.linalg.det(v)
-    stop = first_true(np.abs(det) < det_floor)
+    stop = first_true(np.abs(det) < DET_FLOOR)
     vi = np.linalg.inv(v[:stop])
     gi = -np.einsum("pij,pkjl,plm->pkim", vi, g[:stop], vi)
     out = MatrixField.from_stack(a.region, pts[:stop], jet_stack(vi, gi))
     if stop < len(pts):
         p = pts[stop]
         raise SingularMatrixError(
-            f"determinant {float(det[stop]):.3e} below floor {det_floor:.1e} "
+            f"determinant {float(det[stop]):.3e} below floor {DET_FLOOR:.1e} "
             f"at point {p}", point=p)
     return out
 
@@ -727,10 +727,6 @@ def diff_rows(a: _StackedField, b: _StackedField, points: list) -> list[float]:
     if ra.shape != rb.shape:
         raise DimensionMismatchError(a.MISMATCH_MESSAGE.format(a=a, b=b))
     return max_diff_rows(ra, rb)
-
-
-# the per-kind names, still imported from outside the package
-jet_diff_rows = form_diff_rows = diff_rows
 
 
 def field_residual(a: _StackedField, b: _StackedField) -> tuple[float, object]:

@@ -28,11 +28,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .cover import TAU_GLUE, SampledCover, transport_field, transport_form
+from .cover import (
+    JACOBIAN_TOL,
+    TAU_GLUE,
+    SampledCover,
+    transport_field,
+    transport_form,
+)
 from .errors import (
     CoverError,
     CycleInconsistencyError,
@@ -43,7 +49,6 @@ from .errors import (
 )
 from .groups import GroupModel, LieValuedOneForm, mc, rho_dot_form
 from .jets import (
-    DET_FLOOR,
     MatrixField,
     diff_rows,
     gather,
@@ -112,8 +117,7 @@ class PrincipalSheafData:
     @classmethod
     def from_pairs(cls, cover: SampledCover, group: GroupModel,
                    entries: Mapping[tuple, MatrixField],
-                   ext: Mapping[tuple, MatrixField] | None = None,
-                   det_floor: float = DET_FLOOR) -> "PrincipalSheafData":
+                   ext: Mapping[tuple, MatrixField] | None = None) -> "PrincipalSheafData":
         """Build the full ordered-pair cocycle from one entry per pair.
 
         Diagonal entries become identities, the reversed pairs become
@@ -124,8 +128,7 @@ class PrincipalSheafData:
             a, b = str(a), str(b)
             cocycle[(a, b)] = f
             if (b, a) not in entries:
-                cocycle[(b, a)] = transport_field(
-                    mat_inv(f, det_floor), cover, b)
+                cocycle[(b, a)] = transport_field(mat_inv(f), cover, b)
         for rid, pts in cover.regions.items():
             cocycle.setdefault((rid, rid),
                                group.unit_field(rid, pts, cover.dim(rid)))
@@ -136,7 +139,7 @@ class PrincipalSheafData:
             if (b, a) not in (ext or {}):
                 # beyond the overlap there is no jacobian; extended data is
                 # only meaningful on shared-coordinate covers, so relabel
-                ext_full[(b, a)] = mat_inv(f, det_floor).relabel(b)
+                ext_full[(b, a)] = mat_inv(f).relabel(b)
         return cls(cover, group, cocycle, ext_full)
 
     def entry(self, a: str, b: str) -> MatrixField:
@@ -160,9 +163,8 @@ class PrincipalSheafData:
         return out
 
 
-def check_cocycle(P: PrincipalSheafData,
-                  tol: float = COCYCLE_TOL) -> dict[str, CheckResult]:
-    """Residuals of the three cocycle identities.
+def check_cocycle(P: PrincipalSheafData) -> dict[str, CheckResult]:
+    """Residuals of the three cocycle identities against ``COCYCLE_TOL``.
 
     unit     g_aa = 1 on each region,
     inverse  g_ab g_ba = 1 on each overlap,
@@ -171,6 +173,11 @@ def check_cocycle(P: PrincipalSheafData,
     with every product taken in the chart of the first region (fields
     from other charts are transported there first).
     """
+    return {k: worst(k, COCYCLE_TOL, pairs) for k, pairs in _cocycle_pairs(P).items()}
+
+
+def _cocycle_pairs(P: PrincipalSheafData) -> dict[str, Iterable[tuple]]:
+    """``(point, residual)`` pairs of each identity ``check_cocycle`` measures."""
     cover = P.cover
     ids = cover.region_ids()
     units = [P.cocycle[(a, a)] for a in ids if (a, a) in P.cocycle]
@@ -203,9 +210,8 @@ def check_cocycle(P: PrincipalSheafData,
                 order = point_order(pts)
                 triples += zip(order, diff_rows(mat_mul(ab, bc), ac, order))
 
-    return {"unit": worst("unit", tol, _from_identity(units)),
-            "inverse": worst("inverse", tol, _from_identity(inverses)),
-            "triple": worst("triple", tol, triples)}
+    return {"unit": _from_identity(units), "inverse": _from_identity(inverses),
+            "triple": triples}
 
 
 def _from_identity(fields):
@@ -237,8 +243,7 @@ def section_transition(P: PrincipalSheafData, s: PrincipalSectionLocal,
     return PrincipalSectionLocal(b, mat_mul(gba, fac))
 
 
-def check_connection(P: PrincipalSheafData, D: PrincipalConnection,
-                     tol: float = TAU_GLUE) -> CheckResult:
+def check_connection(P: PrincipalSheafData, D: PrincipalConnection) -> CheckResult:
     """Worst violation of the connection transition law over all overlaps.
 
     For each ordered pair (a, b) the form of b is transported into the
@@ -254,7 +259,7 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection,
             lhs = transport_form(D.form(y).restrict(pts), P.cover, x)
             order = lhs.ordered_points()
             pairs += zip(order, diff_rows(lhs, rhs, order))
-    return worst("connection", tol, pairs)
+    return worst("connection", TAU_GLUE, pairs)
 
 
 def _transition_apply(P: PrincipalSheafData, a: str, b: str,
@@ -270,8 +275,8 @@ def _transition_apply(P: PrincipalSheafData, a: str, b: str,
     return _form_sum(wa.region, rot, mc(P.group, gab))
 
 
-def complete_connection(P: PrincipalSheafData, seed: tuple[str, LieValuedOneForm],
-                        tol: float = TAU_GLUE) -> PrincipalConnection:
+def complete_connection(P: PrincipalSheafData,
+                        seed: tuple[str, LieValuedOneForm]) -> PrincipalConnection:
     """Extend a one-chart seed form to a full connection.
 
     Walks a breadth-first spanning tree of the overlap graph rooted at
@@ -280,7 +285,7 @@ def complete_connection(P: PrincipalSheafData, seed: tuple[str, LieValuedOneForm
     produced at every point where both the parent data and the pair's
     extended cocycle entry exist, so a seed carrying data beyond its
     own chart propagates to full charts.  Non-tree edges are then
-    checked: a residual above ``tol`` anywhere means no connection
+    checked: a residual above ``TAU_GLUE`` anywhere means no connection
     extends the seed, reported as CycleInconsistencyError.
 
     The pointwise propagation mixes data across charts, which is only
@@ -327,7 +332,7 @@ def complete_connection(P: PrincipalSheafData, seed: tuple[str, LieValuedOneForm
         forms[rid] = big[rid].restrict(cover.regions[rid]).relabel(rid)
 
     D = PrincipalConnection(forms)
-    verdict = check_connection(P, D, tol)
+    verdict = check_connection(P, D)
     if not verdict.passed:
         raise CycleInconsistencyError(
             f"propagated forms disagree around a cycle "
@@ -338,7 +343,7 @@ def complete_connection(P: PrincipalSheafData, seed: tuple[str, LieValuedOneForm
 
 def _require_shared_coordinates(cover: SampledCover) -> None:
     for (a, b, p), j in cover.jacobians.items():
-        if a != b and np.max(np.abs(j - np.eye(j.shape[0]))) > 1e-12:
+        if a != b and np.max(np.abs(j - np.eye(j.shape[0]))) > JACOBIAN_TOL:
             raise CoverError(
                 "connection propagation needs charts with shared coordinates "
                 f"(non-identity jacobian for ({a!r}, {b!r}))")

@@ -22,8 +22,9 @@ names the scenario.  Sections begin with a bracketed header:
                             coefficients) or ``row = ...`` matrix rows
                             to be expanded in the Lie basis
     [tolerances]            optional ``report.key = float`` pass
-                            thresholds; ``run_checks`` rejects any key
-                            that is not a report key
+                            thresholds, each finite and non-negative;
+                            ``run_checks`` rejects any key that is not
+                            a report key
 
 The base space is the circle sampled at N equally spaced angles; all
 charts share the angle coordinate, so overlap Jacobians are identity.
@@ -34,6 +35,7 @@ propagation and section transport beyond the overlaps.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -45,7 +47,7 @@ from .catalog import eval_matrix
 from .cover import SampledCover, arc_range, circle_cover
 from .errors import ParseError, ScenarioError, SpanError
 from .expr import eval_expr, parse_expr
-from .groups import GroupModel, LieValuedOneForm, model_by_name
+from .groups import SPAN_TOL, GroupModel, LieValuedOneForm, model_by_name
 from .principal import PrincipalSheafData
 
 DEFAULT_POINTS = 24
@@ -189,9 +191,16 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"line {line_no}: unknown connection key {key!r}")
         elif section[0] == "tolerances":
             try:
-                s.tolerances[key] = float(value)
+                threshold = float(value)
             except ValueError:
                 raise ScenarioError(f"line {line_no}: tolerance wants a float") from None
+            # NaN fails every residual, inf passes every one, and a
+            # negative threshold fails even an exact zero
+            if not 0.0 <= threshold < math.inf:
+                raise ScenarioError(
+                    f"line {line_no}: tolerance {key!r} must be finite and "
+                    f"non-negative, got {value!r}")
+            s.tolerances[key] = threshold
 
     for rid, bounds in s.regions.items():
         for b in bounds:
@@ -314,7 +323,7 @@ def build_seed(s: Scenario, cover: SampledCover,
             mat = np.array([[eval_expr(e, t).value for e in row]
                             for row in s.seed_rows])
             coeff, res = group.expand(mat)
-            if res > 1e-10:
+            if res > SPAN_TOL:
                 raise SpanError(
                     f"seed matrix leaves span(lie_basis) at {p!r} "
                     f"(residual {res:.3e})", point=p, residual=res)

@@ -27,7 +27,6 @@ from typing import Mapping
 import numpy as np
 
 from .associated import (
-    LIE_TYPE_TOL,
     AssociatedSection,
     RepresentationModel,
     VectorSheafData,
@@ -94,21 +93,18 @@ def _as_principal_connection(nab: VectorConnection) -> PrincipalConnection:
         {chart: matrix_form_to_lie(w) for chart, w in nab.forms.items()})
 
 
-def check_vector_connection(E: VectorSheafData, nab: VectorConnection,
-                            tol: float = TAU_GLUE) -> CheckResult:
+def check_vector_connection(E: VectorSheafData, nab: VectorConnection) -> CheckResult:
     """Worst violation of the matrix transition law over all overlaps.
 
     Delegates to the principal-side check against the frame cocycle of
     E, with adjoint action and logarithmic differential supplied by the
     GL(rank) model.
     """
-    return check_connection(E.as_principal(), _as_principal_connection(nab), tol)
+    return check_connection(E.as_principal(), _as_principal_connection(nab))
 
 
 def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
-                      D: PrincipalConnection, tol: float = TAU_GLUE,
-                      lie_type_tol: float = LIE_TYPE_TOL,
-                      verify: bool = True) -> VectorConnection:
+                      D: PrincipalConnection, verify: bool = True) -> VectorConnection:
     """Push a principal connection through a representation.
 
     Requires the representation to satisfy both compatibility
@@ -119,13 +115,13 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
     if verify:
         entries = [f for (a, b), f in sorted(P.cocycle.items())
                    if a != b and len(f)]
-        lt = check_lie_type(R, entries, lie_type_tol)
+        lt = check_lie_type(R, entries)
         bad = [r for r in lt.values() if not r.passed]
         if bad:
             raise PreconditionError(
                 f"representation fails the compatibility conditions "
                 f"(residual {bad[0].residual:.3e})", residual=bad[0].residual)
-        verdict = check_connection(P, D, tol)
+        verdict = check_connection(P, D)
         if not verdict.passed:
             raise PreconditionError(
                 f"principal connection fails its transition law "
@@ -139,13 +135,13 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
 
 
 def nabla_apply(E: VectorSheafData, nab: VectorConnection,
-                s: AssociatedSection, tol: float = TAU_GLUE) -> dict[str, MatrixOneForm]:
+                s: AssociatedSection) -> dict[str, MatrixOneForm]:
     """Covariant derivative of a section, chart by chart.
 
     Component i of the result on chart a is d(v_i) + sum_j v_j theta_ij,
     returned as an n x 1 matrix one-form per chart.
     """
-    _demand_compatible(E, s.components, tol, "section")
+    _demand_compatible(E, s.components, "section")
     out = {}
     for chart in sorted(s.components):
         comp = s.components[chart]
@@ -158,14 +154,14 @@ def nabla_apply(E: VectorSheafData, nab: VectorConnection,
 
 
 def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
-                          s: AssociatedSection, tol: float = TAU_GLUE) -> CheckResult:
+                          s: AssociatedSection) -> CheckResult:
     """Chart agreement of the covariant derivative.
 
     The derivative transforms like a section tensored with a one-form:
     on overlaps, the chart-a value must equal G_ab applied to the
     chart-b value after rewriting the form part in chart-a coordinates.
     """
-    der = nabla_apply(E, nab, s, tol)
+    der = nabla_apply(E, nab, s)
     pairs = []
     charts = sorted(der)
     for i, a in enumerate(charts):
@@ -178,12 +174,11 @@ def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
             order = db.ordered_points()
             want = np.einsum("pij,pkjl->pkil", gather(gab, order)[:, 0], db.coeffs)
             pairs += zip(order, max_diff_rows(der[a].restrict(shared).coeffs, want))
-    return worst("nabla.agreement", tol, pairs)
+    return worst("nabla.agreement", TAU_GLUE, pairs)
 
 
 def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
-                         a: ScalarField, s: AssociatedSection,
-                         tol: float = KOSZUL_TOL) -> CheckResult:
+                         a: ScalarField, s: AssociatedSection) -> CheckResult:
     """Residual of nabla(a s) = a nabla(s) + s (x) da, chart by chart.
 
     The scalar field must cover every component's points; its jet value
@@ -199,17 +194,16 @@ def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
         rhs = ca[:, 0, None, None, None] * base[chart].coeffs + np.einsum(
             "pk,pil->pkil", ca[:, 1:], gather(s.components[chart], order)[:, 0])
         pairs += zip(order, max_diff_rows(lhs[chart].coeffs, rhs))
-    return worst("koszul", tol, pairs)
+    return worst("koszul", KOSZUL_TOL, pairs)
 
 
 def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
-                         nab: VectorConnection,
-                         image_tol: float = IMAGE_TOL) -> PrincipalConnection:
+                         nab: VectorConnection) -> PrincipalConnection:
     """Recover the principal connection inducing a vector connection.
 
     Only available when phibar is injective; each chart's matrices are
     expanded through the pseudo-inverse of phibar, and a reconstruction
-    residual above ``image_tol`` (the matrices leave the image of
+    residual above ``IMAGE_TOL`` (the matrices leave the image of
     phibar) is an error naming the offending point.
     """
     if not R.injective:
@@ -222,7 +216,7 @@ def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
         flat = w.coeffs.reshape(w.coeffs.shape[:2] + (R.n * R.n,))
         coeff = flat @ pinv
         res = max_diff_rows(coeff @ R.phibar, flat)
-        bad = first_true(np.greater(res, image_tol))
+        bad = first_true(np.greater(res, IMAGE_TOL))
         if bad < len(pts):
             raise PullbackImageError(
                 f"connection matrices leave the image of phibar at {pts[bad]!r} "
@@ -270,9 +264,7 @@ def frame_section(E: VectorSheafData, chart: str, j: int) -> AssociatedSection:
     return AssociatedSection(comps)
 
 
-def check_frame_roundtrip(E: VectorSheafData, nab: VectorConnection,
-                          tol: float = ROUNDTRIP_TOL,
-                          law_tol: float = TAU_GLUE) -> CheckResult:
+def check_frame_roundtrip(E: VectorSheafData, nab: VectorConnection) -> CheckResult:
     """Round trip through the frame presentation.
 
     Reads the vector connection as a principal connection on the frame
@@ -281,16 +273,16 @@ def check_frame_roundtrip(E: VectorSheafData, nab: VectorConnection,
     connection that fails its own transition law is rejected before the
     round trip.
     """
-    verdict = check_vector_connection(E, nab, law_tol)
+    verdict = check_vector_connection(E, nab)
     if not verdict.passed:
         raise PreconditionError(
             f"vector connection fails its transition law "
             f"(residual {verdict.residual:.3e})", residual=verdict.residual)
     P, R = frame_sheaf(E)
     D = _as_principal_connection(nab)
-    back = induce_connection(P, R, D, tol=law_tol, verify=False)
+    back = induce_connection(P, R, D, verify=False)
     pairs = []
     for c in sorted(nab.forms):
         order = nab.forms[c].ordered_points()
         pairs += zip(order, diff_rows(nab.forms[c], back.forms[c], order))
-    return worst("frame.roundtrip", tol, pairs)
+    return worst("frame.roundtrip", ROUNDTRIP_TOL, pairs)

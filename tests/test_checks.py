@@ -1,8 +1,14 @@
 """The report-keyed tolerance table and the worst-point reducer."""
 
+import importlib
+import inspect
+import pkgutil
+import re
+
 import pytest
 from click.testing import CliRunner
 
+import sheafgauge
 from sheafgauge import SUITES, TOLERANCES, ScenarioError, parse_scenario, run_checks
 from sheafgauge.cli import main
 from sheafgauge.report import worst
@@ -54,6 +60,92 @@ class TestToleranceTable:
         assert "'glue'" in r.stderr
         assert "Traceback" not in r.output
         assert r.stdout == ""
+
+
+def unit_tolerance(value: str) -> tuple[str, int]:
+    """The so2 demo with a cocycle.unit threshold, and that line's number."""
+    line = f"cocycle.unit = {value}"
+    text = with_tolerances("so2", line)
+    return text, text.splitlines().index(line) + 1
+
+
+class TestToleranceValues:
+    """A threshold that cannot fail (inf) or cannot pass (NaN, negative)
+    is unusable input, rejected with the line and the key."""
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-1e-300", "inf", "-inf", "1e400"])
+    def test_unusable_value_is_rejected(self, value):
+        text, line = unit_tolerance(value)
+        with pytest.raises(ScenarioError,
+                           match=rf"^line {line}: tolerance 'cocycle.unit' must be "
+                                 rf"finite and non-negative, got '{re.escape(value)}'$"):
+            parse_scenario(text)
+
+    def test_cli_rejects_nan_with_exit_2(self, tmp_path):
+        f = tmp_path / "so2.scn"
+        text, line = unit_tolerance("nan")
+        f.write_text(text)
+        r = CliRunner().invoke(main, ["check", str(f)])
+        assert r.exit_code == 2
+        assert f"line {line}: tolerance 'cocycle.unit'" in r.stderr
+        assert "Traceback" not in r.output
+        assert r.stdout == ""
+
+
+def threshold_knob(name: str) -> bool:
+    return (name == "tol" or name.endswith("_tol") or "floor" in name
+            or name == "structure_constants")
+
+
+def package_callables() -> dict:
+    """Qualified name -> callable for every function, class and method the
+    package defines or exports, private ones included, each object once."""
+    found = {}
+
+    def add(name, obj):
+        if all(obj is not seen for seen in found.values()):
+            found[name] = obj
+
+    for m in pkgutil.iter_modules(sheafgauge.__path__):
+        mod = importlib.import_module(f"sheafgauge.{m.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) == mod.__name__:
+                add(f"{mod.__name__}.{obj.__qualname__}", obj)
+    for name in sheafgauge.__all__:
+        if callable(getattr(sheafgauge, name)):
+            add(f"sheafgauge.{name}", getattr(sheafgauge, name))
+    for cls in [obj for obj in found.values() if inspect.isclass(obj)]:
+        for klass in cls.__mro__:
+            if not klass.__module__.startswith("sheafgauge"):
+                continue
+            for attr, member in vars(klass).items():
+                member = getattr(member, "__func__", member)   # static, class
+                if inspect.isfunction(member):
+                    add(f"{klass.__module__}.{klass.__qualname__}.{attr}", member)
+    return found
+
+
+class TestNoThresholdKnobs:
+    """Each threshold is a module constant; only report keys take an
+    override, through a scenario's [tolerances] section."""
+
+    def test_no_function_takes_a_tolerance_or_floor(self):
+        found = package_callables()
+        # the scan reaches methods, private helpers and the one exemption
+        for name in ["sheafgauge.report.worst", "sheafgauge.jets.JetMatrix.inv",
+                     "sheafgauge.groups._rho_stack", "sheafgauge.groups.GroupModel.__init__",
+                     "sheafgauge.cover.SampledCover._validate_jacobians"]:
+            assert name in found, name
+        knobs = []
+        for qual, obj in sorted(found.items()):
+            if obj is worst:
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
+            knobs += [f"{qual}({p})" for p in params if threshold_knob(p)]
+        assert knobs == []
 
 
 class TestWorst:

@@ -213,7 +213,7 @@ class TestRestrictGlue:
     def test_glue_within_tolerance_keeps_sorted_first(self):
         a = ScalarField("u", {0: Jet(1.0, [0.0])})
         b = ScalarField("v", {0: Jet(1.0 + 1e-12, [0.0])})
-        g = glue({"v": b, "u": a}, tol=1e-9)
+        g = glue({"v": b, "u": a})
         assert g.data[0].value == 1.0
 
 
