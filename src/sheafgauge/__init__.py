@@ -93,11 +93,9 @@ from .associated import (
     AssociatedSection,
     RepresentationModel,
     TensorialMorphismData,
-    VectorSheafData,
     check_components,
     check_lie_type,
     check_representation,
-    check_vector_cocycle,
     evaluate_tensorial,
     gl1_diag_powers,
     push_cocycle,
@@ -111,16 +109,12 @@ from .associated import (
     trivial_rep,
 )
 from .vconn import (
-    VectorConnection,
     check_frame_roundtrip,
     check_leibniz_koszul,
     check_nabla_agreement,
-    check_vector_connection,
     frame_section,
     frame_sheaf,
     induce_connection,
-    lie_form_to_matrix,
-    matrix_form_to_lie,
     nabla_apply,
     pull_back_connection,
 )

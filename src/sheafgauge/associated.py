@@ -3,16 +3,19 @@
 A ``RepresentationModel`` packages a group morphism phi into GL(n)
 together with the induced algebra map phibar, stored as a constant
 m x n^2 matrix in the chosen bases (row-major flattening on the
-target side).  ``check_lie_type`` verifies the two compatibility
-conditions that make the pair usable for transporting connections:
+target side, which is the elementary-matrix basis of ``gl_model(n)``).
+``check_lie_type`` verifies the two compatibility conditions that make
+the pair usable for transporting connections:
 
     mc(phi(g)) = phibar . mc(g)          (logarithmic differentials)
     phibar  Ad(g) = Ad(phi(g))  phibar   (adjoint actions)
 
-``push_cocycle`` applies phi to every transition entry, producing the
-cocycle of the associated vector sheaf.  Sections of that sheaf are
-families of column-vector fields, one per chart, compatible under the
-pushed cocycle; they correspond exactly to the equivariant morphisms
+A vector sheaf E and its principal sheaf of frames share one GL(n)
+cocycle, so E is held as that frame data: a ``PrincipalSheafData``
+over ``gl_model(n)``.  ``push_cocycle`` applies phi to every transition
+entry to build it, and ``principal.check_cocycle`` checks it.  Sections
+of E are families of column-vector fields, one per chart, compatible
+under its cocycle; they correspond exactly to the equivariant morphisms
 handled by ``tensorial_to_section`` / ``section_to_tensorial``.
 """
 
@@ -24,7 +27,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .cover import TAU_GLUE, SampledCover, glue, transport_field
+from .cover import TAU_GLUE, glue, transport_field
 from .errors import (
     EmptyOverlapError,
     EquivarianceError,
@@ -32,7 +35,7 @@ from .errors import (
     NonFiniteError,
     ScenarioError,
 )
-from .groups import MAX_AMBIENT, GroupModel, _rho_stack, gl_model, mc, so2_model
+from .groups import MAX_AMBIENT, RANK_TOL, GroupModel, _rho_stack, gl_model, mc, so2_model
 from .jets import (
     Jet,
     JetMatrix,
@@ -49,15 +52,19 @@ from .jets import (
 from .principal import (
     PrincipalSectionLocal,
     PrincipalSheafData,
-    _cocycle_pairs,
     _from_identity,
     section_transition,
 )
 from .report import CheckResult, worst
 
+# Default threshold of the push.* keys, which run ``check_cocycle`` on
+# the pushed data: phi may amplify the rounding of the source cocycle.
 PUSH_TOL = 1e-10
 LIE_TYPE_TOL = 1e-9
 REP_TOL = 1e-10
+# Default threshold of thm3.tensorial: ``evaluate_tensorial`` on a moved
+# section against phi(g^-1) times its value on the original one.
+TENSORIAL_TOL = 1e-10
 
 
 class RepresentationModel:
@@ -78,14 +85,9 @@ class RepresentationModel:
         self.phibar = pb
         self.target = gl_model(n)
 
-    def apply_phibar(self, coeffs: np.ndarray) -> np.ndarray:
-        """Map (..., dim, m) source coefficients to (..., dim, n, n) matrices."""
-        c = np.asarray(coeffs, dtype=float)
-        return (c @ self.phibar).reshape(c.shape[:-1] + (self.n, self.n))
-
     @property
     def injective(self) -> bool:
-        return int(np.linalg.matrix_rank(self.phibar, tol=1e-10)) == self.source.rank
+        return int(np.linalg.matrix_rank(self.phibar, tol=RANK_TOL)) == self.source.rank
 
     def __repr__(self):
         return f"RepresentationModel({self.name!r}, n={self.n})"
@@ -176,36 +178,7 @@ def rep_by_name(name: str, source: GroupModel | None = None) -> RepresentationMo
     return rep
 
 
-# -- vector sheaf data ---------------------------------------------------------
-
-class VectorSheafData:
-    """Cover + rank + GL(n)-valued transition cocycle."""
-
-    def __init__(self, cover: SampledCover, rank: int,
-                 cocycle: Mapping[tuple, MatrixField],
-                 ext: Mapping[tuple, MatrixField] | None = None):
-        self.cover = cover
-        self.rank = int(rank)
-        self._principal = PrincipalSheafData(cover, gl_model(rank), cocycle, ext)
-
-    @property
-    def cocycle(self):
-        return self._principal.cocycle
-
-    @property
-    def ext(self):
-        return self._principal.ext
-
-    def entry(self, a: str, b: str) -> MatrixField:
-        return self._principal.entry(a, b)
-
-    def extended_entry(self, a: str, b: str) -> MatrixField:
-        return self._principal.extended_entry(a, b)
-
-    def as_principal(self) -> PrincipalSheafData:
-        """The same transition data viewed as a GL(rank) principal object."""
-        return self._principal
-
+# -- the associated vector sheaf -----------------------------------------------
 
 @dataclass(frozen=True)
 class AssociatedSection:
@@ -219,20 +192,20 @@ class TensorialMorphismData:
     values: Mapping[str, MatrixField]
 
 
-def check_vector_cocycle(E: VectorSheafData) -> dict[str, CheckResult]:
-    """The cocycle identities of E's transition data against ``PUSH_TOL``."""
-    return {k: worst(k, PUSH_TOL, pairs)
-            for k, pairs in _cocycle_pairs(E.as_principal()).items()}
+def push_cocycle(P: PrincipalSheafData, R: RepresentationModel) -> PrincipalSheafData:
+    """The associated vector sheaf E, held as its GL(n) frame data.
 
-
-def push_cocycle(P: PrincipalSheafData, R: RepresentationModel) -> VectorSheafData:
-    """Apply the representation to every transition entry."""
+    Applies the representation to every transition entry (extensions
+    included); the result is a principal object over ``R.target``, so
+    its rank is ``E.group.ambient`` and every principal-side check
+    applies to it unchanged.
+    """
     if not R.source.matches(P.group):
         raise FieldMismatchError(
             f"representation source {R.source.kind} does not match group {P.group.kind}")
     cocycle = {pair: R.phi(f) for pair, f in P.cocycle.items()}
     ext = {pair: R.phi(f) for pair, f in P.ext.items()}
-    return VectorSheafData(P.cover, R.n, cocycle, ext)
+    return PrincipalSheafData(P.cover, R.target, cocycle, ext)
 
 
 def check_representation(R: RepresentationModel, samples) -> CheckResult:
@@ -279,7 +252,7 @@ def check_lie_type(R: RepresentationModel, elements) -> dict[str, CheckResult]:
 
 # -- sections -----------------------------------------------------------------
 
-def check_components(E: VectorSheafData,
+def check_components(E: PrincipalSheafData,
                      comps: Mapping[str, MatrixField]) -> CheckResult:
     """Compatibility of chart components: v_a = G_ab v_b where both live."""
     pairs = []
@@ -308,7 +281,7 @@ def _demand_compatible(E, comps, what):
     return verdict
 
 
-def section_add(E: VectorSheafData, s: AssociatedSection,
+def section_add(E: PrincipalSheafData, s: AssociatedSection,
                 t: AssociatedSection) -> AssociatedSection:
     _demand_compatible(E, s.components, "left summand")
     _demand_compatible(E, t.components, "right summand")
@@ -318,7 +291,7 @@ def section_add(E: VectorSheafData, s: AssociatedSection,
     return AssociatedSection(out)
 
 
-def section_smul(E: VectorSheafData, a: ScalarField,
+def section_smul(E: PrincipalSheafData, a: ScalarField,
                  s: AssociatedSection) -> AssociatedSection:
     """Multiply a section by a scalar field, chart by chart.
 
@@ -350,7 +323,7 @@ def quotient_reduce(P: PrincipalSheafData, R: RepresentationModel,
     return mat_mul(R.phi(s.factor), h.relabel(s.factor.region))
 
 
-def tensorial_to_section(E: VectorSheafData, P: PrincipalSheafData,
+def tensorial_to_section(E: PrincipalSheafData, P: PrincipalSheafData,
                          R: RepresentationModel,
                          f: TensorialMorphismData) -> AssociatedSection:
     """Read an equivariant morphism as a global section of E.
@@ -363,7 +336,7 @@ def tensorial_to_section(E: VectorSheafData, P: PrincipalSheafData,
     return AssociatedSection(dict(f.values))
 
 
-def section_to_tensorial(E: VectorSheafData, P: PrincipalSheafData,
+def section_to_tensorial(E: PrincipalSheafData, P: PrincipalSheafData,
                          R: RepresentationModel,
                          s: AssociatedSection) -> TensorialMorphismData:
     """Inverse of ``tensorial_to_section``: the morphism whose value on the

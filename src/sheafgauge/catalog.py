@@ -14,7 +14,7 @@ import zlib
 
 import numpy as np
 
-from .associated import AssociatedSection, VectorSheafData
+from .associated import AssociatedSection
 from .cover import SampledCover
 from .errors import DimensionMismatchError, MissingEntryError, ScenarioError
 # eval_expr stays bound here: bench/tracing.py rebinds it in every module
@@ -151,8 +151,9 @@ def random_vector_data(points, n: int, dim: int,
     return out
 
 
-def random_section(E: VectorSheafData, rng: np.random.Generator) -> AssociatedSection:
-    """A random compatible section of a vector sheaf.
+def random_section(E: PrincipalSheafData, rng: np.random.Generator) -> AssociatedSection:
+    """A random compatible section of a vector sheaf, given as its GL(n)
+    frame data.
 
     Works point by point: among the charts containing a point, free
     data is drawn on the first one and carried to the others along a
@@ -162,7 +163,7 @@ def random_section(E: VectorSheafData, rng: np.random.Generator) -> AssociatedSe
     """
     cover = E.cover
     ids = cover.region_ids()
-    n = E.rank
+    n = E.group.ambient
     per_chart: dict[str, dict] = {rid: {} for rid in ids}
     for p in point_order(cover.points):
         charts = [r for r in ids if p in cover.regions[r]]

@@ -23,14 +23,17 @@ check key, so repeated runs produce byte-identical reports.
 Each key passes when its residual is at most ``TOLERANCES[key]``; for a
 key a library check function computes, that is the module constant the
 function itself reports (``principal.COCYCLE_TOL``, ``vconn.KOSZUL_TOL``
-and so on).  A
-scenario's ``[tolerances]`` section overrides that threshold per report
-key and changes nothing else; any other key there is a ScenarioError,
-raised before any check runs.  The build steps the checks rest on
+and so on).  The push keys run ``principal.check_cocycle`` on the pushed
+data and default to ``associated.PUSH_TOL``; thm3.tensorial, computed
+here, defaults to ``associated.TENSORIAL_TOL``.  A scenario's
+``[tolerances]`` section overrides that threshold per report key and
+changes nothing else; any other key there is a ScenarioError, raised
+before any check runs.  The build steps the checks rest on
 (cover Jacobians, inversion, Lie-basis expansion, connection completion
 and induction, section compatibility, the pull-back image test) read
-fixed module constants: ``cover.JACOBIAN_TOL``, ``jets.DET_FLOOR``,
-``groups.SPAN_TOL``, ``groups.BRACKET_TOL``, ``cover.TAU_GLUE``,
+fixed module constants: ``cover.JACOBIAN_TOL``,
+``cover.JACOBIAN_DET_FLOOR``, ``jets.DET_FLOOR``, ``groups.SPAN_TOL``,
+``groups.BRACKET_TOL``, ``groups.RANK_TOL``, ``cover.TAU_GLUE``,
 ``associated.LIE_TYPE_TOL`` and ``vconn.IMAGE_TOL``.  No function takes
 a threshold as an argument, so each one is decided in one place.
 """
@@ -45,9 +48,9 @@ from .associated import (
     LIE_TYPE_TOL,
     PUSH_TOL,
     REP_TOL,
+    TENSORIAL_TOL,
     check_lie_type,
     check_representation,
-    check_vector_cocycle,
     evaluate_tensorial,
     push_cocycle,
     section_to_tensorial,
@@ -85,7 +88,6 @@ from .vconn import (
     KOSZUL_TOL,
     ROUNDTRIP_TOL,
     check_frame_roundtrip,
-    check_vector_connection,
     induce_connection,
     check_leibniz_koszul,
     pull_back_connection,
@@ -107,7 +109,7 @@ TOLERANCES = {
     "induced.eq10": TAU_GLUE,
     "koszul.eq8": KOSZUL_TOL,
     "thm3.roundtrip": ROUNDTRIP_TOL,
-    "thm3.tensorial": 1e-10,
+    "thm3.tensorial": TENSORIAL_TOL,
     "cor1.roundtrip": ROUNDTRIP_TOL,
     "cor2.roundtrip": ROUNDTRIP_TOL,
 }
@@ -178,7 +180,7 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
         return once("cocycle", lambda: check_cocycle(P))[part]
 
     def push(part: str) -> CheckResult:
-        return once("push", lambda: check_vector_cocycle(E))[part]
+        return once("push", lambda: check_cocycle(E))[part]
 
     def def1(part: str) -> CheckResult:
         def build():
@@ -236,7 +238,7 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
         v_out = evaluate_tensorial(P, R, f, moved)
         want = mat_mul(R.phi(mat_inv(g)), v_in)
         res, wp = field_residual(v_out, want)
-        return CheckResult("thm3.tensorial", res, TOLERANCES["thm3.tensorial"], wp)
+        return CheckResult("thm3.tensorial", res, TENSORIAL_TOL, wp)
 
     def cor1():
         D = connection()
@@ -268,7 +270,7 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
         checks["connection.eq7"] = lambda: check_connection(P, connection())
         if R is not None:
             checks.update({
-                "induced.eq10": lambda: check_vector_connection(E, induced()),
+                "induced.eq10": lambda: check_connection(E, induced()),
                 "koszul.eq8": koszul,
                 "cor1.roundtrip": cor1,
                 "cor2.roundtrip": lambda: check_frame_roundtrip(E, induced()),

@@ -52,6 +52,9 @@ from .report import CheckResult, worst
 SPAN_TOL = 1e-10
 BRACKET_TOL = 1e-12
 LOG_RULE_TOL = 1e-9
+# Singular values below this count as zero in a rank test (the Lie basis
+# here, a representation's phibar in ``associated``).
+RANK_TOL = 1e-10
 
 
 class LieValuedOneForm(_StackedField):
@@ -90,7 +93,7 @@ class GroupModel:
         self.lie_basis.setflags(write=False)
         m = basis.shape[0]
         self._flat = basis.reshape(m, -1)            # (m, k*k)
-        if np.linalg.matrix_rank(self._flat, tol=1e-10) != m:
+        if np.linalg.matrix_rank(self._flat, tol=RANK_TOL) != m:
             raise SpanError("lie basis matrices are linearly dependent")
         # left inverse via the Gram system: exact for orthogonal bases,
         # where SVD-based pinv loses an ulp and spoils unit-element checks

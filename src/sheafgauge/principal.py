@@ -27,8 +27,8 @@ evaluate their expressions everywhere for exactly this purpose), and
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -173,11 +173,6 @@ def check_cocycle(P: PrincipalSheafData) -> dict[str, CheckResult]:
     with every product taken in the chart of the first region (fields
     from other charts are transported there first).
     """
-    return {k: worst(k, COCYCLE_TOL, pairs) for k, pairs in _cocycle_pairs(P).items()}
-
-
-def _cocycle_pairs(P: PrincipalSheafData) -> dict[str, Iterable[tuple]]:
-    """``(point, residual)`` pairs of each identity ``check_cocycle`` measures."""
     cover = P.cover
     ids = cover.region_ids()
     units = [P.cocycle[(a, a)] for a in ids if (a, a) in P.cocycle]
@@ -210,8 +205,9 @@ def _cocycle_pairs(P: PrincipalSheafData) -> dict[str, Iterable[tuple]]:
                 order = point_order(pts)
                 triples += zip(order, diff_rows(mat_mul(ab, bc), ac, order))
 
-    return {"unit": _from_identity(units), "inverse": _from_identity(inverses),
-            "triple": triples}
+    pairs = {"unit": _from_identity(units), "inverse": _from_identity(inverses),
+             "triple": triples}
+    return {k: worst(k, COCYCLE_TOL, v) for k, v in pairs.items()}
 
 
 def _from_identity(fields):

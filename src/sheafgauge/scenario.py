@@ -200,7 +200,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(
                     f"line {line_no}: tolerance {key!r} must be finite and "
                     f"non-negative, got {value!r}")
-            s.tolerances[key] = threshold
+            # abs: a -0.0 threshold would print its sign in the report
+            s.tolerances[key] = abs(threshold)
 
     for rid, bounds in s.regions.items():
         for b in bounds:

@@ -1,35 +1,31 @@
 """Connections on vector sheaves and their exchange with principal data.
 
-A vector connection is a family of n x n matrix one-forms, one per
-chart, subject to the gauge transformation law
+A vector sheaf E is held as its GL(n) frame data (``push_cocycle``), and
+an A-linear connection on it is a gl(n) ``PrincipalConnection``: one
+Lie-valued one-form per chart in the elementary-matrix basis, which
+reads as an n x n matrix one-form row by row.  The paper's eq10,
 
     theta_b = Ad(G_ab^-1) . theta_a + G_ab^-1 dG_ab
 
-on overlaps.  Rather than duplicating that law, this module reads the
-matrix forms as Lie-algebra valued forms for the GL(n) model (the
-elementary-matrix basis makes the translation a reshape) and reuses the
-principal-side transition check, so one code path verifies both laws.
+on overlaps, is eq7 for the group GL(n), so ``principal.check_connection``
+verifies both laws.
 
 ``induce_connection`` transports a principal connection through a
 representation by applying phibar to each chart form coefficientwise.
 ``pull_back_connection`` inverts that when phibar is injective, using
-its pseudo-inverse and insisting the matrix forms actually lie in the
-image.  ``nabla_apply`` is the covariant derivative on section
-components, d(v_i) + sum_j v_j theta_ij per chart, which satisfies the
-Leibniz rule checked by ``check_leibniz_koszul``.
+its pseudo-inverse and insisting the forms actually lie in the image.
+``nabla_apply`` is the covariant derivative on section components,
+d(v_i) + sum_j v_j theta_ij per chart, which satisfies the Leibniz rule
+checked by ``check_leibniz_koszul``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .associated import (
     AssociatedSection,
     RepresentationModel,
-    VectorSheafData,
     check_lie_type,
     section_smul,
     trivial_rep,
@@ -65,52 +61,16 @@ ROUNDTRIP_TOL = 1e-12
 IMAGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class VectorConnection:
-    """One n x n matrix one-form per chart, keyed by region id."""
-    forms: Mapping[str, MatrixOneForm]
-
-    def form(self, chart: str) -> MatrixOneForm:
-        try:
-            return self.forms[chart]
-        except KeyError:
-            raise MissingEntryError(f"no connection matrices on chart {chart!r}") from None
-
-
-def matrix_form_to_lie(w: MatrixOneForm) -> LieValuedOneForm:
-    """Reshape (dim, n, n) data to GL(n) Lie coefficients (dim, n*n)."""
-    shape = w.coeffs.shape[:2] + (w.rows * w.cols,)
-    return LieValuedOneForm.from_stack(w.region, w.ordered_points(), w.coeffs.reshape(shape))
-
-
-def lie_form_to_matrix(w: LieValuedOneForm, n: int) -> MatrixOneForm:
-    return MatrixOneForm.from_stack(
-        w.region, w.ordered_points(), w.coeffs.reshape(w.coeffs.shape[:2] + (n, n)))
-
-
-def _as_principal_connection(nab: VectorConnection) -> PrincipalConnection:
-    return PrincipalConnection(
-        {chart: matrix_form_to_lie(w) for chart, w in nab.forms.items()})
-
-
-def check_vector_connection(E: VectorSheafData, nab: VectorConnection) -> CheckResult:
-    """Worst violation of the matrix transition law over all overlaps.
-
-    Delegates to the principal-side check against the frame cocycle of
-    E, with adjoint action and logarithmic differential supplied by the
-    GL(rank) model.
-    """
-    return check_connection(E.as_principal(), _as_principal_connection(nab))
-
-
 def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
-                      D: PrincipalConnection, verify: bool = True) -> VectorConnection:
+                      D: PrincipalConnection, verify: bool = True) -> PrincipalConnection:
     """Push a principal connection through a representation.
 
-    Requires the representation to satisfy both compatibility
+    The result is the induced connection on E = ``push_cocycle(P, R)``:
+    a gl(n) connection whose chart coefficients are those of D times
+    phibar.  Requires the representation to satisfy both compatibility
     conditions on the transition entries and the connection to satisfy
-    its own transition law; the induced family then satisfies the
-    matrix law automatically.
+    its own transition law; the induced family then satisfies eq10
+    automatically.
     """
     if verify:
         entries = [f for (a, b), f in sorted(P.cocycle.items())
@@ -128,13 +88,13 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
                 f"(residual {verdict.residual:.3e})", residual=verdict.residual)
     forms = {}
     for chart, w in D.forms.items():
-        # an empty form may not know its rank; its image holds no matrices
-        coeffs = R.apply_phibar(w.coeffs) if len(w) else np.zeros((0, 0, R.n, R.n))
-        forms[chart] = MatrixOneForm.from_stack(w.region, w.ordered_points(), coeffs)
-    return VectorConnection(forms)
+        # an empty form may not know its rank; its image holds no coefficients
+        coeffs = w.coeffs @ R.phibar if len(w) else np.zeros((0, 0, R.n * R.n))
+        forms[chart] = LieValuedOneForm.from_stack(w.region, w.ordered_points(), coeffs)
+    return PrincipalConnection(forms)
 
 
-def nabla_apply(E: VectorSheafData, nab: VectorConnection,
+def nabla_apply(E: PrincipalSheafData, nab: PrincipalConnection,
                 s: AssociatedSection) -> dict[str, MatrixOneForm]:
     """Covariant derivative of a section, chart by chart.
 
@@ -142,18 +102,20 @@ def nabla_apply(E: VectorSheafData, nab: VectorConnection,
     returned as an n x 1 matrix one-form per chart.
     """
     _demand_compatible(E, s.components, "section")
+    n = E.group.ambient
     out = {}
     for chart in sorted(s.components):
         comp = s.components[chart]
         theta = nab.form(chart).restrict(comp.points)
         pts = theta.ordered_points()
         c = gather(comp, pts)
-        der = c[:, 1:] + np.einsum("pkij,pjl->pkil", theta.coeffs, c[:, 0])
+        mats = theta.coeffs.reshape(theta.coeffs.shape[:2] + (n, n))
+        der = c[:, 1:] + np.einsum("pkij,pjl->pkil", mats, c[:, 0])
         out[chart] = MatrixOneForm.from_stack(comp.region, pts, der)
     return out
 
 
-def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
+def check_nabla_agreement(E: PrincipalSheafData, nab: PrincipalConnection,
                           s: AssociatedSection) -> CheckResult:
     """Chart agreement of the covariant derivative.
 
@@ -177,7 +139,7 @@ def check_nabla_agreement(E: VectorSheafData, nab: VectorConnection,
     return worst("nabla.agreement", TAU_GLUE, pairs)
 
 
-def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
+def check_leibniz_koszul(E: PrincipalSheafData, nab: PrincipalConnection,
                          a: ScalarField, s: AssociatedSection) -> CheckResult:
     """Residual of nabla(a s) = a nabla(s) + s (x) da, chart by chart.
 
@@ -197,14 +159,14 @@ def check_leibniz_koszul(E: VectorSheafData, nab: VectorConnection,
     return worst("koszul", KOSZUL_TOL, pairs)
 
 
-def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
-                         nab: VectorConnection) -> PrincipalConnection:
+def pull_back_connection(E: PrincipalSheafData, R: RepresentationModel,
+                         nab: PrincipalConnection) -> PrincipalConnection:
     """Recover the principal connection inducing a vector connection.
 
-    Only available when phibar is injective; each chart's matrices are
-    expanded through the pseudo-inverse of phibar, and a reconstruction
-    residual above ``IMAGE_TOL`` (the matrices leave the image of
-    phibar) is an error naming the offending point.
+    Only available when phibar is injective; each chart's gl(n)
+    coefficients are expanded through the pseudo-inverse of phibar, and
+    a reconstruction residual above ``IMAGE_TOL`` (the form leaves the
+    image of phibar) is an error naming the offending point.
     """
     if not R.injective:
         raise PullbackImageError("phibar is not injective; no pull-back exists")
@@ -213,9 +175,8 @@ def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
     for chart in sorted(nab.forms):
         w = nab.forms[chart]
         pts = w.ordered_points()
-        flat = w.coeffs.reshape(w.coeffs.shape[:2] + (R.n * R.n,))
-        coeff = flat @ pinv
-        res = max_diff_rows(coeff @ R.phibar, flat)
+        coeff = w.coeffs @ pinv
+        res = max_diff_rows(coeff @ R.phibar, w.coeffs)
         bad = first_true(np.greater(res, IMAGE_TOL))
         if bad < len(pts):
             raise PullbackImageError(
@@ -225,16 +186,16 @@ def pull_back_connection(E: VectorSheafData, R: RepresentationModel,
     return PrincipalConnection(forms)
 
 
-def frame_sheaf(E: VectorSheafData) -> tuple[PrincipalSheafData, RepresentationModel]:
+def frame_sheaf(E: PrincipalSheafData) -> tuple[PrincipalSheafData, RepresentationModel]:
     """The principal object of frames of E with its defining representation.
 
-    The transition cocycle is E's own, viewed in the GL(rank) model;
-    the representation is the identity on GL(rank).
+    E is already held as its GL(n) frame data, so the object is E
+    itself; the representation is the identity on GL(n).
     """
-    return E.as_principal(), trivial_rep(E.rank)
+    return E, trivial_rep(E.group.ambient)
 
 
-def frame_section(E: VectorSheafData, chart: str, j: int) -> AssociatedSection:
+def frame_section(E: PrincipalSheafData, chart: str, j: int) -> AssociatedSection:
     """The j-th natural frame section over a chart.
 
     Its own-chart component is the constant j-th basis column; on every
@@ -243,9 +204,10 @@ def frame_section(E: VectorSheafData, chart: str, j: int) -> AssociatedSection:
     extensions of different charts need not agree away from the home
     chart: a twisted cocycle shows its monodromy there.
     """
-    if not 0 <= j < E.rank:
+    n = E.group.ambient
+    if not 0 <= j < n:
         raise FieldMismatchError(f"frame index {j} out of range")
-    ej = np.zeros((E.rank, 1))
+    ej = np.zeros((n, 1))
     ej[j, 0] = 1.0
     comps = {chart: constant_matrix_field(chart, E.cover.regions[chart], ej,
                                           E.cover.dim(chart))}
@@ -260,27 +222,25 @@ def frame_section(E: VectorSheafData, chart: str, j: int) -> AssociatedSection:
         if not pts:
             continue
         comps[b] = gba.restrict(pts).map_entries(
-            lambda p, m: m.matmul(JetMatrix.constant(ej, m.dim)), rows=E.rank, cols=1)
+            lambda p, m: m.matmul(JetMatrix.constant(ej, m.dim)), rows=n, cols=1)
     return AssociatedSection(comps)
 
 
-def check_frame_roundtrip(E: VectorSheafData, nab: VectorConnection) -> CheckResult:
+def check_frame_roundtrip(E: PrincipalSheafData, nab: PrincipalConnection) -> CheckResult:
     """Round trip through the frame presentation.
 
-    Reads the vector connection as a principal connection on the frame
+    Takes the vector connection as a principal connection on the frame
     object, induces back through the identity representation, and
-    reports the worst deviation from the original matrices.  A
-    connection that fails its own transition law is rejected before the
-    round trip.
+    reports the worst deviation from the original forms.  A connection
+    that fails its own transition law is rejected before the round trip.
     """
-    verdict = check_vector_connection(E, nab)
+    verdict = check_connection(E, nab)
     if not verdict.passed:
         raise PreconditionError(
             f"vector connection fails its transition law "
             f"(residual {verdict.residual:.3e})", residual=verdict.residual)
     P, R = frame_sheaf(E)
-    D = _as_principal_connection(nab)
-    back = induce_connection(P, R, D, verify=False)
+    back = induce_connection(P, R, nab, verify=False)
     pairs = []
     for c in sorted(nab.forms):
         order = nab.forms[c].ordered_points()

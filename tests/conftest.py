@@ -14,8 +14,6 @@ from sheafgauge import (
     RepresentationModel,
     SampledCover,
     Scenario,
-    VectorConnection,
-    VectorSheafData,
     arc_range,
     build_cover,
     build_group,
@@ -39,9 +37,9 @@ class Pipeline:
     group: GroupModel
     P: PrincipalSheafData
     R: RepresentationModel
-    E: VectorSheafData
+    E: PrincipalSheafData
     D: PrincipalConnection
-    nab: VectorConnection
+    nab: PrincipalConnection
 
 
 @lru_cache(maxsize=None)

@@ -20,12 +20,11 @@ from sheafgauge import (
     catalog_elements,
     catalog_rows,
     check_cocycle,
+    check_connection,
     check_frame_roundtrip,
     check_leibniz_koszul,
     check_lie_type,
     check_logarithmic_rule,
-    check_vector_cocycle,
-    check_vector_connection,
     d_field,
     eval_expr,
     evaluate_tensorial,
@@ -114,7 +113,7 @@ class TestAcceptance:
         for name in DEMO_NAMES:
             E = demo_pipeline(name).E
             worst = max(worst,
-                        *(r.residual for r in check_vector_cocycle(E).values()))
+                        *(r.residual for r in check_cocycle(E).values()))
         announce(4, "pushed cocycles keep the identities for all three "
                     "representations", worst <= tol,
                  f"residual {worst:.3e} <= {tol:.0e}")
@@ -169,7 +168,7 @@ class TestAcceptance:
         for name in DEMO_NAMES:
             pipe = demo_pipeline(name)
             worst = max(worst,
-                        check_vector_connection(pipe.E, pipe.nab).residual)
+                        check_connection(pipe.E, pipe.nab).residual)
         announce(7, "completed and pushed connections obey the matrix law",
                  worst <= tol, f"residual {worst:.3e} <= {tol:.0e}")
 

@@ -15,10 +15,10 @@ from sheafgauge import (
     ScalarField,
     TensorialMorphismData,
     catalog_elements,
+    check_cocycle,
     check_components,
     check_lie_type,
     check_representation,
-    check_vector_cocycle,
     evaluate_tensorial,
     gl1_diag_powers,
     group_mul,
@@ -132,17 +132,16 @@ class TestPushCocycle:
             assert not e.data[p].grad.any()
 
     def test_pushed_cocycle_identities(self, pipeline):
-        parts = check_vector_cocycle(pipeline.E)
+        parts = check_cocycle(pipeline.E)
         assert all(r.passed and r.residual <= 1e-10 for r in parts.values())
 
     def test_rank_matches_representation(self, pipeline):
-        assert pipeline.E.rank == REPS[pipeline.scn.name].n
+        assert pipeline.E.group.ambient == REPS[pipeline.scn.name].n
 
     def test_as_principal_reuses_group_checks(self, mobius_pipe):
-        from sheafgauge import check_cocycle
-        P2 = mobius_pipe.E.as_principal()
-        assert P2.group.ambient == mobius_pipe.E.rank
-        assert all(r.passed for r in check_cocycle(P2).values())
+        E = mobius_pipe.E
+        assert E.group.ambient == REPS[mobius_pipe.scn.name].n
+        assert all(r.passed for r in check_cocycle(E).values())
 
 
 class TestQuotientReduce:
@@ -188,8 +187,8 @@ def zero_section(E):
     comps = {}
     for rid in E.cover.region_ids():
         dim = E.cover.dim(rid)
-        comps[rid] = MatrixField(rid, E.rank, 1, {
-            p: JetMatrix(np.zeros((E.rank, 1)), np.zeros((dim, E.rank, 1)))
+        comps[rid] = MatrixField(rid, E.group.ambient, 1, {
+            p: JetMatrix(np.zeros((E.group.ambient, 1)), np.zeros((dim, E.group.ambient, 1)))
             for p in E.cover.regions[rid]})
     return AssociatedSection(comps)
 

@@ -1,9 +1,12 @@
 """The report-keyed tolerance table and the worst-point reducer."""
 
+import ast
 import importlib
 import inspect
+import math
 import pkgutil
 import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -80,6 +83,15 @@ class TestToleranceValues:
                            match=rf"^line {line}: tolerance 'cocycle.unit' must be "
                                  rf"finite and non-negative, got '{re.escape(value)}'$"):
             parse_scenario(text)
+
+    def test_negative_zero_is_stored_and_printed_as_zero(self):
+        text, _ = unit_tolerance("-0.0")
+        scn = parse_scenario(text)
+        assert math.copysign(1.0, scn.tolerances["cocycle.unit"]) == 1.0
+        report = run_checks(scn, "cocycle")
+        (row,) = [r for r in report.table().splitlines() if r.startswith("cocycle.unit ")]
+        assert row.split()[2] == "0.0e+00"
+        assert "cocycle.unit.tolerance = 0.0" in report.kv_lines()
 
     def test_cli_rejects_nan_with_exit_2(self, tmp_path):
         f = tmp_path / "so2.scn"
@@ -161,3 +173,56 @@ class TestWorst:
     def test_empty_input_has_no_worst_point(self):
         r = worst("k", 1e-9, iter(()))
         assert r.residual == 0.0 and r.worst_point is None and r.passed
+
+
+SOURCES = sorted(Path(sheafgauge.__file__).parent.glob("*.py"))
+
+
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+class TestNamedThresholds:
+    """A threshold is a named module constant, never a bare literal."""
+
+    def test_small_float_literals_sit_in_module_constants(self):
+        bare = []
+        for path in SOURCES:
+            tree = parsed(path)
+            named = {id(node) for stmt in tree.body
+                     if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                     for node in ast.walk(stmt)}
+            bare += [f"{path.name}:{node.lineno}: {node.value!r}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Constant) and type(node.value) is float
+                     and 0.0 < abs(node.value) < 1e-3 and id(node) not in named]
+        assert bare == []
+
+    def test_every_default_tolerance_is_a_name(self):
+        (table,) = [stmt.value for stmt in parsed(Path(sheafgauge.checks.__file__)).body
+                    if isinstance(stmt, ast.Assign)
+                    and [t.id for t in stmt.targets] == ["TOLERANCES"]]
+        assert len(table.values) == len(TOLERANCES)
+        assert all(isinstance(v, ast.Name) for v in table.values)
+
+
+# Bound here only so that bench/tracing.py can rebind it in this module.
+UNUSED_IMPORT_EXEMPT = {("catalog.py", "eval_expr")}
+
+
+class TestNoUnusedImports:
+    def test_every_imported_name_is_used(self):
+        unused = []
+        for path in SOURCES:
+            if path.name == "__init__.py":
+                continue
+            tree = parsed(path)
+            imported = [alias.asname or alias.name.split(".")[0]
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"
+                        for alias in node.names]
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.name}: {name}" for name in imported
+                       if name not in used and (path.name, name) not in UNUSED_IMPORT_EXEMPT]
+        assert unused == []

@@ -10,23 +10,20 @@ from sheafgauge import (
     JetMatrix,
     LieValuedOneForm,
     MatrixField,
-    MatrixOneForm,
     PreconditionError,
     PrincipalConnection,
     PullbackImageError,
     RepresentationModel,
     SampledCover,
     ScalarField,
-    VectorConnection,
+    check_connection,
     check_frame_roundtrip,
     check_leibniz_koszul,
     check_nabla_agreement,
-    check_vector_connection,
     frame_section,
     frame_sheaf,
     gl_model,
     induce_connection,
-    lie_form_to_matrix,
     nabla_apply,
     pull_back_connection,
     push_cocycle,
@@ -45,10 +42,10 @@ def zero_connection(E):
     forms = {}
     for rid in E.cover.region_ids():
         dim = E.cover.dim(rid)
-        forms[rid] = MatrixOneForm(rid, E.rank, E.rank, {
-            p: np.zeros((dim, E.rank, E.rank))
+        forms[rid] = LieValuedOneForm(rid, {
+            p: np.zeros((dim, E.group.ambient ** 2))
             for p in E.cover.regions[rid]})
-    return VectorConnection(forms)
+    return PrincipalConnection(forms)
 
 
 def form_gap(w, v):
@@ -59,24 +56,23 @@ def form_gap(w, v):
 class TestInduce:
     def test_standard_rep_reshapes_forms(self, shear_pipe):
         for chart, w in shear_pipe.D.forms.items():
-            want = lie_form_to_matrix(w, 2)
             got = shear_pipe.nab.form(chart)
             for p in w.data:
-                assert np.array_equal(got.data[p], want.data[p])
+                assert np.array_equal(got.data[p], w.data[p])
 
     def test_so2_scales_quarter_turn(self, so2_pipe):
         for chart, w in so2_pipe.D.forms.items():
             th = so2_pipe.nab.form(chart)
             for p in w.data:
                 c = float(w.data[p][0, 0])
-                assert np.array_equal(th.data[p][0], c * J)
+                assert np.array_equal(th.data[p][0].reshape(2, 2), c * J)
 
     def test_diag_powers_scale_rows(self, mobius_pipe):
         for chart, w in mobius_pipe.D.forms.items():
             th = mobius_pipe.nab.form(chart)
             for p in w.data:
                 c = float(w.data[p][0, 0])
-                assert np.array_equal(th.data[p][0], np.diag([c, 2 * c]))
+                assert np.array_equal(th.data[p][0].reshape(2, 2), np.diag([c, 2 * c]))
 
     def test_law_violating_connection_rejected(self, so2_pipe):
         forms = dict(so2_pipe.D.forms)
@@ -96,8 +92,8 @@ class TestInduce:
         P = trivial_principal(cover, gl_model(2))
         D = PrincipalConnection({"a": LieValuedOneForm("a", {})})
         theta = induce_connection(P, trivial_rep(2), D, verify=False).form("a")
-        assert isinstance(theta, MatrixOneForm)
-        assert theta.coeffs.shape == (0, 0, 2, 2)
+        assert isinstance(theta, LieValuedOneForm)
+        assert theta.coeffs.shape == (0, 0, 2 * 2)
         assert (theta.region, len(theta)) == ("a", 0)
 
     def test_incompatible_representation_rejected(self, so2_pipe):
@@ -112,19 +108,19 @@ class TestTransitionLaw:
         E = push_cocycle(trivial_principal(cover12, gl_model(2)),
                          trivial_rep(2))
         th = np.array([[0.3, -1.2], [0.7, 0.4]])
-        forms = {rid: MatrixOneForm(rid, 2, 2, {
-            p: th[None, :, :].copy() for p in cover12.regions[rid]})
+        forms = {rid: LieValuedOneForm(rid, {
+            p: th.reshape(1, 4).copy() for p in cover12.regions[rid]})
             for rid in cover12.region_ids()}
-        r = check_vector_connection(E, VectorConnection(forms))
+        r = check_connection(E, PrincipalConnection(forms))
         assert r.residual == 0.0
 
     def test_induced_connections_pass(self, pipeline):
-        r = check_vector_connection(pipeline.E, pipeline.nab)
+        r = check_connection(pipeline.E, pipeline.nab)
         assert r.passed and r.residual <= 1e-9
 
     def test_zero_forms_miss_by_log_differential(self, shear_pipe):
-        r = check_vector_connection(shear_pipe.E,
-                                    zero_connection(shear_pipe.E))
+        r = check_connection(shear_pipe.E,
+                             zero_connection(shear_pipe.E))
         assert not r.passed
         assert r.residual == 1.0
 
@@ -145,21 +141,21 @@ class TestNablaApply:
         comps = {}
         for rid in E.cover.region_ids():
             dim = E.cover.dim(rid)
-            comps[rid] = MatrixField(rid, E.rank, 1, {
-                p: JetMatrix(np.zeros((E.rank, 1)),
-                             np.zeros((dim, E.rank, 1)))
+            comps[rid] = MatrixField(rid, E.group.ambient, 1, {
+                p: JetMatrix(np.zeros((E.group.ambient, 1)),
+                             np.zeros((dim, E.group.ambient, 1)))
                 for p in E.cover.regions[rid]})
         der = nabla_apply(E, pipeline.nab, AssociatedSection(comps))
         assert all(not w.data[p].any() for w in der.values() for p in w.data)
 
     def test_frame_section_reads_connection_column(self, shear_pipe):
         E, nab = shear_pipe.E, shear_pipe.nab
-        for j in range(E.rank):
+        for j in range(E.group.ambient):
             der = nabla_apply(E, nab, frame_section(E, "alpha", j))
             th = nab.form("alpha")
             for p in E.cover.regions["alpha"]:
                 assert np.array_equal(der["alpha"].data[p],
-                                      th.data[p][:, :, j:j + 1])
+                                      th.data[p].reshape(-1, 2, 2)[:, :, j:j + 1])
 
     def test_chart_agreement(self, pipeline):
         s = random_section(pipeline.E, np.random.default_rng(22))
@@ -177,8 +173,8 @@ class TestKoszul:
 
     def test_zero_section_is_exact(self, so2_pipe):
         E = so2_pipe.E
-        comps = {rid: MatrixField(rid, E.rank, 1, {
-            p: JetMatrix(np.zeros((E.rank, 1)), np.zeros((1, E.rank, 1)))
+        comps = {rid: MatrixField(rid, E.group.ambient, 1, {
+            p: JetMatrix(np.zeros((E.group.ambient, 1)), np.zeros((1, E.group.ambient, 1)))
             for p in E.cover.regions[rid]})
             for rid in E.cover.region_ids()}
         a = random_scalar_field("base", E.cover.points, 1,
@@ -221,11 +217,11 @@ class TestPullBack:
     def test_off_image_matrices_rejected(self, so2_pipe):
         E = so2_pipe.E
         sym = np.array([[0.0, 1.0], [1.0, 0.0]])
-        forms = {rid: MatrixOneForm(rid, 2, 2, {
-            p: sym[None, :, :].copy() for p in E.cover.regions[rid]})
+        forms = {rid: LieValuedOneForm(rid, {
+            p: sym.reshape(1, 4).copy() for p in E.cover.regions[rid]})
             for rid in E.cover.region_ids()}
         with pytest.raises(PullbackImageError) as exc:
-            pull_back_connection(E, so2_pipe.R, VectorConnection(forms))
+            pull_back_connection(E, so2_pipe.R, PrincipalConnection(forms))
         assert exc.value.point is not None
         assert exc.value.residual >= 0.5
 
@@ -238,8 +234,8 @@ class TestPullBack:
 class TestFrame:
     def test_frame_sheaf_shares_cocycle(self, pipeline):
         P2, R2 = frame_sheaf(pipeline.E)
-        assert R2.n == pipeline.E.rank
-        assert np.array_equal(R2.phibar, np.eye(pipeline.E.rank ** 2))
+        assert R2.n == pipeline.E.group.ambient
+        assert np.array_equal(R2.phibar, np.eye(pipeline.E.group.ambient ** 2))
         for pair, f in pipeline.E.cocycle.items():
             g = P2.cocycle[pair]
             assert all(f.data[p].max_abs_diff(g.data[p]) == 0.0
@@ -248,7 +244,7 @@ class TestFrame:
     def test_frame_sections_are_compatible(self, so2_pipe, shear_pipe):
         from sheafgauge import check_components
         for pipe in (so2_pipe, shear_pipe):
-            for j in range(pipe.E.rank):
+            for j in range(pipe.E.group.ambient):
                 s = frame_section(pipe.E, "alpha", j)
                 assert check_components(pipe.E, s.components).residual <= 1e-10
 
