@@ -69,6 +69,7 @@ from .groups import (
     LieValuedOneForm,
     ad_action,
     check_logarithmic_rule,
+    gauge_form,
     gl1_positive_model,
     gl_model,
     group_mul,

@@ -164,7 +164,7 @@ def rep_by_name(name: str, source: GroupModel | None = None) -> RepresentationMo
     elif s == "so2_in_gl2":
         rep = so2_in_gl2()
     else:
-        m = re.fullmatch(r"gl1_diag_powers\(([-\d,]+)\)", s)
+        m = re.fullmatch(r"gl1_diag_powers\((-?\d+(?:,-?\d+)*)\)", s)
         if m:
             powers = [int(x) for x in m.group(1).split(",")]
             bounded(len(powers))
@@ -272,13 +272,8 @@ def check_components(E: PrincipalSheafData,
 
 
 def _demand_compatible(E, comps, what):
-    verdict = check_components(E, comps)
-    if not verdict.passed:
-        raise EquivarianceError(
-            f"{what} violates the transition law by {verdict.residual:.3e} "
-            f"at {verdict.worst_point!r}",
-            residual=verdict.residual, point=verdict.worst_point)
-    return verdict
+    return check_components(E, comps).require(
+        EquivarianceError, f"{what} violates the transition law")
 
 
 def section_add(E: PrincipalSheafData, s: AssociatedSection,
@@ -323,8 +318,7 @@ def quotient_reduce(P: PrincipalSheafData, R: RepresentationModel,
     return mat_mul(R.phi(s.factor), h.relabel(s.factor.region))
 
 
-def tensorial_to_section(E: PrincipalSheafData, P: PrincipalSheafData,
-                         R: RepresentationModel,
+def tensorial_to_section(E: PrincipalSheafData,
                          f: TensorialMorphismData) -> AssociatedSection:
     """Read an equivariant morphism as a global section of E.
 
@@ -336,8 +330,7 @@ def tensorial_to_section(E: PrincipalSheafData, P: PrincipalSheafData,
     return AssociatedSection(dict(f.values))
 
 
-def section_to_tensorial(E: PrincipalSheafData, P: PrincipalSheafData,
-                         R: RepresentationModel,
+def section_to_tensorial(E: PrincipalSheafData,
                          s: AssociatedSection) -> TensorialMorphismData:
     """Inverse of ``tensorial_to_section``: the morphism whose value on the
     natural section of each chart is the section's component there."""

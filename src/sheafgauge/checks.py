@@ -220,8 +220,8 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
     def thm3_roundtrip():
         rng = _rng(scn, "thm3.roundtrip")
         s = random_section(E, rng)
-        f = section_to_tensorial(E, P, R, s)
-        back = tensorial_to_section(E, P, R, f)
+        f = section_to_tensorial(E, s)
+        back = tensorial_to_section(E, f)
         residuals = [field_residual(s.components[c], back.components[c])
                      for c in sorted(s.components)]
         return worst("thm3.roundtrip", ROUNDTRIP_TOL,
@@ -230,7 +230,7 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
     def thm3_tensorial():
         rng = _rng(scn, "thm3.tensorial")
         s = random_section(E, rng)
-        f = section_to_tensorial(E, P, R, s)
+        f = section_to_tensorial(E, s)
         sec = random_principal_section(P, chart0, rng)
         g = random_element(group, cover, chart0, rng)
         moved = PrincipalSectionLocal(chart0, group_mul(sec.factor, g))

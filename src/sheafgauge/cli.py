@@ -21,7 +21,7 @@ import click
 from .checks import SUITES, run_checks
 from .errors import SheafGaugeError
 from .report import Report
-from .scenario import Scenario, demo_names, load_demo, load_scenario
+from .scenario import demo_names, load_demo, load_scenario
 
 _SUITE_OPTION = click.option(
     "--suite", default="all", show_default=True,
@@ -40,8 +40,9 @@ def main() -> None:
     """Numerical checks for glued bundle data over sampled covers."""
 
 
-def _run(scn: Scenario, suite: str, strict: bool, out: str | None) -> None:
+def _run(load, source: str, suite: str, strict: bool, out: str | None) -> None:
     try:
+        scn = load(source)
         report: Report = run_checks(scn, suite.lower())
     except SheafGaugeError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -66,12 +67,7 @@ def _run(scn: Scenario, suite: str, strict: bool, out: str | None) -> None:
 @_OUT_OPTION
 def check(file: str, suite: str, strict: bool, out: str | None) -> None:
     """Run checks over the scenario in FILE."""
-    try:
-        scn = load_scenario(file)
-    except SheafGaugeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _run(scn, suite, strict, out)
+    _run(load_scenario, file, suite, strict, out)
 
 
 @main.command()
@@ -81,12 +77,7 @@ def check(file: str, suite: str, strict: bool, out: str | None) -> None:
 @_OUT_OPTION
 def demo(name: str, suite: str, strict: bool, out: str | None) -> None:
     """Run checks over the built-in scenario NAME."""
-    try:
-        scn = load_demo(name)
-    except SheafGaugeError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _run(scn, suite, strict, out)
+    _run(load_demo, name, suite, strict, out)
 
 
 @main.command(name="list-demos")

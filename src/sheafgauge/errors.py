@@ -1,10 +1,21 @@
-"""Exception hierarchy shared by all sheafgauge modules."""
+"""Exception hierarchy shared by all sheafgauge modules.
+
+Every error carries one failure record: the sample ``point`` where a
+law failed and the ``residual`` there, each None when unset.
+``report.CheckResult.require`` raises a failed check with both filled.
+Only errors with fields of their own define a constructor.
+"""
 
 from __future__ import annotations
 
 
 class SheafGaugeError(Exception):
     """Base class for every error this package raises on purpose."""
+
+    def __init__(self, message: str, point=None, residual: float | None = None):
+        super().__init__(message)
+        self.point = point
+        self.residual = residual
 
 
 class DimensionMismatchError(SheafGaugeError):
@@ -25,18 +36,9 @@ class FieldMismatchError(SheafGaugeError):
 class SingularMatrixError(SheafGaugeError):
     """Matrix inversion requested below the determinant floor."""
 
-    def __init__(self, message: str, point=None):
-        super().__init__(message)
-        self.point = point
-
 
 class SpanError(SheafGaugeError):
     """A matrix expected to lie in the span of a Lie basis does not."""
-
-    def __init__(self, message: str, point=None, residual: float = 0.0):
-        super().__init__(message)
-        self.point = point
-        self.residual = residual
 
 
 class CoverError(SheafGaugeError):
@@ -54,13 +56,10 @@ class MissingJacobianError(CoverError):
 class OverlapMismatchError(SheafGaugeError):
     """Pieces passed to glue disagree on a shared point."""
 
-    def __init__(self, message: str, region_a=None, region_b=None, point=None,
-                 residual: float = 0.0):
-        super().__init__(message)
+    def __init__(self, message: str, region_a=None, region_b=None, point=None, residual=None):
+        super().__init__(message, point, residual)
         self.region_a = region_a
         self.region_b = region_b
-        self.point = point
-        self.residual = residual
 
 
 class EmptyOverlapError(SheafGaugeError):
@@ -78,36 +77,17 @@ class MissingExtensionError(SheafGaugeError):
 class CycleInconsistencyError(SheafGaugeError):
     """Connection propagation around a cover cycle failed to close."""
 
-    def __init__(self, message: str, residual: float = 0.0, point=None):
-        super().__init__(message)
-        self.residual = residual
-        self.point = point
-
 
 class EquivarianceError(SheafGaugeError):
     """Chart values violate the transition law they should satisfy."""
-
-    def __init__(self, message: str, residual: float = 0.0, point=None):
-        super().__init__(message)
-        self.residual = residual
-        self.point = point
 
 
 class PullbackImageError(SheafGaugeError):
     """Connection matrices leave the image of the coefficient map."""
 
-    def __init__(self, message: str, point=None, residual: float = 0.0):
-        super().__init__(message)
-        self.point = point
-        self.residual = residual
-
 
 class PreconditionError(SheafGaugeError):
     """A documented precondition of an operation failed at runtime."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class ParseError(SheafGaugeError):

@@ -8,15 +8,17 @@ that basis are derived from it.  Group elements are invertible
 Two maps matter here.  The adjoint representation sends g to the
 conjugation a -> g a g^-1, expressed in the Lie basis by
 ``rho_matrix``.  The logarithmic differential ``mc`` sends g to
-g^-1 dg, a Lie-algebra valued one-form; it obeys the crossed
-homomorphism rule
+g^-1 dg, a Lie-algebra valued one-form.  Together they give eq7's
+gauge action on one-forms, ``gauge_form(g, w) = rho(g^-1) . w + mc(g)``,
+the one implementation of the connection law.  It is a right action;
+at w = 0 that is the crossed homomorphism rule
 
     mc(s t) = rho(t^-1) . mc(s) + mc(t)
 
-which ``check_logarithmic_rule`` verifies numerically.  Both maps
-expand matrices in the Lie basis by least squares and insist the
-expansion residual stays within ``SPAN_TOL``, so feeding elements whose
-conjugation leaves the modeled algebra is caught at runtime.  Elements
+which ``check_logarithmic_rule`` verifies numerically.  ``span_coeffs``
+expands matrix stacks in the Lie basis by least squares and is the one
+place that insists the expansion residual stays within ``SPAN_TOL``,
+naming the first point that leaves the modeled algebra.  Elements
 whose determinant falls below ``jets.DET_FLOOR`` count as singular.
 These thresholds are fixed module constants, not parameters.
 """
@@ -145,6 +147,18 @@ class GroupModel:
         res = np.max(np.abs(coeff @ self._flat - flat), axis=(-2, -1), initial=0.0)
         return coeff, res
 
+    def span_coeffs(self, mats: np.ndarray, points: list, what: str) -> np.ndarray:
+        """Coefficients (P, q, m) of a (P, q, k, k) stack with row i at
+        ``points[i]``; the first point leaving the span by more than
+        ``SPAN_TOL`` raises SpanError naming ``what``."""
+        coeff, res = self.expand_stack(mats)
+        bad = first_true(res > SPAN_TOL)
+        if bad < len(res):
+            raise SpanError(
+                f"{what} leaves span(lie_basis) at {points[bad]!r} "
+                f"(residual {res[bad]:.3e})", point=points[bad], residual=float(res[bad]))
+        return coeff
+
     def combine(self, coeff: np.ndarray) -> np.ndarray:
         """Matrix with the given Lie-basis coefficients."""
         return np.einsum("k,kab->ab", np.asarray(coeff, dtype=float), self.lie_basis)
@@ -239,12 +253,7 @@ def ad_action(model: GroupModel, g: MatrixField, a: MatrixField) -> MatrixField:
     """Conjugation g a g^-1 on an algebra-valued field, span-checked."""
     out = mat_mul(mat_mul(g, a), mat_inv(g))
     pts = out.ordered_points()
-    _, res = model.expand_stack(gather(out, pts)[:, :1])
-    bad = first_true(res > SPAN_TOL)
-    if bad < len(pts):
-        raise SpanError(
-            f"adjoint action leaves span(lie_basis) at {pts[bad]!r} "
-            f"(residual {res[bad]:.3e})", point=pts[bad], residual=float(res[bad]))
+    model.span_coeffs(gather(out, pts)[:, :1], pts, "adjoint action")
     return out
 
 
@@ -272,12 +281,7 @@ def _rho_stack(model: GroupModel, g: MatrixField) -> tuple[list, np.ndarray]:
     stop = first_true(sign == 0.0)
     vi = np.linalg.inv(v[:stop])
     images = np.einsum("pij,mjk,pkl->pmil", v[:stop], model.lie_basis, vi)
-    coeff, res = model.expand_stack(images)
-    bad = first_true(res > SPAN_TOL)
-    if bad < stop:
-        raise SpanError(
-            f"adjoint action leaves span(lie_basis) at {pts[bad]!r} "
-            f"(residual {res[bad]:.3e})", point=pts[bad], residual=float(res[bad]))
+    coeff = model.span_coeffs(images, pts, "adjoint action")
     if stop < len(pts):
         raise np.linalg.LinAlgError("Singular matrix")
     return pts, coeff
@@ -295,12 +299,8 @@ def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
     v, grad = c[:, 0], c[:, 1:]
     stop = first_true(np.abs(np.linalg.det(v)) < DET_FLOOR)
     vi = np.linalg.inv(v[:stop])
-    coeff, res = model.expand_stack(np.einsum("pij,pkjl->pkil", vi, grad[:stop]))
-    bad = first_true(res > SPAN_TOL)
-    if bad < stop:
-        raise SpanError(
-            f"logarithmic differential leaves span(lie_basis) at {pts[bad]!r} "
-            f"(residual {res[bad]:.3e})", point=pts[bad], residual=float(res[bad]))
+    coeff = model.span_coeffs(np.einsum("pij,pkjl->pkil", vi, grad[:stop]), pts,
+                              "logarithmic differential")
     if stop < len(pts):
         raise SpanError(f"group element not invertible at {pts[stop]!r}", point=pts[stop])
     return LieValuedOneForm.from_stack(g.region, pts, coeff)
@@ -319,11 +319,20 @@ def rho_dot_form(model: GroupModel, g: MatrixField,
     return w._like(w.region, w.coeffs @ rt) if len(w) else w
 
 
+def gauge_form(model: GroupModel, g: MatrixField, w: LieValuedOneForm,
+               region: str) -> LieValuedOneForm:
+    """eq7's gauge action rho(g^-1) . w + mc(g) on ``region``, in w's
+    point order; g and w share region and points.  An empty w, which
+    may not know its rank, gives mc(g) relabelled."""
+    rot = rho_dot_form(model, mat_inv(g), w)
+    dg = mc(model, g)
+    return rot._like(region, rot.coeffs + dg.coeffs) if len(rot) else dg.relabel(region)
+
+
 def check_logarithmic_rule(model: GroupModel, s: MatrixField,
                            t: MatrixField) -> CheckResult:
-    """Residual of mc(s t) = rho(t^-1) . mc(s) + mc(t) over the common points."""
+    """Residual of mc(s t) = gauge_form(t, mc(s)) over the common points."""
     lhs = mc(model, group_mul(s, t))
-    rot = rho_dot_form(model, mat_inv(t), mc(model, s))
-    dt_part = mc(model, t)
+    rhs = gauge_form(model, t, mc(model, s), t.region)
     return worst("log.crossed", LOG_RULE_TOL, zip(
-        lhs.ordered_points(), max_diff_rows(lhs.coeffs, rot.coeffs + dt_part.coeffs)))
+        lhs.ordered_points(), max_diff_rows(lhs.coeffs, rhs.coeffs)))

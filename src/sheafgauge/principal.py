@@ -12,9 +12,11 @@ chart, tied together by the transition law
     w_b = rho(g_ab^-1) . w_a + mc(g_ab)      on the overlap of a and b,
 
 where mc is the logarithmic differential of the transition element.
-``check_connection`` measures the worst violation of that law and
-``complete_connection`` constructs all chart forms from a seed on one
-chart by propagating it along a spanning tree of the overlap graph.
+The right-hand side is ``groups.gauge_form(g_ab, w_a)``, and each use
+of the law calls it.  ``check_connection`` measures the worst violation
+of that law and ``complete_connection`` constructs all chart forms from
+a seed on one chart by propagating it along a spanning tree of the
+overlap graph; its final check raises through ``CheckResult.require``.
 
 Propagation needs values beyond overlaps: the transition law only
 determines a child form where the parent data and the transition
@@ -47,7 +49,7 @@ from .errors import (
     MissingEntryError,
     MissingExtensionError,
 )
-from .groups import GroupModel, LieValuedOneForm, mc, rho_dot_form
+from .groups import GroupModel, LieValuedOneForm, gauge_form
 from .jets import (
     MatrixField,
     diff_rows,
@@ -243,7 +245,8 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection) -> CheckResu
     """Worst violation of the connection transition law over all overlaps.
 
     For each ordered pair (a, b) the form of b is transported into the
-    chart of a and compared against rho(g_ab^-1) . w_a + mc(g_ab).
+    chart of a and compared against gauge_form(g_ab, w_a), still written
+    in chart-a coordinates.
     """
     pairs = []
     for a, b in P.overlap_graph_edges():
@@ -251,24 +254,11 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection) -> CheckResu
             if x not in D.forms or y not in D.forms:
                 raise MissingEntryError(f"connection lacks a form on {x!r} or {y!r}")
             pts = P.cover.overlap_points(x, y)
-            rhs = _transition_apply(P, x, y, D.form(x).restrict(pts))
+            rhs = gauge_form(P.group, P.entry(x, y).restrict(pts), D.form(x).restrict(pts), x)
             lhs = transport_form(D.form(y).restrict(pts), P.cover, x)
             order = lhs.ordered_points()
             pairs += zip(order, diff_rows(lhs, rhs, order))
     return worst("connection", TAU_GLUE, pairs)
-
-
-def _transition_apply(P: PrincipalSheafData, a: str, b: str,
-                      wa: LieValuedOneForm) -> LieValuedOneForm:
-    """Right-hand side of the transition law on the points of wa.
-
-    Expects wa in chart-a coordinates on points inside the overlap of
-    a and b; the result is the would-be form of chart b, still written
-    in chart-a coordinates.
-    """
-    gab = P.entry(a, b).restrict(wa.points)
-    rot = rho_dot_form(P.group, mat_inv(gab), wa)
-    return _form_sum(wa.region, rot, mc(P.group, gab))
 
 
 def complete_connection(P: PrincipalSheafData,
@@ -328,12 +318,8 @@ def complete_connection(P: PrincipalSheafData,
         forms[rid] = big[rid].restrict(cover.regions[rid]).relabel(rid)
 
     D = PrincipalConnection(forms)
-    verdict = check_connection(P, D)
-    if not verdict.passed:
-        raise CycleInconsistencyError(
-            f"propagated forms disagree around a cycle "
-            f"(residual {verdict.residual:.3e} at {verdict.worst_point!r})",
-            residual=verdict.residual, point=verdict.worst_point)
+    check_connection(P, D).require(CycleInconsistencyError,
+                                   "propagated forms disagree around a cycle")
     return D
 
 
@@ -354,8 +340,7 @@ def _propagate(P: PrincipalSheafData, a: str, b: str,
         raise MissingExtensionError(
             f"cannot determine the form on {b!r} at {miss}: transition entry "
             f"({a!r}, {b!r}) or parent data not available there")
-    rot = rho_dot_form(P.group, mat_inv(gab.restrict(pts)), wa.restrict(pts))
-    return _form_sum(b, rot, mc(P.group, gab.restrict(pts)))
+    return gauge_form(P.group, gab.restrict(pts), wa.restrict(pts), b)
 
 
 def evaluate_connection(P: PrincipalSheafData, D: PrincipalConnection,
@@ -363,14 +348,7 @@ def evaluate_connection(P: PrincipalSheafData, D: PrincipalConnection,
     """Value of the connection on a local section.
 
     For s = (natural section of chart a) . g this is
-    rho(g^-1) . w_a + mc(g) over the section's domain.
+    gauge_form(g, w_a) over the section's domain.
     """
-    wa = D.form(s.chart).restrict(s.points)
-    rot = rho_dot_form(P.group, mat_inv(s.factor), wa)
-    return _form_sum(s.factor.region, rot, mc(P.group, s.factor))
-
-
-def _form_sum(region: str, a: LieValuedOneForm,
-              b: LieValuedOneForm) -> LieValuedOneForm:
-    """a + b on the same points as a form on ``region`` (b when both are empty)."""
-    return a._like(region, a.coeffs + b.coeffs) if len(a) else b.relabel(region)
+    return gauge_form(P.group, s.factor, D.form(s.chart).restrict(s.points),
+                      s.factor.region)

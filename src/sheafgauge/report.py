@@ -2,9 +2,10 @@
 
 Every verification routine in this package reduces to one or more
 ``CheckResult`` values: a named residual compared against a tolerance,
-with the worst sample point attached.  ``Report`` is an ordered
-collection of results whose text renderings are byte-deterministic,
-so two runs over the same inputs produce identical output.
+with the worst sample point attached; ``CheckResult.require`` turns a
+failed one into an exception.  ``Report`` is an ordered collection of
+results whose text renderings are byte-deterministic, so two runs over
+the same inputs produce identical output.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ class CheckResult:
         if self.error is not None:
             return "error"
         return "pass" if self.passed else "fail"
+
+    def require(self, error: type, what: str) -> "CheckResult":
+        """This result if it passed; else raise ``error`` with the worst
+        point and residual, as ``what (residual R at P)``."""
+        if self.passed:
+            return self
+        raise error(f"{what} (residual {self.residual:.3e} at {self.worst_point!r})",
+                    point=self.worst_point, residual=self.residual)
 
 
 def worst(name: str, tol: float, pairs) -> CheckResult:

@@ -45,9 +45,9 @@ import numpy as np
 from .associated import RepresentationModel, rep_by_name
 from .catalog import eval_matrix
 from .cover import SampledCover, arc_range, circle_cover
-from .errors import ParseError, ScenarioError, SpanError
+from .errors import ParseError, ScenarioError
 from .expr import eval_expr, parse_expr
-from .groups import SPAN_TOL, GroupModel, LieValuedOneForm, model_by_name
+from .groups import GroupModel, LieValuedOneForm, model_by_name
 from .principal import PrincipalSheafData
 
 DEFAULT_POINTS = 24
@@ -298,38 +298,31 @@ def build_seed(s: Scenario, cover: SampledCover,
                group: GroupModel) -> tuple[str, LieValuedOneForm] | None:
     """Evaluate the seed connection form on every sample point.
 
-    Coefficient seeds fill the (dim, m) arrays directly; matrix seeds
-    are expanded in the Lie basis and must lie in its span.
+    Every entry is evaluated at every point first.  Coefficient seeds
+    fill the (dim, m) arrays directly; matrix seeds are then expanded in
+    the Lie basis and must lie in its span.
     """
     if s.seed_chart is None:
         return None
-    coords = global_coords(cover)
-    m = group.rank
-    data = {}
+    k, m = group.ambient, group.rank
     if s.seed_coeffs is not None:
         if len(s.seed_coeffs) != m:
             raise ScenarioError(
                 f"connection coeffs: {len(s.seed_coeffs)} entries, algebra rank {m}")
-        for p, c in coords.items():
-            t = float(np.atleast_1d(c)[0])
-            row = [eval_expr(e, t) for e in s.seed_coeffs]
-            arr = np.array([[j.value for j in row]])
-            data[p] = arr
+        entries = s.seed_coeffs
     else:
-        if len(s.seed_rows) != group.ambient or \
-                any(len(r) != group.ambient for r in s.seed_rows):
+        if len(s.seed_rows) != k or any(len(r) != k for r in s.seed_rows):
             raise ScenarioError("connection rows must form an ambient-size matrix")
-        for p, c in coords.items():
-            t = float(np.atleast_1d(c)[0])
-            mat = np.array([[eval_expr(e, t).value for e in row]
-                            for row in s.seed_rows])
-            coeff, res = group.expand(mat)
-            if res > SPAN_TOL:
-                raise SpanError(
-                    f"seed matrix leaves span(lie_basis) at {p!r} "
-                    f"(residual {res:.3e})", point=p, residual=res)
-            data[p] = coeff[None, :]
-    return s.seed_chart, LieValuedOneForm(s.seed_chart, data)
+        entries = [e for row in s.seed_rows for e in row]
+    coords = global_coords(cover)
+    pts = list(coords)
+    values = np.array([[eval_expr(e, float(np.atleast_1d(c)[0])).value for e in entries]
+                       for c in coords.values()])
+    if s.seed_coeffs is not None:
+        coeffs = values[:, None]
+    else:
+        coeffs = group.span_coeffs(values.reshape(len(pts), 1, k, k), pts, "seed matrix")
+    return s.seed_chart, LieValuedOneForm(s.seed_chart, dict(zip(pts, coeffs)))
 
 
 # -- built-in demos -----------------------------------------------------------

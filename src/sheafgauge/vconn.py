@@ -75,17 +75,10 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
     if verify:
         entries = [f for (a, b), f in sorted(P.cocycle.items())
                    if a != b and len(f)]
-        lt = check_lie_type(R, entries)
-        bad = [r for r in lt.values() if not r.passed]
-        if bad:
-            raise PreconditionError(
-                f"representation fails the compatibility conditions "
-                f"(residual {bad[0].residual:.3e})", residual=bad[0].residual)
-        verdict = check_connection(P, D)
-        if not verdict.passed:
-            raise PreconditionError(
-                f"principal connection fails its transition law "
-                f"(residual {verdict.residual:.3e})", residual=verdict.residual)
+        for r in check_lie_type(R, entries).values():
+            r.require(PreconditionError, "representation fails the compatibility conditions")
+        check_connection(P, D).require(PreconditionError,
+                                       "principal connection fails its transition law")
     forms = {}
     for chart, w in D.forms.items():
         # an empty form may not know its rank; its image holds no coefficients
@@ -234,11 +227,8 @@ def check_frame_roundtrip(E: PrincipalSheafData, nab: PrincipalConnection) -> Ch
     reports the worst deviation from the original forms.  A connection
     that fails its own transition law is rejected before the round trip.
     """
-    verdict = check_connection(E, nab)
-    if not verdict.passed:
-        raise PreconditionError(
-            f"vector connection fails its transition law "
-            f"(residual {verdict.residual:.3e})", residual=verdict.residual)
+    check_connection(E, nab).require(PreconditionError,
+                                     "vector connection fails its transition law")
     P, R = frame_sheaf(E)
     back = induce_connection(P, R, nab, verify=False)
     pairs = []

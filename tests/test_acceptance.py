@@ -141,8 +141,8 @@ class TestAcceptance:
             pipe = demo_pipeline(name)
             E, P, R = pipe.E, pipe.P, pipe.R
             s = random_section(E, rng)
-            f = section_to_tensorial(E, P, R, s)
-            back = tensorial_to_section(E, P, R, f)
+            f = section_to_tensorial(E, s)
+            back = tensorial_to_section(E, f)
             for a in s.components:
                 for p in s.components[a].points:
                     worst_round = max(worst_round, s.components[a].data[p]

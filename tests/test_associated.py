@@ -302,15 +302,15 @@ class TestMorphismRoundTrips:
     def test_section_tensorial_roundtrip(self, pipeline):
         E, P, R = pipeline.E, pipeline.P, pipeline.R
         s = random_section(E, np.random.default_rng(12))
-        f = section_to_tensorial(E, P, R, s)
-        back = tensorial_to_section(E, P, R, f)
+        f = section_to_tensorial(E, s)
+        back = tensorial_to_section(E, f)
         assert section_gap(back, s) == 0.0
 
     def test_tensorial_section_roundtrip(self, pipeline):
         E, P, R = pipeline.E, pipeline.P, pipeline.R
         s = random_section(E, np.random.default_rng(13))
-        f = section_to_tensorial(E, P, R, s)
-        again = section_to_tensorial(E, P, R, tensorial_to_section(E, P, R, f))
+        f = section_to_tensorial(E, s)
+        again = section_to_tensorial(E, tensorial_to_section(E, f))
         assert all(field_gap(again.values[a], f.values[a]) == 0.0
                    for a in f.values)
 
@@ -321,12 +321,12 @@ class TestMorphismRoundTrips:
         vals["beta"] = vals["beta"].map_entries(
             lambda p, m: JetMatrix(m.value + 1e-2, m.grad))
         with pytest.raises(EquivarianceError):
-            tensorial_to_section(E, P, R, TensorialMorphismData(vals))
+            tensorial_to_section(E, TensorialMorphismData(vals))
 
     def test_evaluate_on_natural_section(self, so2_pipe):
         E, P, R = so2_pipe.E, so2_pipe.P, so2_pipe.R
         s = random_section(E, np.random.default_rng(15))
-        f = section_to_tensorial(E, P, R, s)
+        f = section_to_tensorial(E, s)
         nat = PrincipalSectionLocal("alpha", P.group.unit_field(
             "alpha", P.cover.regions["alpha"], 1))
         out = evaluate_tensorial(P, R, f, nat)
@@ -336,7 +336,7 @@ class TestMorphismRoundTrips:
         E, P, R = pipeline.E, pipeline.P, pipeline.R
         rng = np.random.default_rng(16)
         s = random_section(E, rng)
-        f = section_to_tensorial(E, P, R, s)
+        f = section_to_tensorial(E, s)
         g = random_element(P.group, P.cover, "alpha", rng)
         out = evaluate_tensorial(P, R, f, PrincipalSectionLocal("alpha", g))
         want = mat_mul(R.phi(mat_inv(g)), s.components["alpha"])

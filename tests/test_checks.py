@@ -12,9 +12,17 @@ import pytest
 from click.testing import CliRunner
 
 import sheafgauge
-from sheafgauge import SUITES, TOLERANCES, ScenarioError, parse_scenario, run_checks
+from sheafgauge import (
+    SUITES,
+    TOLERANCES,
+    PreconditionError,
+    ScenarioError,
+    SheafGaugeError,
+    parse_scenario,
+    run_checks,
+)
 from sheafgauge.cli import main
-from sheafgauge.report import worst
+from sheafgauge.report import CheckResult, worst
 from sheafgauge.scenario import DEMOS
 
 
@@ -175,6 +183,38 @@ class TestWorst:
         assert r.residual == 0.0 and r.worst_point is None and r.passed
 
 
+class TestRequire:
+    def test_a_pass_returns_the_result_itself(self):
+        r = worst("k", 1e-9, [(0, 1e-10)])
+        assert r.require(PreconditionError, "law") is r
+
+    def test_a_failure_raises_with_point_and_residual(self):
+        r = worst("k", 1e-9, [(3, 1e-10), (7, 2e-6)])
+        with pytest.raises(PreconditionError,
+                           match=re.escape("law fails (residual 2.000e-06 at 7)")) as exc:
+            r.require(PreconditionError, "law fails")
+        assert (exc.value.point, exc.value.residual) == (7, 2e-6)
+
+    def test_an_error_row_does_not_pass(self):
+        r = CheckResult("k", 0.0, 1.0, error="SpanError: x")
+        with pytest.raises(PreconditionError):
+            r.require(PreconditionError, "law")
+
+
+def error_classes() -> list:
+    return [obj for obj in vars(sheafgauge.errors).values()
+            if inspect.isclass(obj) and issubclass(obj, SheafGaugeError)]
+
+
+class TestFailureRecord:
+    def test_every_error_carries_point_and_residual(self):
+        made = [cls("message", 0) if cls is sheafgauge.errors.ParseError else cls("message")
+                for cls in error_classes()]
+        assert len(made) >= 20
+        for exc in made:
+            assert (exc.point, exc.residual) == (None, None), type(exc).__name__
+
+
 SOURCES = sorted(Path(sheafgauge.__file__).parent.glob("*.py"))
 
 
@@ -226,3 +266,28 @@ class TestNoUnusedImports:
             unused += [f"{path.name}: {name}" for name in imported
                        if name not in used and (path.name, name) not in UNUSED_IMPORT_EXEMPT]
         assert unused == []
+
+
+class TestOneHomePerRule:
+    """The failure record, the Lie-span test and the gauge action of eq7
+    are each written in one place."""
+
+    def test_only_errors_with_fields_of_their_own_define_init(self):
+        tree = parsed(Path(sheafgauge.errors.__file__))
+        with_init = [cls.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+                     and any(isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                             for f in cls.body)]
+        assert with_init == ["SheafGaugeError", "OverlapMismatchError", "ParseError",
+                             "ExprDomainError"]
+
+    def test_one_span_failure_message(self):
+        assert sum(path.read_text().count("leaves span(lie_basis)") for path in SOURCES) == 1
+
+    def test_rho_dot_form_is_called_only_by_gauge_form(self):
+        calls = [(path.name, node.lineno) for path in SOURCES
+                 for node in ast.walk(parsed(path)) if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "rho_dot_form"]
+        (home,) = [fn for fn in parsed(Path(sheafgauge.groups.__file__)).body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "gauge_form"]
+        assert len(calls) == 1
+        assert calls[0][0] == "groups.py" and home.lineno <= calls[0][1] <= home.end_lineno

@@ -66,6 +66,12 @@ class TestPinnedCases:
         assert_input_error(run_cli(text, "cocycle", False),
                            "(a = -3, power 1000)")
 
+    @pytest.mark.parametrize("powers", ["1,,2", "-", "1-2", ","])
+    def test_malformed_powers_exit_2(self, powers):
+        text = DEMO_MOBIUS.replace("gl1_diag_powers(1, 2)", f"gl1_diag_powers({powers})")
+        assert_input_error(run_cli(text, "all", False),
+                           f"unknown representation 'gl1_diag_powers({powers})'")
+
     def test_suites_without_the_representation_are_unaffected(self):
         text = DEMO_MOBIUS.replace("gl1_diag_powers(1, 2)", "gl1_diag_powers(1, 100000)")
         r = run_cli(text, "cocycle", True)

@@ -19,16 +19,22 @@ from sheafgauge import (
     check_logarithmic_rule,
     circle_cover,
     constant_matrix_field,
+    gauge_form,
     gl1_positive_model,
     gl_model,
     group_mul,
     mc,
     model_by_name,
+    random_element,
     rho_dot_form,
     rho_matrix,
     so2_model,
     torus_model,
 )
+from sheafgauge.groups import LOG_RULE_TOL
+
+# One model of each kind the gauge action must respect.
+GAUGE_MODELS = (gl_model(1), gl_model(2), so2_model(), gl1_positive_model(), torus_model(2))
 
 
 def rotation_field(region, angles):
@@ -311,6 +317,52 @@ class TestRhoDotForm:
             for p in out.data:
                 assert np.max(np.abs(m.combine(out.data[p][0])
                                      - conj.data[p].value)) <= 1e-10
+
+
+def random_form(model, cover, rng):
+    pts = sorted(cover.regions["u"], key=str)
+    return LieValuedOneForm.from_stack("u", pts, rng.normal(size=(len(pts), 1, model.rank)))
+
+
+class TestGaugeForm:
+    @pytest.mark.parametrize("model", GAUGE_MODELS, ids=lambda m: m.kind)
+    def test_unit_returns_the_form_bit_for_bit(self, model, small_cover):
+        w = random_form(model, small_cover, np.random.default_rng(31))
+        out = gauge_form(model, model.unit_field("u", small_cover.regions["u"], 1), w, "u")
+        assert out.ordered_points() == w.ordered_points()
+        assert np.array_equal(out.coeffs, w.coeffs)
+
+    @pytest.mark.parametrize("model", GAUGE_MODELS, ids=lambda m: m.kind)
+    def test_is_a_right_action(self, model, small_cover):
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            s = random_element(model, small_cover, "u", rng)
+            t = random_element(model, small_cover, "u", rng)
+            w = random_form(model, small_cover, rng)
+            once = gauge_form(model, group_mul(s, t), w, "u")
+            twice = gauge_form(model, t, gauge_form(model, s, w, "u"), "u")
+            assert np.max(np.abs(once.coeffs - twice.coeffs)) <= LOG_RULE_TOL
+
+    def test_empty_form_gives_mc_relabelled(self):
+        m = gl_model(2)
+        out = gauge_form(m, MatrixField("u", 2, 2, {}), LieValuedOneForm("u", {}), "v")
+        assert (out.region, len(out)) == ("v", 0)
+
+
+class TestSpanCoeffs:
+    def test_coefficients_of_a_stack_in_the_span(self):
+        m = so2_model()
+        mats = np.stack([2.0 * m.lie_basis, -m.lie_basis])
+        assert np.array_equal(m.span_coeffs(mats, ["a", "b"], "x"), [[[2.0]], [[-1.0]]])
+
+    def test_names_the_first_bad_point_in_the_given_order(self):
+        m = so2_model()
+        off = np.eye(2)[None]                       # not a rotation generator
+        mats = np.stack([m.lie_basis, 3.0 * off, off])
+        with pytest.raises(SpanError, match=r"^probe leaves span\(lie_basis\) at 'c' ") as exc:
+            m.span_coeffs(mats, ["z", "c", "a"], "probe")
+        assert exc.value.point == "c"
+        assert exc.value.residual == pytest.approx(3.0)
 
 
 def test_lie_valued_form_validation():

@@ -86,6 +86,18 @@ class TestInduce:
         assert exc.value.residual >= 5e-4
         induce_connection(so2_pipe.P, so2_pipe.R, crooked, verify=False)
 
+    def test_law_violation_names_its_point(self, so2_pipe):
+        forms = dict(so2_pipe.D.forms)
+        p0 = sorted(so2_pipe.cover.overlap_points("alpha", "beta"))[0]
+        bumped = dict(forms["alpha"].data)
+        bumped[p0] = bumped[p0] + 1e-3
+        forms["alpha"] = LieValuedOneForm("alpha", bumped)
+        with pytest.raises(PreconditionError) as exc:
+            induce_connection(so2_pipe.P, so2_pipe.R, PrincipalConnection(forms))
+        assert exc.value.point == p0
+        assert str(exc.value).startswith("principal connection fails its transition law ")
+        assert str(exc.value).endswith(f" at {p0!r})")
+
     def test_empty_chart_form_induces_empty_matrix_form(self):
         cover = SampledCover(range(4), {"a": range(4)},
                              {("a", p): [p / 4] for p in range(4)})
