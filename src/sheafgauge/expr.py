@@ -25,7 +25,11 @@ evaluated by compiling them (``compile_exprs``) into one flat program
 that holds each distinct subtree once, in left-to-right post-order, and
 running it at each sample value; ``eval_expr`` is the program of a
 single tree.  A matrix compiled as one program evaluates a subexpression
-shared by several of its entries once per point.
+shared by several of its entries once per point.  A run computes on
+plain floats: each instruction's float kernel takes the operations, in
+the order, of the jet operator it stands for, and each instruction's
+result is wrapped in a ``Jet`` whose validating constructor is that
+instruction's finiteness check.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ExprDomainError, NonFiniteError, ParseError
-from .jets import Jet, jet_mul
+from .jets import Jet
 
 FUNCTIONS = ("cos", "exp", "sin")
 # Nesting bound of the recursive-descent parser: each level costs about
@@ -222,14 +226,42 @@ def parse_expr(src: str):
     return _Parser(src).parse()
 
 
-# Gradients of constants and of the variable, shared by every evaluation.
-_ZERO = (0.0,)
-_ONE = (1.0,)
+# Float kernels of the nodes that need no check of their own: each maps
+# the operands' values and d/dt, (a, da) or (a, da, b, db), to the
+# result's (value, d/dt) by the operations, in the order, of the Jet
+# operator named beside it, so a program builds the jets that operator
+# would, bit for bit.  ``-`` is a unary node (negation) or a binary one.
+def _sin(a, da):              # Jet.sin
+    return math.sin(a), math.cos(a) * da
 
-# Jet operations of the nodes that need no check of their own; ``-`` is
-# Jet.__neg__ as an unary node and Jet.__sub__ as a binary one.
-_UNARY = {"sin": Jet.sin, "cos": Jet.cos, "exp": Jet.exp}
-_BINARY = {"*": jet_mul, "+": Jet.__add__, "-": Jet.__sub__}
+
+def _cos(a, da):              # Jet.cos
+    return math.cos(a), -math.sin(a) * da
+
+
+def _exp(a, da):              # Jet.exp
+    e = math.exp(a)
+    return e, e * da
+
+
+def _neg(a, da):              # Jet.__neg__
+    return -a, -da
+
+
+def _add(a, da, b, db):       # Jet.__add__
+    return a + b, da + db
+
+
+def _sub(a, da, b, db):       # Jet.__sub__
+    return a - b, da - db
+
+
+def _mul(a, da, b, db):       # jets.jet_mul
+    return a * b, a * db + b * da
+
+
+_UNARY = {"sin": _sin, "cos": _cos, "exp": _exp}
+_BINARY = {"*": _mul, "+": _add, "-": _sub}
 
 
 @dataclass(frozen=True)
@@ -239,10 +271,16 @@ class Program:
     ``code`` holds one ``(op, fn, x, y, pos)`` instruction per distinct
     subtree, in the left-to-right post-order of the trees, so operands
     come before the instructions that read them: ``x`` and ``y`` index
-    earlier instructions (``x`` is the value of a ``const``), ``fn`` is
-    the jet operation of a ``call1`` or ``call2`` and ``pos`` is the
+    earlier instructions (``x`` is the float of a ``const``), ``fn`` is
+    the float kernel of a ``call1`` or ``call2`` and ``pos`` is the
     source offset where the subtree first occurs.  ``outputs`` indexes
     the instruction of each tree's root.
+
+    A run computes on plain floats, one value and one d/dt per
+    instruction, and wraps each result in a one-direction ``Jet``.  That
+    jet is the instruction's check: its validating constructor rejects a
+    non-finite value or derivative, which fails the run at the offset of
+    the instruction that left it.
     """
 
     code: tuple
@@ -256,40 +294,52 @@ class Program:
         the first instruction whose operation left it.
         """
         t = float(t)
-        vals = []
-        push = vals.append
+        vals, ders, jets = [], [], []
+        push_val, push_der, push_jet = vals.append, ders.append, jets.append
         try:
             for op, fn, x, y, pos in self.code:
                 if op == "call2":
-                    push(fn(vals[x], vals[y]))
+                    v, d = fn(vals[x], ders[x], vals[y], ders[y])
                 elif op == "call1":
-                    push(fn(vals[x]))
+                    v, d = fn(vals[x], ders[x])
                 elif op == "const":
-                    push(Jet(x, _ZERO))
+                    v, d = x, 0.0
                 elif op == "var":
-                    push(Jet(t, _ONE))
-                elif op == "/":
+                    v, d = t, 1.0
+                elif op == "/":           # Jet.__truediv__
                     a, b = vals[x], vals[y]
-                    if b.value == 0.0:
+                    if b == 0.0:
                         raise ExprDomainError("division by zero", pos)
-                    push(a / b)
-                else:
+                    v = a / b
+                    q = b ** 2
+                    if q == 0.0:
+                        # every d/dt would be x / 0: infinite or NaN
+                        raise NonFiniteError("jet components must be finite")
+                    d = (ders[x] * b - a * ders[y]) / q
+                else:                     # Jet.__pow__
                     a, b = vals[x], vals[y]
-                    if any(b.grad_tuple):
+                    if ders[y]:
                         raise ExprDomainError("exponent depends on the variable", pos)
-                    if not b.value.is_integer():
-                        raise ExprDomainError(f"exponent {b.value!r} is not an integer", pos)
-                    k = int(b.value)
-                    if a.value == 0.0 and k < 0:
+                    if not b.is_integer():
+                        raise ExprDomainError(f"exponent {b!r} is not an integer", pos)
+                    k = int(b)
+                    if a == 0.0 and k < 0:
                         raise ExprDomainError("zero base with negative exponent", pos)
-                    push(a ** k)
+                    if k == 0:
+                        v, d = 1.0, 0.0
+                    else:
+                        v = a ** k
+                        d = k * (a ** (k - 1)) * ders[x]
+                push_jet(Jet(v, (d,)))
+                push_val(v)
+                push_der(d)
         except (OverflowError, NonFiniteError):
             # OverflowError from math.exp and float powers; NonFiniteError
             # from the Jet constructor.  Operands are already built, so
             # this instruction's operation is the one at fault.
             raise ExprDomainError(f"result out of floating-point range at t = {t:.6g}",
                                   pos) from None
-        return [vals[i] for i in self.outputs]
+        return [jets[i] for i in self.outputs]
 
 
 def compile_exprs(trees) -> Program:
@@ -333,7 +383,7 @@ def compile_exprs(trees) -> Program:
                 key = ("bin", e.op, x, y)
             elif kind is Num:
                 v = e.value
-                op, fn, x, y = "const", None, v, None
+                op, fn, x, y = "const", None, float(v), None
                 key = ("const", v.hex() if isinstance(v, float) else v)
             elif kind is Var:
                 op, fn, x, y = "var", None, None, None
@@ -344,7 +394,7 @@ def compile_exprs(trees) -> Program:
             else:
                 x, y = done.pop(), None
                 op = "call1"
-                fn = Jet.__neg__ if kind is Neg else _UNARY[e.func]
+                fn = _neg if kind is Neg else _UNARY[e.func]
                 key = ("neg", x) if kind is Neg else ("call", e.func, x)
             i = index.get(key)
             if i is None:

@@ -35,6 +35,7 @@ from .errors import (
     FieldMismatchError,
     NonFiniteError,
     ScenarioError,
+    SingularMatrixError,
     SpanError,
 )
 from .jets import (
@@ -264,8 +265,9 @@ def rho_matrix(model: GroupModel, g: MatrixField) -> dict:
     vectors transform by left multiplication.  Only the value part of
     g enters; coefficients of one-forms are plain reals.  Points are
     taken in ``ordered_points`` order: the first one whose conjugation
-    leaves the span raises SpanError, and an exactly singular element
-    raises numpy's LinAlgError, as ``np.linalg.inv`` does.
+    leaves the span raises SpanError, and the first exactly singular
+    element, when no earlier point left the span, raises
+    SingularMatrixError naming its point.
     """
     pts, coeff = _rho_stack(model, g)
     return dict(zip(pts, coeff.swapaxes(1, 2)))
@@ -283,16 +285,21 @@ def _rho_stack(model: GroupModel, g: MatrixField) -> tuple[list, np.ndarray]:
     images = np.einsum("pij,mjk,pkl->pmil", v[:stop], model.lie_basis, vi)
     coeff = model.span_coeffs(images, pts, "adjoint action")
     if stop < len(pts):
-        raise np.linalg.LinAlgError("Singular matrix")
+        raise _singular(pts[stop])
     return pts, coeff
+
+
+def _singular(p) -> SingularMatrixError:
+    return SingularMatrixError(f"group element not invertible at {p!r}", point=p)
 
 
 def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
     """Logarithmic differential g^-1 dg as a Lie-algebra valued one-form.
 
-    Points are taken in ``ordered_points`` order; the first one that is
-    not invertible or whose differential leaves the span raises
-    SpanError.
+    Points are taken in ``ordered_points`` order: the first one whose
+    differential leaves the span raises SpanError, and the first one
+    whose determinant is below ``DET_FLOOR``, when no earlier point left
+    the span, raises SingularMatrixError naming its point.
     """
     pts = g.ordered_points()
     c = gather(g, pts)
@@ -302,7 +309,7 @@ def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
     coeff = model.span_coeffs(np.einsum("pij,pkjl->pkil", vi, grad[:stop]), pts,
                               "logarithmic differential")
     if stop < len(pts):
-        raise SpanError(f"group element not invertible at {pts[stop]!r}", point=pts[stop])
+        raise _singular(pts[stop])
     return LieValuedOneForm.from_stack(g.region, pts, coeff)
 
 

@@ -38,12 +38,17 @@ A ``Jet`` stores its value as a float and its gradient as a tuple of
 Python floats, ``grad_tuple``.  Its operators read and build these
 tuples directly: IEEE arithmetic gives the bits numpy would, an overflow
 becomes inf without numpy's RuntimeWarning, and the constructor rejects
-it.  Nothing on the hot path (expression nodes, the scalar field
-algebra, chart transport) treats a single jet's gradient as an array,
-so ``Jet.gradient``, the read-only float64 array of the same numbers, is
-built only when someone reads it; the first read caches it, and later
-reads return the same object.  Code that stacks jet gradients over
-points stacks the tuples.
+it.  A gradient that is already a non-empty tuple of exact ``float``
+items, as the operators and ``expr.Program`` hand over, is stored as
+given; any other gradient (a list, an array, numpy scalars, ints, bools,
+float subclasses) is converted item by item, and the value always goes
+through ``float``.  The emptiness and finiteness checks run on every
+input, so every jet is checked once, at construction.  Nothing on the
+hot path (expression nodes, the scalar field algebra, chart transport)
+treats a single jet's gradient as an array, so ``Jet.gradient``, the
+read-only float64 array of the same numbers, is built only when someone
+reads it; the first read caches it, and later reads return the same
+object.  Code that stacks jet gradients over points stacks the tuples.
 """
 
 from __future__ import annotations
@@ -78,26 +83,38 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
+# The item types of a gradient the Jet constructor stores as given.
+_FLOAT_ONLY = frozenset((float,))
+
+
+def _float_tuple(gradient) -> tuple:
+    """A jet gradient as a tuple of Python floats; () when it is not a
+    vector, which the constructor rejects."""
+    if isinstance(gradient, (tuple, list)):
+        try:
+            return tuple(map(float, gradient))
+        except (TypeError, ValueError, OverflowError):
+            pass  # nested or non-numeric: numpy says what is wrong
+    a = np.array(gradient, dtype=float, ndmin=1)
+    return tuple(a.tolist()) if a.ndim == 1 else ()
+
+
 class Jet:
     """Value and first derivative of a scalar at one sample point.
 
     The gradient is held as a tuple of Python floats (``grad_tuple``);
     ``gradient`` is the same numbers as a read-only float64 array, built
-    on first access and cached.
+    on first access and cached.  A non-empty tuple of exact floats is
+    kept as given, anything else is converted; either way the
+    constructor rejects an empty gradient and a non-finite component.
     """
 
     __slots__ = ("value", "grad_tuple", "_gradient")
 
     def __init__(self, value: float, gradient):
-        g = None
-        if isinstance(gradient, (tuple, list)):
-            try:
-                g = tuple(map(float, gradient))
-            except (TypeError, ValueError, OverflowError):
-                pass  # nested or non-numeric: numpy says what is wrong
-        if g is None:
-            a = np.array(gradient, dtype=float, ndmin=1)
-            g = tuple(a.tolist()) if a.ndim == 1 else ()  # () is rejected next
+        g = gradient
+        if not (type(g) is tuple and g and _FLOAT_ONLY.issuperset(map(type, g))):
+            g = _float_tuple(gradient)
         if not g:
             raise DimensionMismatchError("jet gradient must be a nonempty vector")
         v = float(value)
@@ -135,25 +152,25 @@ class Jet:
 
     def _scaled(self, value: float, c: float) -> "Jet":
         """The jet (value, c * gradient)."""
-        return Jet(value, [c * x for x in self.grad_tuple])
+        return Jet(value, tuple([c * x for x in self.grad_tuple]))
 
     def __add__(self, other):
         o = self._coerce(other)
         return Jet(self.value + o.value,
-                   [x + y for x, y in zip(self.grad_tuple, o.grad_tuple)])
+                   tuple([x + y for x, y in zip(self.grad_tuple, o.grad_tuple)]))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
         return Jet(self.value - o.value,
-                   [x - y for x, y in zip(self.grad_tuple, o.grad_tuple)])
+                   tuple([x - y for x, y in zip(self.grad_tuple, o.grad_tuple)]))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return Jet(-self.value, [-x for x in self.grad_tuple])
+        return Jet(-self.value, tuple([-x for x in self.grad_tuple]))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -173,8 +190,8 @@ class Jet:
         if q == 0.0:
             # every gradient entry would be x / 0: infinite or NaN
             raise NonFiniteError("jet components must be finite")
-        return Jet(v, [(x * b - a * y) / q
-                       for x, y in zip(self.grad_tuple, o.grad_tuple)])
+        return Jet(v, tuple([(x * b - a * y) / q
+                             for x, y in zip(self.grad_tuple, o.grad_tuple)]))
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -219,7 +236,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     if len(a.grad_tuple) != len(b.grad_tuple):
         raise DimensionMismatchError(f"jet dims differ: {a.dim} vs {b.dim}")
     u, v = a.value, b.value
-    return Jet(u * v, [u * y + v * x for x, y in zip(a.grad_tuple, b.grad_tuple)])
+    return Jet(u * v, tuple([u * y + v * x for x, y in zip(a.grad_tuple, b.grad_tuple)]))
 
 
 class JetMatrix:
@@ -503,7 +520,7 @@ class ScalarField(_JetField):
 
     @staticmethod
     def _entries(coeffs: np.ndarray) -> list:
-        return [Jet(r[0], r[1:]) for r in coeffs.tolist()]
+        return [Jet(r[0], tuple(r[1:])) for r in coeffs.tolist()]
 
 
 class _Matrices:

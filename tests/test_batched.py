@@ -244,7 +244,7 @@ def test_mc_names_first_point_in_sorted_order():
     model = gl_model(2)
     g = random_field(_rng(2, 1), 2, 1, points=[9, 10, 2])
     zero = JetMatrix(np.zeros((2, 2)), np.zeros((1, 2, 2)))
-    with pytest.raises(SpanError, match="not invertible at 10") as exc:
+    with pytest.raises(SingularMatrixError, match="not invertible at 10") as exc:
         mc(model, _with(g, {9: zero, 10: zero}))
     assert exc.value.point == 10
 
@@ -257,7 +257,7 @@ def test_mc_span_failure_before_det_failure_wins():
     with pytest.raises(SpanError, match="logarithmic differential") as exc:
         mc(model, g)
     assert exc.value.point == 0
-    with pytest.raises(SpanError, match="not invertible") as exc:
+    with pytest.raises(SingularMatrixError, match="not invertible") as exc:
         mc(model, MatrixField("a", 2, 2, {0: zero, 1: off}))
     assert exc.value.point == 0
 
@@ -269,8 +269,9 @@ def test_rho_matrix_span_failure_before_singular_point_wins():
     with pytest.raises(SpanError) as exc:
         rho_matrix(model, MatrixField("a", 2, 2, {1: zero, 0: stretch}))
     assert exc.value.point == 0
-    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+    with pytest.raises(SingularMatrixError, match="not invertible at 0") as exc:
         rho_matrix(model, MatrixField("a", 2, 2, {0: zero, 1: stretch}))
+    assert exc.value.point == 0
 
 
 def test_group_mul_names_first_point_in_sorted_order():

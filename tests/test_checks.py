@@ -291,3 +291,38 @@ class TestOneHomePerRule:
                    if isinstance(fn, ast.FunctionDef) and fn.name == "gauge_form"]
         assert len(calls) == 1
         assert calls[0][0] == "groups.py" and home.lineno <= calls[0][1] <= home.end_lineno
+
+
+class TestEveryJetIsValidated:
+    """A ``Jet`` is made only by its validating constructor: the slot
+    setters are read only inside ``Jet.__init__``, taken from the slots
+    once, and nothing calls ``__new__`` on ``Jet``."""
+
+    SETTERS = {"_set_jet_value": "value", "_set_jet_grad_tuple": "grad_tuple"}
+
+    def test_slot_setters_are_used_only_in_the_constructor(self):
+        (jet,) = [cls for cls in parsed(Path(sheafgauge.jets.__file__)).body
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Jet"]
+        (init,) = [fn for fn in jet.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"]
+        reads = [(path.name, node.lineno) for path in SOURCES
+                 for node in ast.walk(parsed(path)) if isinstance(node, ast.Name)
+                 and node.id in self.SETTERS and isinstance(node.ctx, ast.Load)]
+        assert len(reads) == len(self.SETTERS)
+        assert all(name == "jets.py" and init.lineno <= line <= init.end_lineno
+                   for name, line in reads), reads
+
+    def test_slot_setters_are_taken_once(self):
+        taken = [node.value.attr for path in SOURCES for node in ast.walk(parsed(path))
+                 if isinstance(node, ast.Attribute) and node.attr == "__set__"
+                 and isinstance(node.value, ast.Attribute)
+                 and getattr(node.value.value, "id", None) == "Jet"]
+        assert sorted(taken) == sorted(["_gradient", *self.SETTERS.values()])
+
+    def test_nothing_calls_new_on_jet(self):
+        calls = [(path.name, node.lineno) for path in SOURCES
+                 for node in ast.walk(parsed(path)) if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "__new__"
+                 and any(isinstance(n, ast.Name) and n.id == "Jet"
+                         for part in (node.func, *node.args) for n in ast.walk(part))]
+        assert calls == []
