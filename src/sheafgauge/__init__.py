@@ -40,27 +40,19 @@ from .jets import (
     ScalarField,
     constant_matrix_field,
     d_field,
-    field_add,
-    field_mul,
     field_residual,
     identity_matrix_field,
     jet_mul,
-    mat_add,
-    mat_d,
     mat_inv,
     mat_mul,
     mat_scale,
-    mat_transpose,
     point_order,
 )
 from .cover import (
-    Region,
     SampledCover,
     arc_range,
     circle_cover,
     glue,
-    overlap,
-    restrict,
     transport_field,
     transport_form,
 )
@@ -87,7 +79,6 @@ from .principal import (
     check_cocycle,
     check_connection,
     complete_connection,
-    evaluate_connection,
     section_transition,
 )
 from .associated import (
@@ -102,7 +93,6 @@ from .associated import (
     push_cocycle,
     quotient_reduce,
     rep_by_name,
-    section_add,
     section_smul,
     section_to_tensorial,
     so2_in_gl2,
@@ -113,7 +103,6 @@ from .vconn import (
     check_frame_roundtrip,
     check_leibniz_koszul,
     check_nabla_agreement,
-    frame_section,
     frame_sheaf,
     induce_connection,
     nabla_apply,
@@ -127,7 +116,6 @@ from .catalog import (
     random_principal_section,
     random_scalar_field,
     random_section,
-    random_vector_data,
     stable_seed,
 )
 from .scenario import (

@@ -42,7 +42,6 @@ from .jets import (
     MatrixField,
     ScalarField,
     diff_rows,
-    mat_add,
     mat_inv,
     mat_mul,
     mat_scale,
@@ -274,16 +273,6 @@ def check_components(E: PrincipalSheafData,
 def _demand_compatible(E, comps, what):
     return check_components(E, comps).require(
         EquivarianceError, f"{what} violates the transition law")
-
-
-def section_add(E: PrincipalSheafData, s: AssociatedSection,
-                t: AssociatedSection) -> AssociatedSection:
-    _demand_compatible(E, s.components, "left summand")
-    _demand_compatible(E, t.components, "right summand")
-    if set(s.components) != set(t.components):
-        raise FieldMismatchError("sections have different chart families")
-    out = {a: mat_add(s.components[a], t.components[a]) for a in s.components}
-    return AssociatedSection(out)
 
 
 def section_smul(E: PrincipalSheafData, a: ScalarField,

@@ -21,7 +21,8 @@ from .errors import DimensionMismatchError, MissingEntryError, ScenarioError
 # that holds it, and its self-test looks for it in this one.
 from .expr import compile_exprs, eval_expr, parse_expr  # noqa: F401
 from .groups import GroupModel
-from .jets import Jet, JetMatrix, MatrixField, ScalarField, jet_stack, point_order
+from .jets import (Jet, JetMatrix, MatrixField, ScalarField, _leibniz_matmul, jet_stack,
+                   point_order)
 from .principal import PrincipalSectionLocal, PrincipalSheafData
 
 
@@ -142,24 +143,17 @@ def random_scalar_field(region: str, points, dim: int,
     return ScalarField(region, data)
 
 
-def random_vector_data(points, n: int, dim: int,
-                       rng: np.random.Generator) -> dict:
-    out = {}
-    for p in point_order(points):
-        out[p] = JetMatrix(rng.uniform(-1.0, 1.0, size=(n, 1)),
-                           rng.uniform(-1.0, 1.0, size=(dim, n, 1)))
-    return out
-
-
 def random_section(E: PrincipalSheafData, rng: np.random.Generator) -> AssociatedSection:
     """A random compatible section of a vector sheaf, given as its GL(n)
     frame data.
 
     Works point by point: among the charts containing a point, free
     data is drawn on the first one and carried to the others along a
-    spanning tree of the transition entries at that point.  Validity of
-    the cocycle makes the remaining overlap relations hold to the same
-    accuracy as the cocycle identities themselves.
+    spanning tree of the transition entries at that point, v_b = g_ba v_a
+    with v_a's gradient first rewritten in chart b's coordinates, as
+    ``transport_field`` does.  Validity of the cocycle makes the
+    remaining overlap relations hold to the same accuracy as the cocycle
+    identities themselves.
     """
     cover = E.cover
     ids = cover.region_ids()
@@ -169,9 +163,9 @@ def random_section(E: PrincipalSheafData, rng: np.random.Generator) -> Associate
         charts = [r for r in ids if p in cover.regions[r]]
         base = charts[0]
         dim = cover.dim(base)
-        free = JetMatrix(rng.uniform(-1.0, 1.0, size=(n, 1)),
-                         rng.uniform(-1.0, 1.0, size=(dim, n, 1)))
-        values = {base: free}
+        # (value, gradient in the chart's own coordinates) per chart
+        values = {base: (rng.uniform(-1.0, 1.0, size=(n, 1)),
+                         rng.uniform(-1.0, 1.0, size=(dim, n, 1)))}
         frontier = [base]
         while frontier:
             a = frontier.pop(0)
@@ -184,10 +178,12 @@ def random_section(E: PrincipalSheafData, rng: np.random.Generator) -> Associate
                     continue
                 if p not in gba.points:
                     continue
-                values[b] = gba.data[p].matmul(values[a])
+                m, (v, g) = gba.data[p], values[a]
+                g = np.einsum("il,ikj->lkj", cover.jacobian(a, b, p), g)
+                values[b] = _leibniz_matmul(m.value, m.grad, v, g)
                 frontier.append(b)
-        for rid, jm in values.items():
-            per_chart[rid][p] = jm
+        for rid, (v, g) in values.items():
+            per_chart[rid][p] = JetMatrix(v, g)
     comps = {rid: MatrixField(rid, n, 1, data)
              for rid, data in per_chart.items() if data}
     return AssociatedSection(comps)

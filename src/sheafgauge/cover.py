@@ -15,7 +15,6 @@ chart change (both are coefficients of differentials), which is why
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,15 +32,6 @@ JACOBIAN_TOL = 1e-12
 # An overlap Jacobian whose determinant is smaller in magnitude is singular.
 JACOBIAN_DET_FLOOR = 1e-12
 TAU_GLUE = 1e-9
-
-
-@dataclass(frozen=True)
-class Region:
-    name: str
-    points: frozenset
-
-    def __len__(self):
-        return len(self.points)
 
 
 class SampledCover:
@@ -148,11 +138,6 @@ class SampledCover:
         if fails:
             raise CoverError(min(fails)[1])
 
-    def region(self, rid: str) -> Region:
-        if rid not in self.regions:
-            raise UnknownRegionError(f"unknown region {rid!r}")
-        return Region(rid, self.regions[rid])
-
     def region_ids(self) -> list[str]:
         return sorted(self.regions)
 
@@ -192,16 +177,6 @@ class SampledCover:
                 if self.overlap_points(a, b):
                     out.append((a, b))
         return out
-
-
-def overlap(cover: SampledCover, a: str, b: str) -> Region:
-    return Region(f"{a}&{b}", cover.overlap_points(a, b))
-
-
-def restrict(f: _StackedField, r) -> _StackedField:
-    """Restrict a field to a sub-point-set (Region or iterable of points)."""
-    pts = r.points if isinstance(r, Region) else frozenset(r)
-    return f.restrict(pts)
 
 
 def glue(pieces: Mapping[str, _StackedField]) -> _StackedField:

@@ -160,10 +160,6 @@ class GroupModel:
                 f"(residual {res[bad]:.3e})", point=points[bad], residual=float(res[bad]))
         return coeff
 
-    def combine(self, coeff: np.ndarray) -> np.ndarray:
-        """Matrix with the given Lie-basis coefficients."""
-        return np.einsum("k,kab->ab", np.asarray(coeff, dtype=float), self.lie_basis)
-
     def unit_field(self, region: str, points, dim: int) -> MatrixField:
         return identity_matrix_field(region, points, self.ambient, dim)
 

@@ -25,8 +25,9 @@ through the validating constructor.  Each point's arithmetic is the
 one-point computation, so the numbers equal those of ``JetMatrix.matmul``
 and ``JetMatrix.inv`` bit for bit (``tests/test_batched.py`` holds them
 to it).  A check that fails reports the first failing point in the order
-the operation documents.  The module action of a jet on a one-form uses
-the jet's value.
+the operation documents.  The field operations are ``d_field`` on scalar
+fields and ``mat_mul``, ``mat_inv`` and ``mat_scale`` on matrix fields;
+products of single jets are ``jet_mul`` and ``JetMatrix.matmul``.
 
 All field objects are immutable: no attribute can be set or deleted,
 operations return new fields, and the backing arrays and mappings are
@@ -239,6 +240,13 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return Jet(u * v, tuple([u * y + v * x for x, y in zip(a.grad_tuple, b.grad_tuple)]))
 
 
+def _leibniz_matmul(va: np.ndarray, ga: np.ndarray, vb: np.ndarray,
+                    gb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and gradient of the product of two matrices of jets at one
+    point, given as values (r, c) and gradients (dim, r, c)."""
+    return va @ vb, np.einsum("kij,jl->kil", ga, vb) + np.einsum("ij,kjl->kil", va, gb)
+
+
 class JetMatrix:
     """A matrix of jets at one point: value (r, c) and gradient (dim, r, c)."""
 
@@ -303,10 +311,7 @@ class JetMatrix:
     def matmul(self, other: "JetMatrix") -> "JetMatrix":
         if self.cols != other.rows or self.dim != other.dim:
             raise DimensionMismatchError("JetMatrix product shape mismatch")
-        v = self.value @ other.value
-        g = (np.einsum("kij,jl->kil", self.grad, other.value)
-             + np.einsum("ij,kjl->kil", self.value, other.grad))
-        return JetMatrix(v, g)
+        return JetMatrix(*_leibniz_matmul(self.value, self.grad, other.value, other.grad))
 
     def scale(self, s) -> "JetMatrix":
         """Multiply by a scalar jet (Leibniz) or a plain number."""
@@ -331,9 +336,6 @@ class JetMatrix:
         vi = np.linalg.inv(self.value)
         g = -np.einsum("ij,kjl,lm->kim", vi, self.grad, vi)
         return JetMatrix(vi, g)
-
-    def transpose(self) -> "JetMatrix":
-        return JetMatrix(self.value.T, np.transpose(self.grad, (0, 2, 1)))
 
     def max_abs_diff(self, other: "JetMatrix") -> float:
         if self.value.shape != other.value.shape or self.dim != other.dim:
@@ -627,16 +629,6 @@ def jet_stack(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 # -- scalar field algebra ---------------------------------------------------
 
-def field_mul(s: ScalarField, t: ScalarField) -> ScalarField:
-    _require_aligned(s, t)
-    return ScalarField(s.region, {p: jet_mul(s.data[p], t.data[p]) for p in s.data})
-
-
-def field_add(s: ScalarField, t: ScalarField) -> ScalarField:
-    _require_aligned(s, t)
-    return ScalarField(s.region, {p: s.data[p] + t.data[p] for p in s.data})
-
-
 def d_field(f: ScalarField) -> OneForm:
     """Exterior derivative: reads off each jet's gradient as coefficients."""
     pts = f.ordered_points()
@@ -660,14 +652,6 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     return a._like(a.region, jet_stack(va @ vb, grad))
 
 
-def mat_add(a: MatrixField, b: MatrixField) -> MatrixField:
-    _require_aligned(a, b)
-    cb = gather(b, list(a.data))
-    if len(a) and cb.shape != a.coeffs.shape:
-        raise DimensionMismatchError(a.MISMATCH_MESSAGE)
-    return a._like(a.region, a.coeffs + cb)
-
-
 def mat_inv(a: MatrixField) -> MatrixField:
     """Pointwise inverse; the first point in dict order whose determinant
     lies below ``DET_FLOOR`` raises SingularMatrixError."""
@@ -686,16 +670,6 @@ def mat_inv(a: MatrixField) -> MatrixField:
             f"determinant {float(det[stop]):.3e} below floor {DET_FLOOR:.1e} "
             f"at point {p}", point=p)
     return out
-
-
-def mat_d(a: MatrixField) -> MatrixOneForm:
-    """Entrywise derivative of a matrix of jets."""
-    pts = a.ordered_points()
-    return MatrixOneForm.from_stack(a.region, pts, gather(a, pts)[:, 1:])
-
-
-def mat_transpose(a: MatrixField) -> MatrixField:
-    return a._like(a.region, a.coeffs.swapaxes(2, 3))
 
 
 def mat_scale(a: MatrixField, s) -> MatrixField:

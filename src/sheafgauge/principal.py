@@ -341,14 +341,3 @@ def _propagate(P: PrincipalSheafData, a: str, b: str,
             f"cannot determine the form on {b!r} at {miss}: transition entry "
             f"({a!r}, {b!r}) or parent data not available there")
     return gauge_form(P.group, gab.restrict(pts), wa.restrict(pts), b)
-
-
-def evaluate_connection(P: PrincipalSheafData, D: PrincipalConnection,
-                        s: PrincipalSectionLocal) -> LieValuedOneForm:
-    """Value of the connection on a local section.
-
-    For s = (natural section of chart a) . g this is
-    gauge_form(g, w_a) over the section's domain.
-    """
-    return gauge_form(P.group, s.factor, D.form(s.chart).restrict(s.points),
-                      s.factor.region)

@@ -10,10 +10,14 @@ reads as an n x n matrix one-form row by row.  The paper's eq10,
 on overlaps, is eq7 for the group GL(n), so ``principal.check_connection``
 verifies both laws.
 
-``induce_connection`` transports a principal connection through a
-representation by applying phibar to each chart form coefficientwise.
-``pull_back_connection`` inverts that when phibar is injective, using
-its pseudo-inverse and insisting the forms actually lie in the image.
+``induce_connection`` checks that the representation is of Lie type on
+the transition entries and that the connection obeys eq7, then applies
+phibar to each chart form coefficientwise; ``check_frame_roundtrip``
+checks the connection itself and applies phibar through the same
+private step.  ``pull_back_connection`` inverts that when phibar is
+injective, using its pseudo-inverse and insisting the forms actually
+lie in the image.
+
 ``nabla_apply`` is the covariant derivative on section components,
 d(v_i) + sum_j v_j theta_ij per chart, which satisfies the Leibniz rule
 checked by ``check_leibniz_koszul``.
@@ -32,23 +36,9 @@ from .associated import (
     _demand_compatible,
 )
 from .cover import TAU_GLUE, transport_form
-from .errors import (
-    FieldMismatchError,
-    MissingEntryError,
-    PreconditionError,
-    PullbackImageError,
-)
+from .errors import PreconditionError, PullbackImageError
 from .groups import LieValuedOneForm
-from .jets import (
-    JetMatrix,
-    MatrixOneForm,
-    ScalarField,
-    constant_matrix_field,
-    diff_rows,
-    first_true,
-    gather,
-    max_diff_rows,
-)
+from .jets import MatrixOneForm, ScalarField, diff_rows, first_true, gather, max_diff_rows
 from .principal import (
     PrincipalConnection,
     PrincipalSheafData,
@@ -62,7 +52,7 @@ IMAGE_TOL = 1e-9
 
 
 def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
-                      D: PrincipalConnection, verify: bool = True) -> PrincipalConnection:
+                      D: PrincipalConnection) -> PrincipalConnection:
     """Push a principal connection through a representation.
 
     The result is the induced connection on E = ``push_cocycle(P, R)``:
@@ -72,13 +62,17 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
     its own transition law; the induced family then satisfies eq10
     automatically.
     """
-    if verify:
-        entries = [f for (a, b), f in sorted(P.cocycle.items())
-                   if a != b and len(f)]
-        for r in check_lie_type(R, entries).values():
-            r.require(PreconditionError, "representation fails the compatibility conditions")
-        check_connection(P, D).require(PreconditionError,
-                                       "principal connection fails its transition law")
+    entries = [f for (a, b), f in sorted(P.cocycle.items())
+               if a != b and len(f)]
+    for r in check_lie_type(R, entries).values():
+        r.require(PreconditionError, "representation fails the compatibility conditions")
+    check_connection(P, D).require(PreconditionError,
+                                   "principal connection fails its transition law")
+    return _apply_phibar(R, D)
+
+
+def _apply_phibar(R: RepresentationModel, D: PrincipalConnection) -> PrincipalConnection:
+    """D's chart coefficients times phibar, unchecked."""
     forms = {}
     for chart, w in D.forms.items():
         # an empty form may not know its rank; its image holds no coefficients
@@ -188,37 +182,6 @@ def frame_sheaf(E: PrincipalSheafData) -> tuple[PrincipalSheafData, Representati
     return E, trivial_rep(E.group.ambient)
 
 
-def frame_section(E: PrincipalSheafData, chart: str, j: int) -> AssociatedSection:
-    """The j-th natural frame section over a chart.
-
-    Its own-chart component is the constant j-th basis column; on every
-    other chart the component is the cocycle column, cut to that
-    chart's region (extended entries carry it past the overlap).  The
-    extensions of different charts need not agree away from the home
-    chart: a twisted cocycle shows its monodromy there.
-    """
-    n = E.group.ambient
-    if not 0 <= j < n:
-        raise FieldMismatchError(f"frame index {j} out of range")
-    ej = np.zeros((n, 1))
-    ej[j, 0] = 1.0
-    comps = {chart: constant_matrix_field(chart, E.cover.regions[chart], ej,
-                                          E.cover.dim(chart))}
-    for b in E.cover.region_ids():
-        if b == chart:
-            continue
-        try:
-            gba = E.extended_entry(b, chart)
-        except MissingEntryError:
-            continue
-        pts = gba.points & E.cover.regions[b]
-        if not pts:
-            continue
-        comps[b] = gba.restrict(pts).map_entries(
-            lambda p, m: m.matmul(JetMatrix.constant(ej, m.dim)), rows=n, cols=1)
-    return AssociatedSection(comps)
-
-
 def check_frame_roundtrip(E: PrincipalSheafData, nab: PrincipalConnection) -> CheckResult:
     """Round trip through the frame presentation.
 
@@ -229,8 +192,8 @@ def check_frame_roundtrip(E: PrincipalSheafData, nab: PrincipalConnection) -> Ch
     """
     check_connection(E, nab).require(PreconditionError,
                                      "vector connection fails its transition law")
-    P, R = frame_sheaf(E)
-    back = induce_connection(P, R, nab, verify=False)
+    _, R = frame_sheaf(E)
+    back = _apply_phibar(R, nab)
     pairs = []
     for c in sorted(nab.forms):
         order = nab.forms[c].ordered_points()

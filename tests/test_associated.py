@@ -12,6 +12,8 @@ from sheafgauge import (
     JetMatrix,
     MatrixField,
     PrincipalSectionLocal,
+    PrincipalSheafData,
+    SampledCover,
     ScalarField,
     TensorialMorphismData,
     catalog_elements,
@@ -20,8 +22,10 @@ from sheafgauge import (
     check_lie_type,
     check_representation,
     evaluate_tensorial,
+    gl_model,
     gl1_diag_powers,
     group_mul,
+    jet_mul,
     mat_inv,
     mat_mul,
     quotient_reduce,
@@ -29,9 +33,7 @@ from sheafgauge import (
     random_principal_section,
     random_scalar_field,
     random_section,
-    random_vector_data,
     rep_by_name,
-    section_add,
     section_smul,
     section_to_tensorial,
     section_transition,
@@ -40,6 +42,7 @@ from sheafgauge import (
     trivial_rep,
 )
 from sheafgauge.associated import push_cocycle
+from sheafgauge.cover import TAU_GLUE
 from sheafgauge.errors import ScenarioError
 
 REPS = {
@@ -145,24 +148,22 @@ class TestPushCocycle:
 
 
 class TestQuotientReduce:
-    def vector_data(self, P, R, chart, rng):
-        pts = P.cover.regions[chart]
-        data = random_vector_data(pts, R.n, P.cover.dim(chart), rng)
-        return MatrixField(chart, R.n, 1, data)
+    """The vector data is the alpha component of a random section of E,
+    which lives on the whole of the chart."""
 
     def test_unit_section_keeps_data(self, so2_pipe):
         P, R = so2_pipe.P, so2_pipe.R
         pts = P.cover.regions["alpha"]
         s = PrincipalSectionLocal(
             "alpha", P.group.unit_field("alpha", pts, 1))
-        h = self.vector_data(P, R, "alpha", np.random.default_rng(0))
+        h = random_section(so2_pipe.E, np.random.default_rng(0)).components["alpha"]
         assert field_gap(quotient_reduce(P, R, s, h), h) == 0.0
 
     def test_equivalent_pairs_reduce_alike(self, pipeline):
         P, R = pipeline.P, pipeline.R
         rng = np.random.default_rng(11)
         s = random_principal_section(P, "alpha", rng)
-        h = self.vector_data(P, R, "alpha", rng)
+        h = random_section(pipeline.E, rng).components["alpha"]
         base = quotient_reduce(P, R, s, h)
         for g in catalog_elements(P.group, P.cover, "alpha"):
             moved = PrincipalSectionLocal("alpha", group_mul(s.factor, g))
@@ -177,20 +178,10 @@ class TestQuotientReduce:
             p: JetMatrix(np.eye(2), np.zeros((1, 2, 2))) for p in s.points})
         with pytest.raises(FieldMismatchError):
             quotient_reduce(P, R, s, wide)
-        short = self.vector_data(P, R, "alpha", rng)
+        short = random_section(so2_pipe.E, rng).components["alpha"]
         short = short.restrict(sorted(s.points)[:2])
         with pytest.raises(FieldMismatchError):
             quotient_reduce(P, R, s, short)
-
-
-def zero_section(E):
-    comps = {}
-    for rid in E.cover.region_ids():
-        dim = E.cover.dim(rid)
-        comps[rid] = MatrixField(rid, E.group.ambient, 1, {
-            p: JetMatrix(np.zeros((E.group.ambient, 1)), np.zeros((dim, E.group.ambient, 1)))
-            for p in E.cover.regions[rid]})
-    return AssociatedSection(comps)
 
 
 def ones_field(points):
@@ -198,35 +189,40 @@ def ones_field(points):
 
 
 class TestSectionArithmetic:
-    def test_zero_is_neutral(self, pipeline):
-        E = pipeline.E
-        s = random_section(E, np.random.default_rng(3))
-        out = section_add(E, s, zero_section(E))
-        assert section_gap(out, s) == 0.0
-
     def test_one_is_neutral(self, pipeline):
         E = pipeline.E
         s = random_section(E, np.random.default_rng(4))
         out = section_smul(E, ones_field(E.cover.points), s)
         assert section_gap(out, s) == 0.0
 
-    def test_scalar_distributes_over_add(self, pipeline):
+    def test_zero_scalar_gives_zero_section(self, pipeline):
+        E = pipeline.E
+        s = random_section(E, np.random.default_rng(3))
+        zero = ScalarField("base", {p: Jet(0.0, [0.0]) for p in E.cover.points})
+        out = section_smul(E, zero, s)
+        assert all(not out.components[a].data[p].value.any()
+                   and not out.components[a].data[p].grad.any()
+                   for a in out.components for p in out.components[a].points)
+
+    def test_scalars_act_associatively(self, pipeline):
+        # (a b) s = a (b s), with a b the pointwise jet product
         E = pipeline.E
         rng = np.random.default_rng(5)
         s = random_section(E, rng)
-        t = random_section(E, rng)
         a = random_scalar_field("base", E.cover.points, 1, rng)
-        lhs = section_smul(E, a, section_add(E, s, t))
-        rhs = section_add(E, section_smul(E, a, s), section_smul(E, a, t))
+        b = random_scalar_field("base", E.cover.points, 1, rng)
+        ab = ScalarField("base", {p: jet_mul(a.data[p], b.data[p])
+                                  for p in E.cover.points})
+        lhs = section_smul(E, ab, s)
+        rhs = section_smul(E, a, section_smul(E, b, s))
         assert section_gap(lhs, rhs) <= 1e-14
 
     def test_results_stay_compatible(self, mobius_pipe):
         E = mobius_pipe.E
         rng = np.random.default_rng(6)
         s = random_section(E, rng)
-        t = random_section(E, rng)
         a = random_scalar_field("base", E.cover.points, 1, rng)
-        out = section_add(E, section_smul(E, a, s), t)
+        out = section_smul(E, a, s)
         assert check_components(E, out.components).residual <= 1e-12
 
     def test_incompatible_section_rejected(self, so2_pipe):
@@ -239,7 +235,7 @@ class TestSectionArithmetic:
                                    m.grad))
         broken = AssociatedSection(bad)
         with pytest.raises(EquivarianceError) as exc:
-            section_add(E, broken, s)
+            section_smul(E, ones_field(E.cover.points), broken)
         assert exc.value.residual >= 5e-4
         assert exc.value.point == p0
 
@@ -250,12 +246,46 @@ class TestSectionArithmetic:
         with pytest.raises(FieldMismatchError):
             section_smul(E, partial, s)
 
-    def test_chart_families_must_match(self, so2_pipe):
-        E = so2_pipe.E
-        s = random_section(E, np.random.default_rng(9))
-        t = AssociatedSection({"alpha": s.components["alpha"]})
-        with pytest.raises(FieldMismatchError):
-            section_add(E, s, t)
+
+def scaled_two_chart_cover(k):
+    """Two charts on the same six points; v's coordinate is k times u's,
+    so d(coord u)/d(coord v) = 1/k."""
+    pts = range(6)
+    coords, jac = {}, {}
+    for p in pts:
+        coords[("u", p)], coords[("v", p)] = [p / 5], [k * p / 5]
+        jac[("u", "u", p)] = jac[("v", "v", p)] = [[1.0]]
+        jac[("u", "v", p)], jac[("v", "u", p)] = [[1.0 / k]], [[k]]
+    return SampledCover(pts, {"u": pts, "v": pts}, coords, jac)
+
+
+class TestRandomSection:
+    @pytest.mark.parametrize("k", [2.0, 0.5, -1.0], ids=["double", "half", "flip"])
+    def test_compatible_on_charts_with_different_coordinates(self, k):
+        # g_uv = 1 + t has its gradient in u's coordinate t; a product
+        # that mixed the two charts' gradients missed by about 1
+        cover = scaled_two_chart_cover(k)
+        g = MatrixField("u", 1, 1, {p: JetMatrix([[1 + p / 5]], [[[1.0]]])
+                                    for p in cover.points})
+        E = PrincipalSheafData.from_pairs(cover, gl_model(1), {("u", "v"): g})
+        assert all(r.passed for r in check_cocycle(E).values())
+        s = random_section(E, np.random.default_rng(0))
+        assert set(s.components) == {"u", "v"}
+        assert check_components(E, s.components).residual <= TAU_GLUE
+
+    def test_compatible_for_a_rotation_cocycle_on_scaled_charts(self):
+        # a gl(2) rotation by the angle t of chart u, seen from a chart
+        # whose coordinate is three times u's
+        cover = scaled_two_chart_cover(3.0)
+        rot = {}
+        for p in cover.points:
+            c, sn = np.cos(p / 5), np.sin(p / 5)
+            rot[p] = JetMatrix([[c, -sn], [sn, c]], [[[-sn, -c], [c, -sn]]])
+        g = MatrixField("u", 2, 2, rot)
+        E = PrincipalSheafData.from_pairs(cover, gl_model(2), {("u", "v"): g})
+        assert all(r.passed for r in check_cocycle(E).values())
+        s = random_section(E, np.random.default_rng(1))
+        assert check_components(E, s.components).residual <= TAU_GLUE
 
 
 class TestMobiusOddSection:

@@ -167,6 +167,18 @@ class TestNoThresholdKnobs:
             knobs += [f"{qual}({p})" for p in params if threshold_knob(p)]
         assert knobs == []
 
+    def test_no_function_takes_a_boolean_switch(self):
+        found = package_callables()
+        assert "sheafgauge.vconn.induce_connection" in found
+        switches = []
+        for qual, obj in sorted(found.items()):
+            try:
+                params = inspect.signature(obj).parameters.values()
+            except (TypeError, ValueError):
+                continue
+            switches += [f"{qual}({p.name})" for p in params if type(p.default) is bool]
+        assert switches == []
+
 
 class TestWorst:
     def test_first_of_tied_points_wins(self):
@@ -266,6 +278,53 @@ class TestNoUnusedImports:
             unused += [f"{path.name}: {name}" for name in imported
                        if name not in used and (path.name, name) not in UNUSED_IMPORT_EXEMPT]
         assert unused == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Exported names that nothing in the library or the benchmark uses, each
+# with the reason it stays.
+UNCALLED_EXPORTS = {
+    "ad_action": "the gauge action on algebra-valued fields; the gauge suite of "
+                 "ROADMAP item 6 transforms with it",
+    "quotient_reduce": "the paper's E = P x F^n / G; ROADMAP item 3 routes "
+                       "thm3.roundtrip through it",
+    "check_nabla_agreement": "the induced covariant derivative glues across charts; "
+                             "ROADMAP item 3 makes it the induced.nabla key",
+    "d_field": "the derivation of the jet algebra, through which acceptance "
+               "criterion 01 states the Leibniz rule",
+    "constant_matrix_field": "builds the constant fields that tests feed to the "
+                             "kernels, as identity_matrix_field builds the unit",
+    "to_source": "the inverse of parse_expr, which the parser's round-trip tests use",
+}
+
+
+def references(path: Path, strings: bool = False) -> set:
+    """The names a file reads, each outside the top-level statement that
+    defines it; with ``strings``, also the dotted parts of its string
+    constants, the form in which ``bench/tracing.py`` names what it
+    rebinds."""
+    found = set()
+    for stmt in parsed(path).body:
+        names = set()
+        for node in ast.walk(stmt):
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+            if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(node.value.split("."))
+        found |= names - {getattr(stmt, "name", None)}
+    return found
+
+
+class TestNoTestOnlyApi:
+    def test_every_export_has_a_caller_outside_the_tests(self):
+        used = set().union(*(references(path) for path in SOURCES
+                             if path.name != "__init__.py"))
+        used |= set().union(*(references(path, strings=True)
+                              for path in (ROOT / "bench").glob("*.py")
+                              if not path.name.startswith("test_")))
+        uncalled = [name for name in sheafgauge.__all__
+                    if not inspect.ismodule(getattr(sheafgauge, name)) and name not in used]
+        assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
 
 
 class TestOneHomePerRule:

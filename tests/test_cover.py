@@ -15,8 +15,6 @@ from sheafgauge import (
     arc_range,
     circle_cover,
     glue,
-    overlap,
-    restrict,
     transport_field,
     transport_form,
 )
@@ -67,8 +65,6 @@ class TestCoverConstruction:
 
     def test_unknown_region_lookups(self):
         c = circle_cover(4, {"u": range(4)})
-        with pytest.raises(UnknownRegionError):
-            c.region("nope")
         with pytest.raises(UnknownRegionError):
             c.overlap_points("u", "nope")
         with pytest.raises(UnknownRegionError):
@@ -144,16 +140,16 @@ class TestJacobianValidation:
 
 class TestOverlap:
     def test_self_overlap_is_the_region(self, cover12):
-        assert overlap(cover12, "alpha", "alpha").points == cover12.regions["alpha"]
+        assert cover12.overlap_points("alpha", "alpha") == cover12.regions["alpha"]
 
     def test_disjoint_arcs_empty(self):
         c = circle_cover(12, {"u": arc_range(0, 3, 12), "v": arc_range(6, 9, 12),
                               "w": arc_range(0, 11, 12)})
-        assert overlap(c, "u", "v").points == frozenset()
+        assert c.overlap_points("u", "v") == frozenset()
 
     def test_two_half_arcs_on_twelve_points(self, cover12):
         # enumerated by hand: alpha = 0..7, beta = 6..13 mod 12
-        assert overlap(cover12, "alpha", "beta").points == {0, 1, 6, 7}
+        assert cover12.overlap_points("alpha", "beta") == {0, 1, 6, 7}
 
     def test_overlap_pairs(self, cover12):
         assert cover12.overlap_pairs() == [("alpha", "beta")]
@@ -166,16 +162,16 @@ class TestRestrictGlue:
 
     def test_restrict_full_region_identity(self, cover12):
         f = self.field_on(cover12, "alpha")
-        g = restrict(f, overlap(cover12, "alpha", "alpha"))
+        g = f.restrict(cover12.overlap_points("alpha", "alpha"))
         assert g.points == f.points and g.region == f.region
 
     def test_restrict_to_empty(self, cover12):
         f = self.field_on(cover12, "alpha")
-        assert len(restrict(f, [])) == 0
+        assert len(f.restrict([])) == 0
 
     def test_restrict_preserves_values(self, cover12):
         f = self.field_on(cover12, "alpha")
-        g = restrict(f, [0, 1])
+        g = f.restrict([0, 1])
         assert g.data[1].max_abs_diff(f.data[1]) == 0.0
 
     def test_glue_single_piece(self, cover12):
@@ -187,7 +183,7 @@ class TestRestrictGlue:
         # a global field split along the two charts reassembles exactly
         full = ScalarField("all", {p: Jet(np.sin(p), [np.cos(p)])
                                    for p in cover12.points})
-        pieces = {rid: restrict(full, cover12.regions[rid]).relabel(rid)
+        pieces = {rid: full.restrict(cover12.regions[rid]).relabel(rid)
                   for rid in cover12.region_ids()}
         g = glue(pieces)
         assert g.points == full.points

@@ -19,17 +19,14 @@ from sheafgauge import (
     MatrixOneForm,
     NonFiniteError,
     OneForm,
-    PrincipalConnection,
-    PrincipalSectionLocal,
     SampledCover,
-    evaluate_connection,
+    gauge_form,
     gl_model,
     glue,
     point_order,
     rho_dot_form,
     transport_form,
 )
-from conftest import trivial_principal
 
 POINTS = [11, 2, 0, 10, 1]
 ORDER = [0, 1, 10, 11, 2]           # sorted by string form
@@ -222,12 +219,11 @@ class TestEmpty:
         t = transport_form(kind.build("u", {}), two_chart_cover(), "v")
         assert type(t) is kind.cls and t.region == "v" and len(t) == 0
 
-    def test_connection_kernels_accept_an_empty_form_of_unknown_rank(self, cover12):
+    def test_connection_kernels_accept_an_empty_form_of_unknown_rank(self):
         model = gl_model(2)
         w = LieValuedOneForm("alpha", {})
-        out = rho_dot_form(model, MatrixField("alpha", 2, 2, {}), w)
+        g = MatrixField("alpha", 2, 2, {})
+        out = rho_dot_form(model, g, w)
         assert type(out) is LieValuedOneForm and len(out) == 0 and out.rank is None
-        P = trivial_principal(cover12, model)
-        s = PrincipalSectionLocal("alpha", MatrixField("alpha", 2, 2, {}))
-        value = evaluate_connection(P, PrincipalConnection({"alpha": w}), s)
+        value = gauge_form(model, g, w, "alpha")
         assert type(value) is LieValuedOneForm and len(value) == 0

@@ -84,7 +84,7 @@ class TestGroupModel:
         coeff, res = m.expand([[0.0, -2.5], [2.5, 0.0]])
         assert res <= 1e-14
         assert np.allclose(coeff, [2.5])
-        assert np.allclose(m.combine(coeff), [[0.0, -2.5], [2.5, 0.0]])
+        assert np.allclose(np.tensordot(coeff, m.lie_basis, 1), [[0.0, -2.5], [2.5, 0.0]])
 
     def test_model_by_name(self):
         assert model_by_name("gl(3)").ambient == 3
@@ -312,10 +312,10 @@ class TestRhoDotForm:
         for g in catalog_elements(m, small_cover, "u"):
             out = rho_dot_form(m, g, w)
             a = constant_matrix_field("u", small_cover.regions["u"],
-                                      m.combine(coeff), 1)
+                                      np.tensordot(coeff, m.lie_basis, 1), 1)
             conj = ad_action(m, g, a)
             for p in out.data:
-                assert np.max(np.abs(m.combine(out.data[p][0])
+                assert np.max(np.abs(np.tensordot(out.data[p][0], m.lie_basis, 1)
                                      - conj.data[p].value)) <= 1e-10
 
 

@@ -19,14 +19,11 @@ from sheafgauge import (
     SingularMatrixError,
     constant_matrix_field,
     d_field,
-    field_add,
-    field_mul,
     identity_matrix_field,
     jet_mul,
-    mat_d,
     mat_inv,
     mat_mul,
-    mat_transpose,
+    mat_scale,
     point_order,
 )
 
@@ -128,19 +125,27 @@ class TestScalarFields:
         pts = range(20)
         s = _field("u", {p: (rng.uniform(-2, 2), rng.uniform(-2, 2)) for p in pts})
         t = _field("u", {p: (rng.uniform(-2, 2), rng.uniform(-2, 2)) for p in pts})
-        dst = d_field(field_mul(s, t))
+        dst = d_field(ScalarField("u", {p: jet_mul(s.data[p], t.data[p]) for p in pts}))
         for p in pts:
             want = s.data[p].value * d_field(t).data[p] \
                 + t.data[p].value * d_field(s).data[p]
             assert np.max(np.abs(dst.data[p] - want)) <= 1e-14
 
+    def test_d_commutes_with_restrict(self):
+        rng = np.random.default_rng(8)
+        f = _field("u", {p: (rng.uniform(-2, 2), rng.uniform(-2, 2)) for p in range(6)})
+        sub = [1, 4]
+        left, right = d_field(f.restrict(sub)), d_field(f)
+        assert sorted(left.data) == sub
+        for p in sub:
+            assert np.array_equal(left.data[p], right.data[p])
+
     def test_region_mismatch_rejected(self):
-        s = _field("u", {0: (1.0, 0.0)})
-        t = _field("v", {0: (1.0, 0.0)})
+        a = identity_matrix_field("u", [0], 2, 1)
         with pytest.raises(FieldMismatchError):
-            field_mul(s, t)
+            mat_scale(a, _field("v", {0: (1.0, 0.0)}))
         with pytest.raises(FieldMismatchError):
-            field_add(s, t.relabel("u").restrict([]))
+            mat_scale(a, _field("u", {}))
 
     def test_restrict_outside_domain_rejected(self):
         s = _field("u", {0: (1.0, 0.0)})
@@ -225,34 +230,30 @@ class TestMatrixFields:
             mat_inv(a)
         assert err.value.point == 1
 
-    def test_mat_d_constant_is_zero(self):
-        a = constant_matrix_field("u", [0, 1], np.array([[1.0, 2.0], [3.0, 4.0]]), 1)
-        w = mat_d(a)
-        assert all(np.all(w.data[p] == 0.0) for p in w.data)
+    def test_constant_field_has_zero_gradient(self):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        a = constant_matrix_field("u", [0, 1], m, 2)
+        for p in (0, 1):
+            assert np.array_equal(a.data[p].value, m)
+            assert a.data[p].grad.shape == (2, 2, 2)
+            assert not a.data[p].grad.any()
 
-    def test_mat_d_diag_t(self):
-        a = MatrixField("u", 2, 2, {0: JetMatrix(
-            [[2.0, 0.0], [0.0, 1.0]], [[[1.0, 0.0], [0.0, 0.0]]])})
-        assert np.array_equal(mat_d(a).data[0], [[[1.0, 0.0], [0.0, 0.0]]])
-
-    def test_mat_d_rotation_at_zero(self):
-        r = rotation_field("u", {0: 0.0})
-        assert np.allclose(mat_d(r).data[0], [[[0.0, -1.0], [1.0, 0.0]]], atol=0)
-
-    def test_mat_d_commutes_with_transpose(self):
+    def test_restrict_keeps_value_and_gradient(self):
         r = rotation_field("u", {p: 0.3 * p for p in range(6)})
-        left = mat_d(mat_transpose(r))
-        right = mat_d(r)
-        for p in left.data:
-            assert np.array_equal(left.data[p], np.swapaxes(right.data[p], 1, 2))
-
-    def test_mat_d_commutes_with_restrict(self):
-        r = rotation_field("u", {p: 0.3 * p for p in range(6)})
-        sub = [1, 4]
-        left = mat_d(r.restrict(sub))
-        right = mat_d(r).restrict(sub)
+        sub = [4, 1]
+        left = r.restrict(sub)
+        assert left.points == {1, 4} and left.region == "u"
         for p in sub:
-            assert np.array_equal(left.data[p], right.data[p])
+            assert left.data[p].max_abs_diff(r.data[p]) == 0.0
+
+    def test_scale_by_scalar_field_follows_leibniz(self):
+        # d(s M) = ds M + s dM, checked on the rotation at angle t
+        r = rotation_field("u", {0: 0.7})
+        s = _field("u", {0: (3.0, -2.0)})
+        out = mat_scale(r, s).data[0]
+        m = r.data[0]
+        assert np.array_equal(out.value, 3.0 * m.value)
+        assert np.max(np.abs(out.grad - (-2.0 * m.value + 3.0 * m.grad))) <= 1e-15
 
     def test_shape_mismatch_rejected(self):
         a = identity_matrix_field("u", [0], 2, 1)

@@ -18,7 +18,7 @@ from sheafgauge import (
     check_connection,
     circle_cover,
     complete_connection,
-    evaluate_connection,
+    gauge_form,
     gl1_positive_model,
     gl_model,
     group_mul,
@@ -261,10 +261,13 @@ coeffs = 0
 
 
 class TestEvaluateConnection:
+    """The value of a connection on the local section s = (natural
+    section of its chart) . g is gauge_form(g, w_chart) on s's domain."""
+
     def test_unit_factor_returns_form(self, so2_pipe):
         P, D = so2_pipe.P, so2_pipe.D
         e = P.group.unit_field("alpha", P.cover.regions["alpha"], 1)
-        w = evaluate_connection(P, D, PrincipalSectionLocal("alpha", e))
+        w = gauge_form(P.group, e, D.form("alpha").restrict(e.points), "alpha")
         for p in w.data:
             assert np.array_equal(w.data[p], D.form("alpha").data[p])
 
@@ -277,21 +280,21 @@ class TestEvaluateConnection:
         D = PrincipalConnection(forms)
         rng = np.random.default_rng(3)
         g = random_element(model, cover12, "alpha", rng)
-        w = evaluate_connection(P, D, PrincipalSectionLocal("alpha", g))
+        w = gauge_form(model, g, D.form("alpha").restrict(g.points), "alpha")
         log = mc(model, g)
         for p in w.data:
             assert np.max(np.abs(w.data[p] - log.data[p])) <= 1e-15
 
     def test_gauge_covariance(self, pipeline):
-        # evaluate(s h) = rho(h^-1).evaluate(s) + mc(h)
+        # value(s h) = rho(h^-1).value(s) + mc(h)
         P, D = pipeline.P, pipeline.D
         rng = np.random.default_rng(5)
         chart = P.cover.region_ids()[0]
         s = random_principal_section(P, chart, rng)
         h = random_element(P.group, P.cover, chart, rng)
-        lhs = evaluate_connection(
-            P, D, PrincipalSectionLocal(chart, group_mul(s.factor, h)))
-        base = evaluate_connection(P, D, s)
+        w = D.form(chart).restrict(s.points)
+        lhs = gauge_form(P.group, group_mul(s.factor, h), w, chart)
+        base = gauge_form(P.group, s.factor, w, chart)
         rhs_rot = rho_dot_form(P.group, mat_inv(h), base)
         log = mc(P.group, h)
         for p in lhs.data:
@@ -304,8 +307,9 @@ class TestEvaluateConnection:
         ov = P.cover.overlap_points("alpha", "beta")
         fac = random_element(P.group, P.cover, "alpha", rng).restrict(ov)
         s = PrincipalSectionLocal("alpha", fac)
-        via_alpha = evaluate_connection(P, D, s)
-        via_beta = evaluate_connection(P, D, section_transition(P, s, "beta"))
+        t = section_transition(P, s, "beta")
+        via_alpha = gauge_form(P.group, s.factor, D.form("alpha").restrict(ov), "alpha")
+        via_beta = gauge_form(P.group, t.factor, D.form("beta").restrict(t.points), "beta")
         back = transport_form(via_beta, P.cover, "alpha")
         for p in ov:
             assert np.max(np.abs(via_alpha.data[p] - back.data[p])) <= 1e-9

@@ -20,7 +20,7 @@ from sheafgauge import (
     check_frame_roundtrip,
     check_leibniz_koszul,
     check_nabla_agreement,
-    frame_section,
+    constant_matrix_field,
     frame_sheaf,
     gl_model,
     induce_connection,
@@ -84,7 +84,6 @@ class TestInduce:
         with pytest.raises(PreconditionError) as exc:
             induce_connection(so2_pipe.P, so2_pipe.R, crooked)
         assert exc.value.residual >= 5e-4
-        induce_connection(so2_pipe.P, so2_pipe.R, crooked, verify=False)
 
     def test_law_violation_names_its_point(self, so2_pipe):
         forms = dict(so2_pipe.D.forms)
@@ -103,7 +102,7 @@ class TestInduce:
                              {("a", p): [p / 4] for p in range(4)})
         P = trivial_principal(cover, gl_model(2))
         D = PrincipalConnection({"a": LieValuedOneForm("a", {})})
-        theta = induce_connection(P, trivial_rep(2), D, verify=False).form("a")
+        theta = induce_connection(P, trivial_rep(2), D).form("a")
         assert isinstance(theta, LieValuedOneForm)
         assert theta.coeffs.shape == (0, 0, 2 * 2)
         assert (theta.region, len(theta)) == ("a", 0)
@@ -161,9 +160,14 @@ class TestNablaApply:
         assert all(not w.data[p].any() for w in der.values() for p in w.data)
 
     def test_frame_section_reads_connection_column(self, shear_pipe):
+        # the constant j-th basis column on one chart is a section there
         E, nab = shear_pipe.E, shear_pipe.nab
+        pts = E.cover.regions["alpha"]
         for j in range(E.group.ambient):
-            der = nabla_apply(E, nab, frame_section(E, "alpha", j))
+            ej = np.eye(E.group.ambient)[:, j:j + 1]
+            s = AssociatedSection({"alpha": constant_matrix_field(
+                "alpha", pts, ej, E.cover.dim("alpha"))})
+            der = nabla_apply(E, nab, s)
             th = nab.form("alpha")
             for p in E.cover.regions["alpha"]:
                 assert np.array_equal(der["alpha"].data[p],
@@ -253,23 +257,6 @@ class TestFrame:
             assert all(f.data[p].max_abs_diff(g.data[p]) == 0.0
                        for p in f.points)
 
-    def test_frame_sections_are_compatible(self, so2_pipe, shear_pipe):
-        from sheafgauge import check_components
-        for pipe in (so2_pipe, shear_pipe):
-            for j in range(pipe.E.group.ambient):
-                s = frame_section(pipe.E, "alpha", j)
-                assert check_components(pipe.E, s.components).residual <= 1e-10
-
-    def test_twisted_frame_extension_shows_monodromy(self, mobius_pipe):
-        # extending the alpha frame both ways around the flip cocycle
-        # meets itself with opposite sign on the far overlap
-        from sheafgauge import check_components
-        E = mobius_pipe.E
-        s = frame_section(E, "alpha", 0)
-        r = check_components(E, s.components)
-        assert r.residual == 2.0
-        assert r.worst_point in E.cover.overlap_points("beta", "gamma")
-
     def test_roundtrip_on_induced(self, pipeline):
         r = check_frame_roundtrip(pipeline.E, pipeline.nab)
         assert r.passed and r.residual <= 1e-12
@@ -278,8 +265,3 @@ class TestFrame:
         with pytest.raises(PreconditionError):
             check_frame_roundtrip(shear_pipe.E,
                                   zero_connection(shear_pipe.E))
-
-    def test_frame_index_validated(self, so2_pipe):
-        from sheafgauge import FieldMismatchError
-        with pytest.raises(FieldMismatchError):
-            frame_section(so2_pipe.E, "alpha", 5)
