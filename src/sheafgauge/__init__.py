@@ -103,7 +103,6 @@ from .vconn import (
     check_frame_roundtrip,
     check_leibniz_koszul,
     check_nabla_agreement,
-    frame_sheaf,
     induce_connection,
     nabla_apply,
     pull_back_connection,
@@ -130,7 +129,7 @@ from .scenario import (
     load_scenario,
     parse_scenario,
 )
-from .checks import SUITES, TOLERANCES, run_checks
+from .checks import LAWS, SUITES, TOLERANCES, run_checks
 
 __version__ = "0.1.0"
 

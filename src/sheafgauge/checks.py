@@ -12,35 +12,30 @@ whose entry names are stable, documented keys.  Suites select subsets:
                 cor1.roundtrip  cor2.roundtrip
     all         everything above
 
-Keys are present only when the scenario supplies their inputs: the
-push, liehom.rep.hom, liehom.def1 and roundtrip families need a
-representation, the connection family and the cor keys need a seed
-connection.  A check that raises one of this package's errors is
-reported as an ``error`` entry rather than aborting the batch.  All
-randomness is drawn from generators seeded by the scenario name and the
-check key, so repeated runs produce byte-identical reports.
+Each key is one ``Law`` in ``LAWS``: its suite, the inputs it needs,
+its default threshold and its kernel; a key is present only when the
+scenario supplies what it needs (a representation, a seed connection).
+A check that raises one of this package's errors is reported as an
+``error`` entry rather than aborting the batch.  All randomness is
+drawn from generators seeded by the scenario name and the check key, so
+repeated runs produce byte-identical reports.
 
-Each key passes when its residual is at most ``TOLERANCES[key]``; for a
+A key passes when its residual is at most ``TOLERANCES[key]``; for a
 key a library check function computes, that is the module constant the
 function itself reports (``principal.COCYCLE_TOL``, ``vconn.KOSZUL_TOL``
-and so on).  The push keys run ``principal.check_cocycle`` on the pushed
-data and default to ``associated.PUSH_TOL``; thm3.tensorial, computed
-here, defaults to ``associated.TENSORIAL_TOL``.  A scenario's
-``[tolerances]`` section overrides that threshold per report key and
-changes nothing else; any other key there is a ScenarioError, raised
-before any check runs.  The build steps the checks rest on
-(cover Jacobians, inversion, Lie-basis expansion, connection completion
-and induction, section compatibility, the pull-back image test) read
-fixed module constants: ``cover.JACOBIAN_TOL``,
-``cover.JACOBIAN_DET_FLOOR``, ``jets.DET_FLOOR``, ``groups.SPAN_TOL``,
-``groups.BRACKET_TOL``, ``groups.RANK_TOL``, ``cover.TAU_GLUE``,
-``associated.LIE_TYPE_TOL`` and ``vconn.IMAGE_TOL``.  No function takes
-a threshold as an argument, so each one is decided in one place.
+and so on; the push keys run ``check_cocycle`` on the pushed data under
+``associated.PUSH_TOL``).  A scenario's ``[tolerances]`` section
+overrides that threshold per report key and changes nothing else; any
+other key there is a ScenarioError, raised before any check runs.  The
+build steps the checks rest on (inversion, Lie-basis expansion,
+connection completion and so on) read fixed module constants, listed in
+the README; no function takes a threshold as an argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -93,46 +88,149 @@ from .vconn import (
     pull_back_connection,
 )
 
-# Default pass threshold of every report key, in report order.
-TOLERANCES = {
-    "cocycle.unit": COCYCLE_TOL,
-    "cocycle.inverse": COCYCLE_TOL,
-    "cocycle.triple": COCYCLE_TOL,
-    "push.unit": PUSH_TOL,
-    "push.inverse": PUSH_TOL,
-    "push.triple": PUSH_TOL,
-    "liehom.crossed": LOG_RULE_TOL,
-    "liehom.rep.hom": REP_TOL,
-    "liehom.def1.mc": LIE_TYPE_TOL,
-    "liehom.def1.rho": LIE_TYPE_TOL,
-    "connection.eq7": TAU_GLUE,
-    "induced.eq10": TAU_GLUE,
-    "koszul.eq8": KOSZUL_TOL,
-    "thm3.roundtrip": ROUNDTRIP_TOL,
-    "thm3.tensorial": TENSORIAL_TOL,
-    "cor1.roundtrip": ROUNDTRIP_TOL,
-    "cor2.roundtrip": ROUNDTRIP_TOL,
-}
+
+@dataclass(frozen=True)
+class Law:
+    """One report key.  ``needs`` is a subset of {"representation", "seed"}.
+    ``kernel(build, key)`` returns the unnamed result, drawing from
+    ``build.rng(key)``; it looks library functions up by name when it
+    runs, so a function rebound here (as by a tracer) is the one called."""
+
+    key: str
+    suite: str
+    needs: frozenset
+    tolerance: float
+    kernel: Callable
 
 
-def _keys(*families: str) -> tuple[str, ...]:
-    return tuple(k for k in TOLERANCES if k.split(".")[0] in families)
+class _Build:
+    """What the kernels of one run share; each shared result is built once."""
+
+    def __init__(self, scn: Scenario):
+        self.scn = scn
+        self.cover = build_cover(scn)
+        self.group = build_group(scn)
+        self.P = build_principal(scn, self.cover, self.group)
+        self.R = build_representation(scn, self.group) if scn.representation else None
+        self.E = push_cocycle(self.P, self.R) if self.R is not None else None
+        self.chart0 = self.cover.region_ids()[0]
+        self.seed = None
+        self.shared: dict[str, object] = {}
+
+    def once(self, name: str, build):
+        """An input several keys share, built on first use; a failed
+        build re-raises its error for every key that needs it."""
+        if name not in self.shared:
+            try:
+                self.shared[name] = build()
+            except SheafGaugeError as exc:
+                self.shared[name] = exc
+        if isinstance(self.shared[name], SheafGaugeError):
+            raise self.shared[name]
+        return self.shared[name]
+
+    def rng(self, key: str) -> np.random.Generator:
+        """The generator seeded by the scenario name and ``key``, made on first
+        use (numpy.random adds 6 MB) and continued by later calls."""
+        return self.once(key, lambda: np.random.default_rng(stable_seed(f"{self.scn.name}:{key}")))
+
+    def element(self, key: str):
+        return random_element(self.group, self.cover, self.chart0, self.rng(key))
+
+    def cocycle(self) -> dict[str, CheckResult]:
+        return self.once("cocycle", lambda: check_cocycle(self.P))
+
+    def push(self) -> dict[str, CheckResult]:
+        return self.once("push", lambda: check_cocycle(self.E))
+
+    def lie_type(self) -> dict[str, CheckResult]:
+        def build():
+            elems = [f for (a, b), f in sorted(self.P.cocycle.items()) if a != b and len(f)]
+            elems += catalog_elements(self.group, self.cover, self.chart0)
+            return check_lie_type(self.R, elems + [self.element("liehom.def1")])
+        return self.once("def1", build)
+
+    def connection(self):
+        return self.once("connection", lambda: complete_connection(self.P, self.seed))
+
+    def induced(self):
+        return self.once("induced", lambda: induce_connection(self.P, self.R, self.connection()))
 
 
-# Keys that need the seed connection: its evaluation is part of the build.
-SEED_KEYS = _keys("connection", "induced", "koszul", "cor1", "cor2")
-
-SUITES = {
-    "cocycle": _keys("cocycle", "push"),
-    "liehom": _keys("liehom"),
-    "connection": _keys("connection", "induced", "koszul"),
-    "roundtrip": _keys("thm3", "cor1", "cor2"),
-    "all": tuple(TOLERANCES),
-}
+def _rep_hom(b: _Build, key: str) -> CheckResult:
+    elems = catalog_elements(b.group, b.cover, b.chart0) + [b.element(key)]
+    return check_representation(b.R, list(zip(elems, elems[1:] + elems[:1])))
 
 
-def _rng(scn: Scenario, key: str) -> np.random.Generator:
-    return np.random.default_rng(stable_seed(f"{scn.name}:{key}"))
+def _koszul(b: _Build, key: str) -> CheckResult:
+    a = random_scalar_field("base", b.cover.points, b.cover.dim(b.chart0), b.rng(key))
+    s = random_section(b.E, b.rng(key))
+    return check_leibniz_koszul(b.E, b.induced(), a, s)
+
+
+def _thm3_roundtrip(b: _Build, key: str) -> CheckResult:
+    s = random_section(b.E, b.rng(key))
+    back = tensorial_to_section(b.E, section_to_tensorial(b.E, s))
+    residuals = [field_residual(s.components[c], back.components[c])
+                 for c in sorted(s.components)]
+    return worst("", 0.0, ((p, res) for res, p in residuals))
+
+
+def _thm3_tensorial(b: _Build, key: str) -> CheckResult:
+    s = random_section(b.E, b.rng(key))
+    f = section_to_tensorial(b.E, s)
+    sec = random_principal_section(b.P, b.chart0, b.rng(key))
+    g = b.element(key)
+    moved = PrincipalSectionLocal(b.chart0, group_mul(sec.factor, g))
+    v_in = evaluate_tensorial(b.P, b.R, f, sec)
+    v_out = evaluate_tensorial(b.P, b.R, f, moved)
+    want = mat_mul(b.R.phi(mat_inv(g)), v_in)
+    res, wp = field_residual(v_out, want)
+    return CheckResult("", res, 0.0, wp)
+
+
+def _cor1(b: _Build, key: str) -> CheckResult:
+    D = b.connection()
+    back = pull_back_connection(b.E, b.R, b.induced())
+    pairs = []
+    for c in sorted(D.forms):
+        order = D.forms[c].ordered_points()
+        pairs += zip(order, diff_rows(D.forms[c], back.forms[c], order))
+    return worst("", 0.0, pairs)
+
+
+_ANY, _REP, _SEED = frozenset(), frozenset({"representation"}), frozenset({"seed"})
+
+# Every report key, in report order.
+LAWS = (
+    Law("cocycle.unit", "cocycle", _ANY, COCYCLE_TOL, lambda b, key: b.cocycle()["unit"]),
+    Law("cocycle.inverse", "cocycle", _ANY, COCYCLE_TOL, lambda b, key: b.cocycle()["inverse"]),
+    Law("cocycle.triple", "cocycle", _ANY, COCYCLE_TOL, lambda b, key: b.cocycle()["triple"]),
+    Law("push.unit", "cocycle", _REP, PUSH_TOL, lambda b, key: b.push()["unit"]),
+    Law("push.inverse", "cocycle", _REP, PUSH_TOL, lambda b, key: b.push()["inverse"]),
+    Law("push.triple", "cocycle", _REP, PUSH_TOL, lambda b, key: b.push()["triple"]),
+    Law("liehom.crossed", "liehom", _ANY, LOG_RULE_TOL,
+        lambda b, key: check_logarithmic_rule(b.group, b.element(key), b.element(key))),
+    Law("liehom.rep.hom", "liehom", _REP, REP_TOL, _rep_hom),
+    Law("liehom.def1.mc", "liehom", _REP, LIE_TYPE_TOL, lambda b, key: b.lie_type()["mc"]),
+    Law("liehom.def1.rho", "liehom", _REP, LIE_TYPE_TOL, lambda b, key: b.lie_type()["rho"]),
+    Law("connection.eq7", "connection", _SEED, TAU_GLUE,
+        lambda b, key: check_connection(b.P, b.connection())),
+    Law("induced.eq10", "connection", _REP | _SEED, TAU_GLUE,
+        lambda b, key: check_connection(b.E, b.induced())),
+    Law("koszul.eq8", "connection", _REP | _SEED, KOSZUL_TOL, _koszul),
+    Law("thm3.roundtrip", "roundtrip", _REP, ROUNDTRIP_TOL, _thm3_roundtrip),
+    Law("thm3.tensorial", "roundtrip", _REP, TENSORIAL_TOL, _thm3_tensorial),
+    Law("cor1.roundtrip", "roundtrip", _REP | _SEED, ROUNDTRIP_TOL, _cor1),
+    Law("cor2.roundtrip", "roundtrip", _REP | _SEED, ROUNDTRIP_TOL,
+        lambda b, key: check_frame_roundtrip(b.E, b.induced())),
+)
+
+TOLERANCES = {law.key: law.tolerance for law in LAWS}
+
+SUITES = {suite: tuple(law.key for law in LAWS if law.suite == suite)
+          for suite in dict.fromkeys(law.suite for law in LAWS)}
+SUITES["all"] = tuple(TOLERANCES)
 
 
 def run_checks(scn: Scenario, suite: str = "all") -> Report:
@@ -156,139 +254,22 @@ def run_checks(scn: Scenario, suite: str = "all") -> Report:
             f"[tolerances] takes report keys such as 'connection.eq7', "
             f"not {', '.join(map(repr, unknown))}")
 
-    cover = build_cover(scn)
-    group = build_group(scn)
-    P = build_principal(scn, cover, group)
-    R = build_representation(scn, group) if scn.representation else None
-    E = push_cocycle(P, R) if R is not None else None
-    chart0 = cover.region_ids()[0]
-    shared: dict[str, object] = {}
-
-    def once(name: str, build):
-        """An input several keys share, built on first use; a failed
-        build re-raises its error for every key that needs it."""
-        if name not in shared:
-            try:
-                shared[name] = build()
-            except SheafGaugeError as exc:
-                shared[name] = exc
-        if isinstance(shared[name], SheafGaugeError):
-            raise shared[name]
-        return shared[name]
-
-    def cocycle(part: str) -> CheckResult:
-        return once("cocycle", lambda: check_cocycle(P))[part]
-
-    def push(part: str) -> CheckResult:
-        return once("push", lambda: check_cocycle(E))[part]
-
-    def def1(part: str) -> CheckResult:
-        def build():
-            rng = _rng(scn, "liehom.def1")
-            elems = [f for (a, b), f in sorted(P.cocycle.items())
-                     if a != b and len(f)]
-            elems += catalog_elements(group, cover, chart0)
-            elems.append(random_element(group, cover, chart0, rng))
-            return check_lie_type(R, elems)
-        return once("def1", build)[part]
-
-    def connection():
-        return once("connection", lambda: complete_connection(P, seed))
-
-    def induced():
-        return once("induced", lambda: induce_connection(P, R, connection()))
-
-    def crossed():
-        rng = _rng(scn, "liehom.crossed")
-        s = random_element(group, cover, chart0, rng)
-        t = random_element(group, cover, chart0, rng)
-        return check_logarithmic_rule(group, s, t)
-
-    def rep_hom():
-        rng = _rng(scn, "liehom.rep.hom")
-        elems = catalog_elements(group, cover, chart0)
-        elems.append(random_element(group, cover, chart0, rng))
-        pairs = list(zip(elems, elems[1:] + elems[:1]))
-        return check_representation(R, pairs)
-
-    def koszul():
-        rng = _rng(scn, "koszul.eq8")
-        a = random_scalar_field("base", cover.points, cover.dim(chart0), rng)
-        s = random_section(E, rng)
-        return check_leibniz_koszul(E, induced(), a, s)
-
-    def thm3_roundtrip():
-        rng = _rng(scn, "thm3.roundtrip")
-        s = random_section(E, rng)
-        f = section_to_tensorial(E, s)
-        back = tensorial_to_section(E, f)
-        residuals = [field_residual(s.components[c], back.components[c])
-                     for c in sorted(s.components)]
-        return worst("thm3.roundtrip", ROUNDTRIP_TOL,
-                     ((p, res) for res, p in residuals))
-
-    def thm3_tensorial():
-        rng = _rng(scn, "thm3.tensorial")
-        s = random_section(E, rng)
-        f = section_to_tensorial(E, s)
-        sec = random_principal_section(P, chart0, rng)
-        g = random_element(group, cover, chart0, rng)
-        moved = PrincipalSectionLocal(chart0, group_mul(sec.factor, g))
-        v_in = evaluate_tensorial(P, R, f, sec)
-        v_out = evaluate_tensorial(P, R, f, moved)
-        want = mat_mul(R.phi(mat_inv(g)), v_in)
-        res, wp = field_residual(v_out, want)
-        return CheckResult("thm3.tensorial", res, TENSORIAL_TOL, wp)
-
-    def cor1():
-        D = connection()
-        back = pull_back_connection(E, R, induced())
-        pairs = []
-        for c in sorted(D.forms):
-            order = D.forms[c].ordered_points()
-            pairs += zip(order, diff_rows(D.forms[c], back.forms[c], order))
-        return worst("cor1.roundtrip", ROUNDTRIP_TOL, pairs)
-
-    checks = {
-        "cocycle.unit": lambda: cocycle("unit"),
-        "cocycle.inverse": lambda: cocycle("inverse"),
-        "cocycle.triple": lambda: cocycle("triple"),
-        "liehom.crossed": crossed,
-    }
-    if R is not None:
-        checks.update({
-            "push.unit": lambda: push("unit"),
-            "push.inverse": lambda: push("inverse"),
-            "push.triple": lambda: push("triple"),
-            "liehom.rep.hom": rep_hom,
-            "liehom.def1.mc": lambda: def1("mc"),
-            "liehom.def1.rho": lambda: def1("rho"),
-            "thm3.roundtrip": thm3_roundtrip,
-            "thm3.tensorial": thm3_tensorial,
-        })
-    if scn.seed_chart is not None:
-        checks["connection.eq7"] = lambda: check_connection(P, connection())
-        if R is not None:
-            checks.update({
-                "induced.eq10": lambda: check_connection(E, induced()),
-                "koszul.eq8": koszul,
-                "cor1.roundtrip": cor1,
-                "cor2.roundtrip": lambda: check_frame_roundtrip(E, induced()),
-            })
-
-    keys = [k for k in SUITES[suite] if k in checks]
-    if any(k in SEED_KEYS for k in keys):
-        seed = build_seed(scn, cover, group)
+    b = _Build(scn)
+    given = {"representation": b.R is not None, "seed": scn.seed_chart is not None}
+    laws = [law for law in LAWS
+            if law.key in SUITES[suite] and all(given[need] for need in law.needs)]
+    if any("seed" in law.needs for law in laws):
+        b.seed = build_seed(scn, b.cover, b.group)
 
     report = Report()
-    for key in keys:
+    for law in laws:
         try:
-            res = replace(checks[key](), name=key,
-                          tolerance=scn.tolerance(key, TOLERANCES[key]))
+            res = replace(law.kernel(b, law.key), name=law.key,
+                          tolerance=scn.tolerance(law.key, law.tolerance))
         except ScenarioError:
             raise  # the input itself is unusable, not a failed check
         except SheafGaugeError as exc:
-            res = CheckResult(key, float("inf"), 0.0,
+            res = CheckResult(law.key, float("inf"), 0.0,
                               error=f"{type(exc).__name__}: {exc}")
         report.add(res)
     return report

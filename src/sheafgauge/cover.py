@@ -26,7 +26,7 @@ from .errors import (
     OverlapMismatchError,
     UnknownRegionError,
 )
-from .jets import _StackedField, _all_finite, diff_rows, first_true, point_order
+from .jets import _StackedField, _all_finite, determinants, diff_rows, first_true, point_order
 
 JACOBIAN_TOL = 1e-12
 # An overlap Jacobian whose determinant is smaller in magnitude is singular.
@@ -115,7 +115,7 @@ class SampledCover:
                                       axis=(1, 2), initial=0.0) > JACOBIAN_TOL)
                 what = "is not the identity"
             else:
-                k = first_true(np.abs(np.linalg.det(j)) < JACOBIAN_DET_FLOOR)
+                k = first_true(np.abs(determinants(j)) < JACOBIAN_DET_FLOOR)
                 what = "is singular"
             if k < len(pts):
                 fails.append(((order[(a, b, pts[k])], 0),

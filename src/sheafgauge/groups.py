@@ -43,6 +43,7 @@ from .jets import (
     MatrixField,
     _StackedField,
     _require_aligned,
+    determinants,
     first_true,
     gather,
     identity_matrix_field,
@@ -237,7 +238,7 @@ def group_mul(g: MatrixField, h: MatrixField) -> MatrixField:
     """Pointwise product of group-element fields; result must stay invertible."""
     out = mat_mul(g, h)
     pts = out.ordered_points()
-    det = np.linalg.det(gather(out, pts)[:, 0])
+    det = determinants(gather(out, pts)[:, 0])
     bad = first_true(np.abs(det) < DET_FLOOR)
     if bad < len(pts):
         raise FieldMismatchError(
@@ -300,7 +301,7 @@ def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
     pts = g.ordered_points()
     c = gather(g, pts)
     v, grad = c[:, 0], c[:, 1:]
-    stop = first_true(np.abs(np.linalg.det(v)) < DET_FLOOR)
+    stop = first_true(np.abs(determinants(v)) < DET_FLOOR)
     vi = np.linalg.inv(v[:stop])
     coeff = model.span_coeffs(np.einsum("pij,pkjl->pkil", vi, grad[:stop]), pts,
                               "logarithmic differential")

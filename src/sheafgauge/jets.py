@@ -327,7 +327,7 @@ class JetMatrix:
     def inv(self, point=None) -> "JetMatrix":
         if self.rows != self.cols:
             raise DimensionMismatchError("only square matrices invert")
-        det = float(np.linalg.det(self.value))
+        det = float(determinants(self.value))
         if abs(det) < DET_FLOOR:
             raise SingularMatrixError(
                 f"determinant {det:.3e} below floor {DET_FLOOR:.1e}"
@@ -616,6 +616,13 @@ def gather(f: _StackedField, points: list) -> np.ndarray:
     return f.coeffs[[at[p] for p in points]]
 
 
+def determinants(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.det`` without numpy's overflow warning: a determinant
+    beyond the float range is inf, which is above any floor."""
+    with np.errstate(over="ignore"):
+        return np.linalg.det(v)
+
+
 def first_true(mask) -> int:
     """Index of the first true entry of a boolean vector, else its length."""
     hits = np.flatnonzero(mask)
@@ -637,6 +644,7 @@ def d_field(f: ScalarField) -> OneForm:
 
 # -- matrix field algebra ---------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")   # the constructor refuses what overflows
 def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     _require_aligned(a, b)
     if a.cols != b.rows:
@@ -659,7 +667,7 @@ def mat_inv(a: MatrixField) -> MatrixField:
     if pts and a.rows != a.cols:
         raise DimensionMismatchError("only square matrices invert")
     v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
-    det = np.linalg.det(v)
+    det = determinants(v)
     stop = first_true(np.abs(det) < DET_FLOOR)
     vi = np.linalg.inv(v[:stop])
     gi = -np.einsum("pij,pkjl,plm->pkim", vi, g[:stop], vi)
@@ -672,6 +680,7 @@ def mat_inv(a: MatrixField) -> MatrixField:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")   # the constructor refuses what overflows
 def mat_scale(a: MatrixField, s) -> MatrixField:
     """Scale a matrix field by a scalar field (jetwise) or a number."""
     if not isinstance(s, ScalarField):
@@ -698,11 +707,13 @@ def constant_matrix_field(region: str, points, matrix, dim: int) -> MatrixField:
 
 # -- residuals --------------------------------------------------------------
 
+@np.errstate(over="ignore")   # a gap beyond the float range is inf
 def max_diff(a, b) -> float:
     """Largest entrywise deviation between two arrays; 0.0 when empty."""
     return float(np.max(np.abs(np.subtract(a, b)), initial=0.0))
 
 
+@np.errstate(over="ignore")   # a gap beyond the float range is inf
 def max_diff_rows(a, b) -> list[float]:
     """``max_diff`` of each pair of rows of two stacks (leading axis)."""
     d = np.abs(np.subtract(a, b))

@@ -173,15 +173,6 @@ def pull_back_connection(E: PrincipalSheafData, R: RepresentationModel,
     return PrincipalConnection(forms)
 
 
-def frame_sheaf(E: PrincipalSheafData) -> tuple[PrincipalSheafData, RepresentationModel]:
-    """The principal object of frames of E with its defining representation.
-
-    E is already held as its GL(n) frame data, so the object is E
-    itself; the representation is the identity on GL(n).
-    """
-    return E, trivial_rep(E.group.ambient)
-
-
 def check_frame_roundtrip(E: PrincipalSheafData, nab: PrincipalConnection) -> CheckResult:
     """Round trip through the frame presentation.
 
@@ -192,8 +183,7 @@ def check_frame_roundtrip(E: PrincipalSheafData, nab: PrincipalConnection) -> Ch
     """
     check_connection(E, nab).require(PreconditionError,
                                      "vector connection fails its transition law")
-    _, R = frame_sheaf(E)
-    back = _apply_phibar(R, nab)
+    back = _apply_phibar(trivial_rep(E.group.ambient), nab)
     pairs = []
     for c in sorted(nab.forms):
         order = nab.forms[c].ordered_points()

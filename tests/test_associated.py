@@ -68,6 +68,12 @@ class TestRepresentations:
         assert field_gap(R.phi(g), g) == 0.0
         assert R.injective
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_standard_rep_linearization_is_the_identity(self, n):
+        R = trivial_rep(n)
+        assert R.n == n
+        assert np.array_equal(R.phibar, np.eye(n * n))
+
     def test_so2_inclusion_keeps_entries(self, so2_pipe):
         R = so2_in_gl2()
         g = so2_pipe.P.entry("alpha", "beta")

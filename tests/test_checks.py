@@ -6,6 +6,7 @@ import inspect
 import math
 import pkgutil
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 
 import sheafgauge
 from sheafgauge import (
+    LAWS,
     SUITES,
     TOLERANCES,
     PreconditionError,
@@ -253,13 +255,79 @@ class TestNamedThresholds:
     def test_every_default_tolerance_is_a_name(self):
         (table,) = [stmt.value for stmt in parsed(Path(sheafgauge.checks.__file__)).body
                     if isinstance(stmt, ast.Assign)
-                    and [t.id for t in stmt.targets] == ["TOLERANCES"]]
-        assert len(table.values) == len(TOLERANCES)
-        assert all(isinstance(v, ast.Name) for v in table.values)
+                    and [getattr(t, "id", None) for t in stmt.targets] == ["LAWS"]]
+        laws = [e for e in table.elts
+                if isinstance(e, ast.Call) and getattr(e.func, "id", None) == "Law"]
+        assert len(laws) == len(table.elts) == len(TOLERANCES) == 17
+        tolerances = [law.args[3] if len(law.args) > 3 else
+                      {k.arg: k.value for k in law.keywords}["tolerance"] for law in laws]
+        assert all(isinstance(t, ast.Name) for t in tolerances)
 
 
 # Bound here only so that bench/tracing.py can rebind it in this module.
 UNUSED_IMPORT_EXEMPT = {("catalog.py", "eval_expr")}
+
+
+def string_constants(path: Path) -> list[str]:
+    """The string constants of a source file, docstrings left out."""
+    tree = parsed(path)
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)}
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docs]
+
+
+def docstring_suites() -> dict[str, tuple[str, ...]]:
+    """The suite table of ``checks``' module docstring: a row starts with
+    the suite name after a four-space indent; its continuation lines are
+    indented further."""
+    doc = sheafgauge.checks.__doc__
+    table = doc.split("Suites select subsets:\n\n")[1].split("\n\n")[0]
+    rows: dict[str, tuple[str, ...]] = {}
+    for line in table.splitlines():
+        words = tuple(line.split())
+        if line[4] != " ":
+            suite, words = words[0], words[1:]
+            rows[suite] = ()
+        rows[suite] += words
+    return rows
+
+
+def without_section(demo: str, name: str) -> str:
+    """A demo's text with every section whose header starts with ``[name`` removed."""
+    kept, skip = [], False
+    for line in DEMOS[demo].splitlines():
+        if line.startswith("["):
+            skip = line[1:].split()[0].rstrip("]") == name
+        if not skip:
+            kept.append(line)
+    return "\n".join(kept) + "\n"
+
+
+class TestLawTable:
+    """Each report key is declared once, in ``checks.LAWS``."""
+
+    def test_each_key_is_one_string_constant_in_the_library(self):
+        counts = Counter(s for path in SOURCES for s in string_constants(path))
+        assert {key: counts[key] for key in TOLERANCES} == dict.fromkeys(TOLERANCES, 1)
+
+    def test_docstring_table_lists_the_suites(self):
+        rows = docstring_suites()
+        assert rows.pop("all") == ("everything", "above")
+        assert list(rows.items()) == [(s, k) for s, k in SUITES.items() if s != "all"]
+
+    @pytest.mark.parametrize("section,need", [("connection", "seed"),
+                                              ("representation", "representation")])
+    def test_report_omits_exactly_the_laws_that_need_a_missing_input(self, section, need):
+        text = without_section("so2", section)
+        assert f"[{section}" not in text and text != DEMOS["so2"]
+        report = run_checks(parse_scenario(text))
+        assert [r.name for r in report.results()] == [
+            law.key for law in LAWS if need not in law.needs]
+        assert report.passed
 
 
 class TestNoUnusedImports:

@@ -21,7 +21,6 @@ from sheafgauge import (
     check_leibniz_koszul,
     check_nabla_agreement,
     constant_matrix_field,
-    frame_sheaf,
     gl_model,
     induce_connection,
     nabla_apply,
@@ -248,15 +247,6 @@ class TestPullBack:
 
 
 class TestFrame:
-    def test_frame_sheaf_shares_cocycle(self, pipeline):
-        P2, R2 = frame_sheaf(pipeline.E)
-        assert R2.n == pipeline.E.group.ambient
-        assert np.array_equal(R2.phibar, np.eye(pipeline.E.group.ambient ** 2))
-        for pair, f in pipeline.E.cocycle.items():
-            g = P2.cocycle[pair]
-            assert all(f.data[p].max_abs_diff(g.data[p]) == 0.0
-                       for p in f.points)
-
     def test_roundtrip_on_induced(self, pipeline):
         r = check_frame_roundtrip(pipeline.E, pipeline.nab)
         assert r.passed and r.residual <= 1e-12
