@@ -4,25 +4,31 @@ The verification suites need concrete group elements, scalar fields and
 sections to feed the identities.  Catalog elements are smooth closed
 forms written in the expression language; random samplers draw
 independent jets per point, which the pointwise identities must
-tolerate just as well.  Randomness always flows through a caller-owned
-generator so reports stay byte-reproducible.
+tolerate just as well.  A sampler draws whole stacks, not point by
+point: an element or scalar field one stack over its points, a section
+one stack per set of charts that share its points, and each result
+builds one ``Jet`` or ``JetMatrix`` per (chart, point).  Randomness
+always flows through a caller-owned ``random.Random`` (the standard
+library's Mersenne Twister, whose ``random()`` stream is the same on
+every Python version), so reports stay byte-reproducible.
 """
 
 from __future__ import annotations
 
+import math
+import random
 import zlib
 
 import numpy as np
 
 from .associated import AssociatedSection
-from .cover import SampledCover
+from .cover import SampledCover, _jacobians, _pull_axis
 from .errors import DimensionMismatchError, MissingEntryError, ScenarioError
 # eval_expr stays bound here: bench/tracing.py rebinds it in every module
 # that holds it, and its self-test looks for it in this one.
 from .expr import compile_exprs, eval_expr, parse_expr  # noqa: F401
 from .groups import GroupModel
-from .jets import (Jet, JetMatrix, MatrixField, ScalarField, _leibniz_matmul, jet_stack,
-                   point_order)
+from .jets import MatrixField, ScalarField, _leibniz_matmul, gather, jet_stack, point_order
 from .principal import PrincipalSectionLocal, PrincipalSheafData
 
 
@@ -96,76 +102,82 @@ def catalog_elements(model: GroupModel, cover: SampledCover,
     return [eval_matrix(rows, chart, coords) for rows in catalog_rows(model)]
 
 
+def _uniform(rng: random.Random, lo: float, hi: float, shape: tuple) -> np.ndarray:
+    """A float64 array of ``shape`` filled in C order by ``lo + (hi - lo) * u``,
+    one ``rng.random()`` draw u per entry."""
+    u = np.array([rng.random() for _ in range(math.prod(shape))])
+    return (lo + (hi - lo) * u).reshape(shape)
+
+
 def random_element(model: GroupModel, cover: SampledCover, chart: str,
-                   rng: np.random.Generator) -> MatrixField:
+                   rng: random.Random) -> MatrixField:
     """An invertible random element field of the modeled group.
 
-    Values and gradients are drawn independently per point; each kind
-    is sampled inside its own group (rotations stay rotations, diagonal
-    elements stay diagonal) with gradients tangent to it.
+    Values and gradients are drawn independently per point, as whole
+    stacks over the chart's points in ``point_order``: the value
+    parameters of all points, then the gradients.  Each kind is sampled
+    inside its own group (rotations stay rotations, diagonal elements
+    stay diagonal) with gradients tangent to it.
     """
     pts = point_order(cover.regions[chart])
-    dim = cover.dim(chart)
-    kind = model.kind
-    data = {}
-    for p in pts:
-        if kind == "so(2)":
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            speed = rng.uniform(-1.0, 1.0, size=dim)
-            c, s = np.cos(ang), np.sin(ang)
-            v = np.array([[c, -s], [s, c]])
-            jmat = np.array([[-s, -c], [c, -s]])
-            g = np.einsum("k,ij->kij", speed, jmat)
-        elif kind == "gl1+":
-            u = rng.uniform(-0.8, 0.8)
-            v = np.array([[np.exp(u)]])
-            g = rng.uniform(-1.0, 1.0, size=(dim, 1, 1))
-        elif kind.startswith("torus("):
-            n = model.ambient
-            v = np.diag(rng.uniform(0.5, 2.0, size=n))
-            g = np.zeros((dim, n, n))
-            for i in range(n):
-                g[:, i, i] = rng.uniform(-1.0, 1.0, size=dim)
-        else:
-            n = model.ambient
-            v = np.eye(n) + rng.uniform(-0.25, 0.25, size=(n, n))
-            g = rng.uniform(-0.5, 0.5, size=(dim, n, n))
-        data[p] = JetMatrix(v, g)
-    return MatrixField(chart, model.ambient, model.ambient, data)
+    P, dim, n, kind = len(pts), cover.dim(chart), model.ambient, model.kind
+    if kind == "so(2)":
+        ang = _uniform(rng, 0.0, 2.0 * np.pi, (P,))
+        speed = _uniform(rng, -1.0, 1.0, (P, dim))
+        c, s = np.cos(ang), np.sin(ang)
+        v = np.stack([c, -s, s, c], axis=1).reshape(P, 2, 2)
+        tangent = np.stack([-s, -c, c, -s], axis=1).reshape(P, 1, 2, 2)
+        g = speed[:, :, None, None] * tangent
+    elif kind == "gl1+":
+        v = np.exp(_uniform(rng, -0.8, 0.8, (P, 1, 1)))
+        g = _uniform(rng, -1.0, 1.0, (P, dim, 1, 1))
+    elif kind.startswith("torus("):
+        v, g, diag = np.zeros((P, n, n)), np.zeros((P, dim, n, n)), np.arange(n)
+        v[:, diag, diag] = _uniform(rng, 0.5, 2.0, (P, n))
+        g[..., diag, diag] = _uniform(rng, -1.0, 1.0, (P, dim, n))
+    else:
+        v = np.eye(n) + _uniform(rng, -0.25, 0.25, (P, n, n))
+        g = _uniform(rng, -0.5, 0.5, (P, dim, n, n))
+    return MatrixField.from_stack(chart, pts, jet_stack(v, g))
 
 
 def random_scalar_field(region: str, points, dim: int,
-                        rng: np.random.Generator) -> ScalarField:
-    """Independent random jets per point, values bounded away from huge."""
-    data = {}
-    for p in point_order(points):
-        data[p] = Jet(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0, size=dim))
-    return ScalarField(region, data)
+                        rng: random.Random) -> ScalarField:
+    """Independent random jets per point, values bounded away from huge:
+    the values of all points in ``point_order``, then their gradients."""
+    pts = point_order(points)
+    values = _uniform(rng, -2.0, 2.0, (len(pts), 1))
+    grads = _uniform(rng, -2.0, 2.0, (len(pts), dim))
+    return ScalarField.from_stack(region, pts, np.concatenate((values, grads), axis=1))
 
 
-def random_section(E: PrincipalSheafData, rng: np.random.Generator) -> AssociatedSection:
+def random_section(E: PrincipalSheafData, rng: random.Random) -> AssociatedSection:
     """A random compatible section of a vector sheaf, given as its GL(n)
     frame data.
 
-    Works point by point: among the charts containing a point, free
-    data is drawn on the first one and carried to the others along a
-    spanning tree of the transition entries at that point, v_b = g_ba v_a
-    with v_a's gradient first rewritten in chart b's coordinates, as
-    ``transport_field`` does.  Validity of the cocycle makes the
-    remaining overlap relations hold to the same accuracy as the cocycle
-    identities themselves.
+    The points are grouped by the charts that contain them, and each
+    group is drawn as one stack: free data on the group's first chart,
+    values for all its points and then gradients, carried to the other
+    charts along a spanning tree of the transition entries present at
+    those points, v_b = g_ba v_a with v_a's gradient first rewritten in
+    chart b's coordinates, as ``transport_field`` does.  Groups are
+    drawn in the order of their first point in ``point_order``.
+    Validity of the cocycle makes the remaining overlap relations hold
+    to the same accuracy as the cocycle identities themselves.
     """
     cover = E.cover
     ids = cover.region_ids()
     n = E.group.ambient
-    per_chart: dict[str, dict] = {rid: {} for rid in ids}
+    groups: dict[tuple, list] = {}
     for p in point_order(cover.points):
-        charts = [r for r in ids if p in cover.regions[r]]
+        groups.setdefault(tuple(r for r in ids if p in cover.regions[r]), []).append(p)
+    pieces: dict[str, list] = {rid: [] for rid in ids}   # (points, jet stack)
+    for charts, pts in groups.items():
         base = charts[0]
-        dim = cover.dim(base)
-        # (value, gradient in the chart's own coordinates) per chart
-        values = {base: (rng.uniform(-1.0, 1.0, size=(n, 1)),
-                         rng.uniform(-1.0, 1.0, size=(dim, n, 1)))}
+        G, dim = len(pts), cover.dim(base)
+        # (value, gradient in the chart's own coordinates) stacks per chart
+        values = {base: (_uniform(rng, -1.0, 1.0, (G, n, 1)),
+                         _uniform(rng, -1.0, 1.0, (G, dim, n, 1)))}
         frontier = [base]
         while frontier:
             a = frontier.pop(0)
@@ -176,20 +188,25 @@ def random_section(E: PrincipalSheafData, rng: np.random.Generator) -> Associate
                     gba = E.entry(b, a)
                 except MissingEntryError:
                     continue
-                if p not in gba.points:
+                if not gba.points.issuperset(pts):
                     continue
-                m, (v, g) = gba.data[p], values[a]
-                g = np.einsum("il,ikj->lkj", cover.jacobian(a, b, p), g)
-                values[b] = _leibniz_matmul(m.value, m.grad, v, g)
+                m, (v, g) = gather(gba, pts), values[a]
+                g = _pull_axis(g, _jacobians(cover, a, b, pts))
+                values[b] = _leibniz_matmul(m[:, 0], m[:, 1:], v, g)
                 frontier.append(b)
         for rid, (v, g) in values.items():
-            per_chart[rid][p] = JetMatrix(v, g)
-    comps = {rid: MatrixField(rid, n, 1, data)
-             for rid, data in per_chart.items() if data}
+            pieces[rid].append((pts, jet_stack(v, g)))
+    comps = {}
+    for rid, parts in pieces.items():
+        if parts:
+            pts = [p for group_pts, _ in parts for p in group_pts]
+            rows = sorted(range(len(pts)), key=lambda i: str(pts[i]))   # point_order
+            stack = np.concatenate([c for _, c in parts])[rows]
+            comps[rid] = MatrixField.from_stack(rid, [pts[i] for i in rows], stack)
     return AssociatedSection(comps)
 
 
 def random_principal_section(P: PrincipalSheafData, chart: str,
-                             rng: np.random.Generator) -> PrincipalSectionLocal:
+                             rng: random.Random) -> PrincipalSectionLocal:
     """A random local section presented over one chart."""
     return PrincipalSectionLocal(chart, random_element(P.group, P.cover, chart, rng))

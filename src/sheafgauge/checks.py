@@ -17,8 +17,9 @@ its default threshold and its kernel; a key is present only when the
 scenario supplies what it needs (a representation, a seed connection).
 A check that raises one of this package's errors is reported as an
 ``error`` entry rather than aborting the batch.  All randomness is
-drawn from generators seeded by the scenario name and the check key, so
-repeated runs produce byte-identical reports.
+drawn from ``random.Random`` generators seeded by the scenario name and
+the check key, so repeated runs, on any Python version, produce
+byte-identical reports.
 
 A key passes when its residual is at most ``TOLERANCES[key]``; for a
 key a library check function computes, that is the module constant the
@@ -34,10 +35,9 @@ the README; no function takes a threshold as an argument.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
 from typing import Callable
-
-import numpy as np
 
 from .associated import (
     LIE_TYPE_TOL,
@@ -129,10 +129,10 @@ class _Build:
             raise self.shared[name]
         return self.shared[name]
 
-    def rng(self, key: str) -> np.random.Generator:
+    def rng(self, key: str) -> random.Random:
         """The generator seeded by the scenario name and ``key``, made on first
-        use (numpy.random adds 6 MB) and continued by later calls."""
-        return self.once(key, lambda: np.random.default_rng(stable_seed(f"{self.scn.name}:{key}")))
+        use and continued by later calls."""
+        return self.once(key, lambda: random.Random(stable_seed(f"{self.scn.name}:{key}")))
 
     def element(self, key: str):
         return random_element(self.group, self.cover, self.chart0, self.rng(key))

@@ -242,9 +242,11 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
 def _leibniz_matmul(va: np.ndarray, ga: np.ndarray, vb: np.ndarray,
                     gb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and gradient of the product of two matrices of jets at one
-    point, given as values (r, c) and gradients (dim, r, c)."""
-    return va @ vb, np.einsum("kij,jl->kil", ga, vb) + np.einsum("ij,kjl->kil", va, gb)
+    """Value and gradient of the product of two matrices of jets, given as
+    values (..., r, c) and gradients (..., dim, r, c): one point, or a
+    stack of points on the leading axis."""
+    return va @ vb, (np.einsum("...kij,...jl->...kil", ga, vb)
+                     + np.einsum("...ij,...kjl->...kil", va, gb))
 
 
 class JetMatrix:
@@ -654,10 +656,8 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     if pts and a.dim != b.dim:
         raise DimensionMismatchError("JetMatrix product shape mismatch")
     ca, cb = a.coeffs, gather(b, pts)
-    va, ga, vb, gb = ca[:, 0], ca[:, 1:], cb[:, 0], cb[:, 1:]
-    grad = (np.einsum("pkij,pjl->pkil", ga, vb)
-            + np.einsum("pij,pkjl->pkil", va, gb))
-    return a._like(a.region, jet_stack(va @ vb, grad))
+    value, grad = _leibniz_matmul(ca[:, 0], ca[:, 1:], cb[:, 0], cb[:, 1:])
+    return a._like(a.region, jet_stack(value, grad))
 
 
 def mat_inv(a: MatrixField) -> MatrixField:

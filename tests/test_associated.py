@@ -1,5 +1,7 @@
 """Representations, pushed cocycles, associated sections, morphisms."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -162,12 +164,12 @@ class TestQuotientReduce:
         pts = P.cover.regions["alpha"]
         s = PrincipalSectionLocal(
             "alpha", P.group.unit_field("alpha", pts, 1))
-        h = random_section(so2_pipe.E, np.random.default_rng(0)).components["alpha"]
+        h = random_section(so2_pipe.E, random.Random(0)).components["alpha"]
         assert field_gap(quotient_reduce(P, R, s, h), h) == 0.0
 
     def test_equivalent_pairs_reduce_alike(self, pipeline):
         P, R = pipeline.P, pipeline.R
-        rng = np.random.default_rng(11)
+        rng = random.Random(11)
         s = random_principal_section(P, "alpha", rng)
         h = random_section(pipeline.E, rng).components["alpha"]
         base = quotient_reduce(P, R, s, h)
@@ -178,7 +180,7 @@ class TestQuotientReduce:
 
     def test_shape_and_domain_validated(self, so2_pipe):
         P, R = so2_pipe.P, so2_pipe.R
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         s = random_principal_section(P, "alpha", rng)
         wide = MatrixField("alpha", 2, 2, {
             p: JetMatrix(np.eye(2), np.zeros((1, 2, 2))) for p in s.points})
@@ -197,13 +199,13 @@ def ones_field(points):
 class TestSectionArithmetic:
     def test_one_is_neutral(self, pipeline):
         E = pipeline.E
-        s = random_section(E, np.random.default_rng(4))
+        s = random_section(E, random.Random(4))
         out = section_smul(E, ones_field(E.cover.points), s)
         assert section_gap(out, s) == 0.0
 
     def test_zero_scalar_gives_zero_section(self, pipeline):
         E = pipeline.E
-        s = random_section(E, np.random.default_rng(3))
+        s = random_section(E, random.Random(3))
         zero = ScalarField("base", {p: Jet(0.0, [0.0]) for p in E.cover.points})
         out = section_smul(E, zero, s)
         assert all(not out.components[a].data[p].value.any()
@@ -213,7 +215,7 @@ class TestSectionArithmetic:
     def test_scalars_act_associatively(self, pipeline):
         # (a b) s = a (b s), with a b the pointwise jet product
         E = pipeline.E
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         s = random_section(E, rng)
         a = random_scalar_field("base", E.cover.points, 1, rng)
         b = random_scalar_field("base", E.cover.points, 1, rng)
@@ -225,7 +227,7 @@ class TestSectionArithmetic:
 
     def test_results_stay_compatible(self, mobius_pipe):
         E = mobius_pipe.E
-        rng = np.random.default_rng(6)
+        rng = random.Random(6)
         s = random_section(E, rng)
         a = random_scalar_field("base", E.cover.points, 1, rng)
         out = section_smul(E, a, s)
@@ -233,7 +235,7 @@ class TestSectionArithmetic:
 
     def test_incompatible_section_rejected(self, so2_pipe):
         E = so2_pipe.E
-        s = random_section(E, np.random.default_rng(7))
+        s = random_section(E, random.Random(7))
         p0 = sorted(E.cover.overlap_points("alpha", "beta"))[0]
         bad = dict(s.components)
         bad["alpha"] = bad["alpha"].map_entries(
@@ -247,7 +249,7 @@ class TestSectionArithmetic:
 
     def test_scalar_must_cover_components(self, so2_pipe):
         E = so2_pipe.E
-        s = random_section(E, np.random.default_rng(8))
+        s = random_section(E, random.Random(8))
         partial = ones_field(sorted(E.cover.points)[:3])
         with pytest.raises(FieldMismatchError):
             section_smul(E, partial, s)
@@ -275,7 +277,7 @@ class TestRandomSection:
                                     for p in cover.points})
         E = PrincipalSheafData.from_pairs(cover, gl_model(1), {("u", "v"): g})
         assert all(r.passed for r in check_cocycle(E).values())
-        s = random_section(E, np.random.default_rng(0))
+        s = random_section(E, random.Random(0))
         assert set(s.components) == {"u", "v"}
         assert check_components(E, s.components).residual <= TAU_GLUE
 
@@ -290,7 +292,7 @@ class TestRandomSection:
         g = MatrixField("u", 2, 2, rot)
         E = PrincipalSheafData.from_pairs(cover, gl_model(2), {("u", "v"): g})
         assert all(r.passed for r in check_cocycle(E).values())
-        s = random_section(E, np.random.default_rng(1))
+        s = random_section(E, random.Random(1))
         assert check_components(E, s.components).residual <= TAU_GLUE
 
 
@@ -337,14 +339,14 @@ class TestMobiusOddSection:
 class TestMorphismRoundTrips:
     def test_section_tensorial_roundtrip(self, pipeline):
         E, P, R = pipeline.E, pipeline.P, pipeline.R
-        s = random_section(E, np.random.default_rng(12))
+        s = random_section(E, random.Random(12))
         f = section_to_tensorial(E, s)
         back = tensorial_to_section(E, f)
         assert section_gap(back, s) == 0.0
 
     def test_tensorial_section_roundtrip(self, pipeline):
         E, P, R = pipeline.E, pipeline.P, pipeline.R
-        s = random_section(E, np.random.default_rng(13))
+        s = random_section(E, random.Random(13))
         f = section_to_tensorial(E, s)
         again = section_to_tensorial(E, tensorial_to_section(E, f))
         assert all(field_gap(again.values[a], f.values[a]) == 0.0
@@ -352,7 +354,7 @@ class TestMorphismRoundTrips:
 
     def test_incompatible_values_rejected(self, so2_pipe):
         E, P, R = so2_pipe.E, so2_pipe.P, so2_pipe.R
-        s = random_section(E, np.random.default_rng(14))
+        s = random_section(E, random.Random(14))
         vals = dict(s.components)
         vals["beta"] = vals["beta"].map_entries(
             lambda p, m: JetMatrix(m.value + 1e-2, m.grad))
@@ -361,7 +363,7 @@ class TestMorphismRoundTrips:
 
     def test_evaluate_on_natural_section(self, so2_pipe):
         E, P, R = so2_pipe.E, so2_pipe.P, so2_pipe.R
-        s = random_section(E, np.random.default_rng(15))
+        s = random_section(E, random.Random(15))
         f = section_to_tensorial(E, s)
         nat = PrincipalSectionLocal("alpha", P.group.unit_field(
             "alpha", P.cover.regions["alpha"], 1))
@@ -370,7 +372,7 @@ class TestMorphismRoundTrips:
 
     def test_evaluate_twists_by_factor(self, pipeline):
         E, P, R = pipeline.E, pipeline.P, pipeline.R
-        rng = np.random.default_rng(16)
+        rng = random.Random(16)
         s = random_section(E, rng)
         f = section_to_tensorial(E, s)
         g = random_element(P.group, P.cover, "alpha", rng)
@@ -380,7 +382,7 @@ class TestMorphismRoundTrips:
 
     def test_evaluate_off_domain_rejected(self, mobius_pipe):
         E, P, R = mobius_pipe.E, mobius_pipe.P, mobius_pipe.R
-        s = random_section(E, np.random.default_rng(17))
+        s = random_section(E, random.Random(17))
         only_beta = TensorialMorphismData({
             "beta": s.components["beta"].restrict(
                 [p for p in P.cover.regions["beta"]

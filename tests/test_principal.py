@@ -1,5 +1,7 @@
 """Principal data: cocycles, local sections, connections."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ class TestCocycle:
 
 class TestSectionTransition:
     def test_same_chart_restricts_only(self, so2_pipe):
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         s = random_principal_section(so2_pipe.P, "alpha", rng)
         t = section_transition(so2_pipe.P, s, "alpha")
         assert t.chart == "alpha" and t.points == s.points
@@ -112,7 +114,7 @@ class TestSectionTransition:
     def test_identity_cocycle_keeps_factor(self, cover12):
         model = gl_model(2)
         P = trivial_principal(cover12, model)
-        rng = np.random.default_rng(2)
+        rng = random.Random(2)
         s = random_principal_section(P, "alpha", rng)
         t = section_transition(P, s, "beta")
         for p in t.points:
@@ -278,7 +280,7 @@ class TestEvaluateConnection:
                                              for p in cover12.regions[rid]})
                  for rid in cover12.region_ids()}
         D = PrincipalConnection(forms)
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         g = random_element(model, cover12, "alpha", rng)
         w = gauge_form(model, g, D.form("alpha").restrict(g.points), "alpha")
         log = mc(model, g)
@@ -288,7 +290,7 @@ class TestEvaluateConnection:
     def test_gauge_covariance(self, pipeline):
         # value(s h) = rho(h^-1).value(s) + mc(h)
         P, D = pipeline.P, pipeline.D
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         chart = P.cover.region_ids()[0]
         s = random_principal_section(P, chart, rng)
         h = random_element(P.group, P.cover, chart, rng)
@@ -303,7 +305,7 @@ class TestEvaluateConnection:
 
     def test_chart_independence_on_overlap(self, so2_pipe):
         P, D = so2_pipe.P, so2_pipe.D
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         ov = P.cover.overlap_points("alpha", "beta")
         fac = random_element(P.group, P.cover, "alpha", rng).restrict(ov)
         s = PrincipalSectionLocal("alpha", fac)

@@ -1,5 +1,7 @@
 """Vector connections: induction, covariant derivative, frame round trip."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -139,7 +141,7 @@ class TestNablaApply:
     def test_zero_forms_give_plain_derivative(self, cover12):
         E = push_cocycle(trivial_principal(cover12, gl_model(2)),
                          trivial_rep(2))
-        s = random_section(E, np.random.default_rng(21))
+        s = random_section(E, random.Random(21))
         der = nabla_apply(E, zero_connection(E), s)
         for chart, w in der.items():
             comp = s.components[chart]
@@ -173,7 +175,7 @@ class TestNablaApply:
                                       th.data[p].reshape(-1, 2, 2)[:, :, j:j + 1])
 
     def test_chart_agreement(self, pipeline):
-        s = random_section(pipeline.E, np.random.default_rng(22))
+        s = random_section(pipeline.E, random.Random(22))
         r = check_nabla_agreement(pipeline.E, pipeline.nab, s)
         assert r.passed and r.residual <= 1e-9
 
@@ -181,7 +183,7 @@ class TestNablaApply:
 class TestKoszul:
     def test_constant_one_is_exact(self, so2_pipe):
         E = so2_pipe.E
-        s = random_section(E, np.random.default_rng(23))
+        s = random_section(E, random.Random(23))
         ones = ScalarField("base", {p: Jet(1.0, [0.0])
                                     for p in E.cover.points})
         assert check_leibniz_koszul(E, so2_pipe.nab, ones, s).residual == 0.0
@@ -193,12 +195,12 @@ class TestKoszul:
             for p in E.cover.regions[rid]})
             for rid in E.cover.region_ids()}
         a = random_scalar_field("base", E.cover.points, 1,
-                                np.random.default_rng(24))
+                                random.Random(24))
         r = check_leibniz_koszul(E, so2_pipe.nab, a, AssociatedSection(comps))
         assert r.residual == 0.0
 
     def test_random_pairs(self, pipeline):
-        rng = np.random.default_rng(25)
+        rng = random.Random(25)
         s = random_section(pipeline.E, rng)
         a = random_scalar_field("base", pipeline.cover.points, 1, rng)
         r = check_leibniz_koszul(pipeline.E, pipeline.nab, a, s)
@@ -211,7 +213,7 @@ class TestKoszul:
                    if p in so2_pipe.cover.regions["alpha"]
                    else float(so2_pipe.cover.coord("beta", p)[0]), [1.0])
             for p in E.cover.points})
-        s = random_section(E, np.random.default_rng(26))
+        s = random_section(E, random.Random(26))
         r = check_leibniz_koszul(E, so2_pipe.nab, a, s)
         assert r.residual <= 1e-12
 
