@@ -28,7 +28,7 @@ from .errors import DimensionMismatchError, MissingEntryError, ScenarioError
 # that holds it, and its self-test looks for it in this one.
 from .expr import compile_exprs, eval_expr, parse_expr  # noqa: F401
 from .groups import GroupModel
-from .jets import MatrixField, ScalarField, _leibniz_matmul, gather, jet_stack, point_order
+from .jets import MatrixField, ScalarField, _leibniz_matmul, jet_stack, point_order
 from .principal import PrincipalSectionLocal, PrincipalSheafData
 
 
@@ -37,14 +37,15 @@ def stable_seed(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
-def eval_matrix(rows, region: str, coords, points=None) -> MatrixField:
+def eval_matrix(rows, region: str, coords) -> MatrixField:
     """Evaluate a matrix of expression strings or trees over sample points.
 
     The entries are compiled once into one program (``compile_exprs``),
     so a subexpression shared by several entries is evaluated once per
-    point; the program then runs at each point's first coordinate.  An
-    entry that fails raises ExprDomainError at the first point, in
-    ``points`` order, and at the first failing entry in row-major order.
+    point; the program then runs at each point's first coordinate, in
+    ``point_order``.  An entry that fails raises ExprDomainError at the
+    first failing point in ``point_order``, and at the first failing
+    entry in row-major order.
     """
     parsed = [[parse_expr(e) if isinstance(e, str) else e for e in row]
               for row in rows]
@@ -52,7 +53,7 @@ def eval_matrix(rows, region: str, coords, points=None) -> MatrixField:
     if any(len(row) != shape[1] for row in parsed):
         raise DimensionMismatchError("expression matrix rows differ in length")
     program = compile_exprs([e for row in parsed for e in row])
-    pts = list(coords.keys() if points is None else points)
+    pts = point_order(coords)
     values, grads = [], []
     for p in pts:
         jets = program.run(float(np.atleast_1d(coords[p])[0]))
@@ -158,9 +159,9 @@ def random_section(E: PrincipalSheafData, rng: random.Random) -> AssociatedSecti
     The points are grouped by the charts that contain them, and each
     group is drawn as one stack: free data on the group's first chart,
     values for all its points and then gradients, carried to the other
-    charts along a spanning tree of the transition entries present at
-    those points, v_b = g_ba v_a with v_a's gradient first rewritten in
-    chart b's coordinates, as ``transport_field`` does.  Groups are
+    charts along a spanning tree of the transition entries between
+    them, v_b = g_ba v_a with v_a's gradient first rewritten in chart
+    b's coordinates, as ``transport_field`` does.  Groups are
     drawn in the order of their first point in ``point_order``.
     Validity of the cocycle makes the remaining overlap relations hold
     to the same accuracy as the cocycle identities themselves.
@@ -188,9 +189,7 @@ def random_section(E: PrincipalSheafData, rng: random.Random) -> AssociatedSecti
                     gba = E.entry(b, a)
                 except MissingEntryError:
                     continue
-                if not gba.points.issuperset(pts):
-                    continue
-                m, (v, g) = gather(gba, pts), values[a]
+                m, (v, g) = gba.restrict(pts).coeffs, values[a]
                 g = _pull_axis(g, _jacobians(cover, a, b, pts))
                 values[b] = _leibniz_matmul(m[:, 0], m[:, 1:], v, g)
                 frontier.append(b)

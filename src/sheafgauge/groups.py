@@ -45,7 +45,6 @@ from .jets import (
     _require_aligned,
     determinants,
     first_true,
-    gather,
     identity_matrix_field,
     mat_inv,
     mat_mul,
@@ -111,29 +110,20 @@ class GroupModel:
         return self.lie_basis.shape[0]
 
     def _derive_structure(self) -> np.ndarray:
-        m = self.lie_basis.shape[0]
-        c = np.empty((m, m, m))
-        for i in range(m):
-            for j in range(m):
-                br = self.lie_basis[i] @ self.lie_basis[j] \
-                    - self.lie_basis[j] @ self.lie_basis[i]
-                coeff, res = self.expand(br)
-                if res > BRACKET_TOL:
-                    raise SpanError(
-                        f"bracket of basis elements {i}, {j} leaves the span "
-                        f"(residual {res:.3e})", residual=res)
-                c[i, j] = coeff
-        return c
-
-    def expand(self, matrix: np.ndarray) -> tuple[np.ndarray, float]:
-        """Least-squares coefficients of a matrix in the Lie basis.
-
-        Returns (coefficients, reconstruction residual in max norm).
-        """
-        flat = np.asarray(matrix, dtype=float).reshape(-1)
-        coeff = self._pinv @ flat
-        res = float(np.max(np.abs(self._flat.T @ coeff - flat), initial=0.0))
-        return coeff, res
+        """c[i, j] = coefficients of [E_i, E_j]; the first pair (i, j) in
+        row-major order whose bracket leaves the span raises SpanError."""
+        b = self.lie_basis
+        m = b.shape[0]
+        prod = b[:, None] @ b[None, :]                   # prod[i, j] = E_i E_j
+        brackets = (prod - prod.swapaxes(0, 1)).reshape((m * m, 1) + b.shape[1:])
+        coeff, res = self.expand_stack(brackets)
+        bad = first_true(res > BRACKET_TOL)
+        if bad < m * m:
+            i, j = divmod(bad, m)
+            raise SpanError(
+                f"bracket of basis elements {i}, {j} leaves the span "
+                f"(residual {res[bad]:.3e})", residual=float(res[bad]))
+        return coeff.reshape(m, m, m)
 
     def expand_stack(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Expand stacks (..., q, k, k) of matrices at once.
@@ -238,7 +228,7 @@ def group_mul(g: MatrixField, h: MatrixField) -> MatrixField:
     """Pointwise product of group-element fields; result must stay invertible."""
     out = mat_mul(g, h)
     pts = out.ordered_points()
-    det = determinants(gather(out, pts)[:, 0])
+    det = determinants(out.coeffs[:, 0])
     bad = first_true(np.abs(det) < DET_FLOOR)
     if bad < len(pts):
         raise FieldMismatchError(
@@ -250,8 +240,7 @@ def group_mul(g: MatrixField, h: MatrixField) -> MatrixField:
 def ad_action(model: GroupModel, g: MatrixField, a: MatrixField) -> MatrixField:
     """Conjugation g a g^-1 on an algebra-valued field, span-checked."""
     out = mat_mul(mat_mul(g, a), mat_inv(g))
-    pts = out.ordered_points()
-    model.span_coeffs(gather(out, pts)[:, :1], pts, "adjoint action")
+    model.span_coeffs(out.coeffs[:, :1], out.ordered_points(), "adjoint action")
     return out
 
 
@@ -261,7 +250,7 @@ def rho_matrix(model: GroupModel, g: MatrixField) -> dict:
     Column i holds the coefficients of g E_i g^-1, so coefficient
     vectors transform by left multiplication.  Only the value part of
     g enters; coefficients of one-forms are plain reals.  Points are
-    taken in ``ordered_points`` order: the first one whose conjugation
+    taken in ``point_order``: the first one whose conjugation
     leaves the span raises SpanError, and the first exactly singular
     element, when no earlier point left the span, raises
     SingularMatrixError naming its point.
@@ -275,7 +264,7 @@ def _rho_stack(model: GroupModel, g: MatrixField) -> tuple[list, np.ndarray]:
     stack is rho at ``points[k]`` transposed, so its row i holds the
     coefficients of g E_i g^-1."""
     pts = g.ordered_points()
-    v = gather(g, pts)[:, 0]
+    v = g.coeffs[:, 0]
     sign, _ = np.linalg.slogdet(v)       # zero exactly where inv finds a zero pivot
     stop = first_true(sign == 0.0)
     vi = np.linalg.inv(v[:stop])
@@ -293,14 +282,13 @@ def _singular(p) -> SingularMatrixError:
 def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
     """Logarithmic differential g^-1 dg as a Lie-algebra valued one-form.
 
-    Points are taken in ``ordered_points`` order: the first one whose
+    Points are taken in ``point_order``: the first one whose
     differential leaves the span raises SpanError, and the first one
     whose determinant is below ``DET_FLOOR``, when no earlier point left
     the span, raises SingularMatrixError naming its point.
     """
     pts = g.ordered_points()
-    c = gather(g, pts)
-    v, grad = c[:, 0], c[:, 1:]
+    v, grad = g.coeffs[:, 0], g.coeffs[:, 1:]
     stop = first_true(np.abs(determinants(v)) < DET_FLOOR)
     vi = np.linalg.inv(v[:stop])
     coeff = model.span_coeffs(np.einsum("pij,pkjl->pkil", vi, grad[:stop]), pts,

@@ -12,28 +12,27 @@ a gradient array of shape (dim, rows, cols).
 
 Every field kind keeps its numbers in one read-only float64 stack
 ``coeffs``, one row per sample point, checked once per field, with
-``data`` a read-only mapping from each point to its entry.  A jet-field
-row holds the value at index 0 and the gradient at ``1:``, so a
-``MatrixField`` stack is (P, 1 + dim, rows, cols) and a ``ScalarField``
-stack (P, 1 + dim); its rows follow the mapping it was built from, or a
-kernel's first operand, and ``data`` holds one ``Jet`` or ``JetMatrix``
-per point.  The form fields (``OneForm``, ``MatrixOneForm``,
-``groups.LieValuedOneForm``) hold (P, dim, ...) in ``point_order``, and
+``data`` a read-only mapping from each point to its entry.  Rows are in
+``point_order`` for every kind; a failure names the first failing point
+in ``point_order``, so neither depends on dict insertion history.  A
+jet-field row holds the value at index 0 and the gradient at ``1:``, so
+a ``MatrixField`` stack is (P, 1 + dim, rows, cols) and a
+``ScalarField`` stack (P, 1 + dim), and ``data`` holds one ``Jet`` or
+``JetMatrix`` per point.  The form fields (``OneForm``,
+``MatrixOneForm``, ``groups.LieValuedOneForm``) hold (P, dim, ...), and
 ``data[p]`` is a view of its row.  Kernels read the stacks, in one numpy
 call over all points; a jet-field result builds one object per point
 through the validating constructor.  Each point's arithmetic is the
 one-point computation, so the numbers equal those of ``JetMatrix.matmul``
 and ``JetMatrix.inv`` bit for bit (``tests/test_batched.py`` holds them
-to it).  A check that fails reports the first failing point in the order
-the operation documents.  The field operations are ``d_field`` on scalar
-fields and ``mat_mul``, ``mat_inv`` and ``mat_scale`` on matrix fields;
-products of single jets are ``jet_mul`` and ``JetMatrix.matmul``.
+to it).  The field operations are ``d_field`` on scalar fields and
+``mat_mul``, ``mat_inv`` and ``mat_scale`` on matrix fields; products of
+single jets are ``jet_mul`` and ``JetMatrix.matmul``.
 
 All field objects are immutable: no attribute can be set or deleted,
 operations return new fields, and the backing arrays and mappings are
 read-only.  A non-finite entry raises ``NonFiniteError``, also a
-``ValueError``.  Reductions over sample points run in sorted point order
-so results do not depend on dict insertion history.
+``ValueError``.
 
 A ``Jet`` stores its value as a float and its gradient as a tuple of
 Python floats, ``grad_tuple``.  Its operators read and build these
@@ -356,12 +355,12 @@ class _StackedField:
     """A field over the sample points of one region, held as one stack.
 
     ``coeffs`` is a read-only float64 array of shape (P, k, *tail), one
-    row per point, checked once per field; ``data`` is a read-only
-    mapping from each point to its entry.  The defaults here are the
-    form kinds': a row holds the coefficients on the chart basis
-    (k = dim), rows are in ``point_order`` and ``data[p]`` is a view of
-    its row.  Each kind sets ``KIND``, ``NDIM`` (the axes of one row)
-    and its messages.
+    row per point in ``point_order``, checked once per field; ``data`` is
+    a read-only mapping from each point to its entry, in the same order.
+    The defaults here are the form kinds': a row holds the coefficients
+    on the chart basis (k = dim) and ``data[p]`` is a view of its row.
+    Each kind sets ``KIND``, ``NDIM`` (the axes of one row) and its
+    messages.
     """
 
     __slots__ = ("region", "data", "coeffs")
@@ -376,7 +375,7 @@ class _StackedField:
     @classmethod
     def from_stack(cls, region: str, points, coeffs) -> "_StackedField":
         """The field holding a copy of row i of ``coeffs`` at ``points[i]``;
-        the points must be distinct, and for a form in ``point_order``."""
+        the points must be distinct and in ``point_order``."""
         points = list(points)
         cls._check_points(points)
         return object.__new__(cls)._checked(region, points, np.array(coeffs, dtype=float), None)
@@ -457,6 +456,8 @@ class _StackedField:
         if missing:
             raise FieldMismatchError(
                 f"restriction outside field domain: {point_order(missing)[:4]}")
+        if len(pts) == len(self.data):
+            return self             # the whole domain, and fields are immutable
         keep = [i for i, p in enumerate(self.data) if p in pts]
         order = [p for p in self.data if p in pts]
         return object.__new__(type(self))._set(self.region, order, self.coeffs[keep],
@@ -469,35 +470,28 @@ class _StackedField:
 
 class _JetField(_StackedField):
     """A jet field: row 0 of a point's (1 + dim, *tail) row is the value,
-    rows 1: the gradient.  Rows keep the order of the mapping the field
-    was built from, or of a kernel's first operand.  ``data`` holds the
-    caller's ``Jet`` or ``JetMatrix`` objects, or, for a stack, one object
-    per row built by the public validating constructor.
+    rows 1: the gradient.  Rows are in ``point_order`` for every kind; a
+    failure names the first failing point in ``point_order``.  ``data``
+    holds the caller's ``Jet`` or ``JetMatrix`` objects, or, for a stack,
+    one object per row built by the public validating constructor.
     """
 
     __slots__ = ()
     LEAD = 1
 
-    @classmethod
-    def _check_points(cls, points: list) -> None:
-        if len(set(points)) != len(points):
-            raise FieldMismatchError(f"{cls.KIND} points must be distinct")
-
     def _from_mapping(self, region: str, data: Mapping, tail: tuple) -> "_JetField":
         data = dict(data)
-        for p, x in data.items():
+        order = point_order(data)
+        entries = [data[p] for p in order]
+        for p, x in zip(order, entries):
             self._check_entry(p, x, tail)
-        if len({x.dim for x in data.values()}) > 1:
+        if len({x.dim for x in entries}) > 1:
             raise DimensionMismatchError(self.MIXED_MESSAGE)
-        entries = list(data.values())
         c = self._stack(entries, tail) if entries else np.zeros((0, 2) + tail)
-        return self._checked(region, list(data), c, tail, entries)
+        return self._checked(region, order, c, tail, entries)
 
     def _kept(self, order: list):
         return [self.data[p] for p in order]
-
-    def ordered_points(self) -> list:
-        return point_order(self.data)
 
 
 class ScalarField(_JetField):
@@ -608,16 +602,6 @@ def _require_aligned(a: _StackedField, b: _StackedField) -> None:
         raise FieldMismatchError("fields are defined on different point sets")
 
 
-def gather(f: _StackedField, points: list) -> np.ndarray:
-    """The rows of ``f.coeffs`` at ``points``, in that order: the stack
-    itself when the orders agree, else an index take."""
-    order = list(f.data)
-    if order == points:
-        return f.coeffs
-    at = {p: i for i, p in enumerate(order)}
-    return f.coeffs[[at[p] for p in points]]
-
-
 def determinants(v: np.ndarray) -> np.ndarray:
     """``np.linalg.det`` without numpy's overflow warning: a determinant
     beyond the float range is inf, which is above any floor."""
@@ -640,8 +624,7 @@ def jet_stack(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 def d_field(f: ScalarField) -> OneForm:
     """Exterior derivative: reads off each jet's gradient as coefficients."""
-    pts = f.ordered_points()
-    return OneForm.from_stack(f.region, pts, gather(f, pts)[:, 1:])
+    return OneForm.from_stack(f.region, f.ordered_points(), f.coeffs[:, 1:])
 
 
 # -- matrix field algebra ---------------------------------------------------
@@ -652,18 +635,18 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     if a.cols != b.rows:
         raise FieldMismatchError(
             f"matrix shapes {a.rows}x{a.cols} and {b.rows}x{b.cols} do not chain")
-    pts = list(a.data)
-    if pts and a.dim != b.dim:
+    if len(a) and a.dim != b.dim:
         raise DimensionMismatchError("JetMatrix product shape mismatch")
-    ca, cb = a.coeffs, gather(b, pts)
+    ca, cb = a.coeffs, b.coeffs
     value, grad = _leibniz_matmul(ca[:, 0], ca[:, 1:], cb[:, 0], cb[:, 1:])
     return a._like(a.region, jet_stack(value, grad))
 
 
 def mat_inv(a: MatrixField) -> MatrixField:
-    """Pointwise inverse; the first point in dict order whose determinant
+    """Pointwise inverse, rows in ``point_order``; a failure names the
+    first failing point in ``point_order``: the first whose determinant
     lies below ``DET_FLOOR`` raises SingularMatrixError."""
-    pts = list(a.data)
+    pts = a.ordered_points()
     if pts and a.rows != a.cols:
         raise DimensionMismatchError("only square matrices invert")
     v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
@@ -686,11 +669,9 @@ def mat_scale(a: MatrixField, s) -> MatrixField:
     if not isinstance(s, ScalarField):
         return a._like(a.region, float(s) * a.coeffs)
     _require_aligned(a, s)
-    pts = list(a.data)
-    if pts and s.dim != a.dim:
+    if len(a) and s.dim != a.dim:
         raise DimensionMismatchError("scalar jet dim mismatch")
-    cs = gather(s, pts)
-    sv, sg = cs[:, 0, None, None], cs[:, 1:, None, None]
+    sv, sg = s.coeffs[:, 0, None, None], s.coeffs[:, 1:, None, None]
     v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
     return a._like(a.region, jet_stack(sv * v, sg * v[:, None] + sv[:, None] * g))
 
@@ -721,11 +702,12 @@ def max_diff_rows(a, b) -> list[float]:
 
 
 def diff_rows(a: _StackedField, b: _StackedField, points: list) -> list[float]:
-    """Per point, the largest deviation between the rows two fields of one
-    kind hold there: value and gradient entries for jet fields."""
+    """Per point of ``points``, given in ``point_order``, the largest
+    deviation between the rows two fields of one kind hold there: value
+    and gradient entries for jet fields."""
     if not points:
         return []
-    ra, rb = gather(a, points), gather(b, points)
+    ra, rb = a.restrict(points).coeffs, b.restrict(points).coeffs
     if ra.shape != rb.shape:
         raise DimensionMismatchError(a.MISMATCH_MESSAGE.format(a=a, b=b))
     return max_diff_rows(ra, rb)

@@ -53,7 +53,6 @@ from .groups import GroupModel, LieValuedOneForm, gauge_form
 from .jets import (
     MatrixField,
     diff_rows,
-    gather,
     mat_inv,
     mat_mul,
     max_diff_rows,
@@ -215,10 +214,9 @@ def check_cocycle(P: PrincipalSheafData) -> dict[str, CheckResult]:
 def _from_identity(fields):
     """(point, deviation from the constant identity) over each field in turn."""
     for f in fields:
-        pts = f.ordered_points()
         unit = np.zeros(f.coeffs.shape[1:])
         unit[0] = np.eye(f.rows)
-        yield from zip(pts, max_diff_rows(gather(f, pts), unit))
+        yield from zip(f.ordered_points(), max_diff_rows(f.coeffs, unit))
 
 
 def section_transition(P: PrincipalSheafData, s: PrincipalSectionLocal,

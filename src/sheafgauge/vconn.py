@@ -38,7 +38,7 @@ from .associated import (
 from .cover import TAU_GLUE, transport_form
 from .errors import PreconditionError, PullbackImageError
 from .groups import LieValuedOneForm
-from .jets import MatrixOneForm, ScalarField, diff_rows, first_true, gather, max_diff_rows
+from .jets import MatrixOneForm, ScalarField, diff_rows, first_true, max_diff_rows
 from .principal import (
     PrincipalConnection,
     PrincipalSheafData,
@@ -94,11 +94,10 @@ def nabla_apply(E: PrincipalSheafData, nab: PrincipalConnection,
     for chart in sorted(s.components):
         comp = s.components[chart]
         theta = nab.form(chart).restrict(comp.points)
-        pts = theta.ordered_points()
-        c = gather(comp, pts)
+        c = comp.coeffs
         mats = theta.coeffs.reshape(theta.coeffs.shape[:2] + (n, n))
         der = c[:, 1:] + np.einsum("pkij,pjl->pkil", mats, c[:, 0])
-        out[chart] = MatrixOneForm.from_stack(comp.region, pts, der)
+        out[chart] = MatrixOneForm.from_stack(comp.region, comp.ordered_points(), der)
     return out
 
 
@@ -120,9 +119,9 @@ def check_nabla_agreement(E: PrincipalSheafData, nab: PrincipalConnection,
                 continue
             gab = E.entry(a, b).restrict(shared)
             db = transport_form(der[b].restrict(shared), E.cover, a)
-            order = db.ordered_points()
-            want = np.einsum("pij,pkjl->pkil", gather(gab, order)[:, 0], db.coeffs)
-            pairs += zip(order, max_diff_rows(der[a].restrict(shared).coeffs, want))
+            want = np.einsum("pij,pkjl->pkil", gab.coeffs[:, 0], db.coeffs)
+            pairs += zip(db.ordered_points(),
+                         max_diff_rows(der[a].restrict(shared).coeffs, want))
     return worst("nabla.agreement", TAU_GLUE, pairs)
 
 
@@ -139,9 +138,9 @@ def check_leibniz_koszul(E: PrincipalSheafData, nab: PrincipalConnection,
     pairs = []
     for chart in sorted(lhs):
         order = lhs[chart].ordered_points()
-        ca = gather(a, order)
+        ca = a.restrict(order).coeffs
         rhs = ca[:, 0, None, None, None] * base[chart].coeffs + np.einsum(
-            "pk,pil->pkil", ca[:, 1:], gather(s.components[chart], order)[:, 0])
+            "pk,pil->pkil", ca[:, 1:], s.components[chart].coeffs[:, 0])
         pairs += zip(order, max_diff_rows(lhs[chart].coeffs, rhs))
     return worst("koszul", KOSZUL_TOL, pairs)
 

@@ -18,6 +18,7 @@ from sheafgauge import (
     LieValuedOneForm,
     MatrixField,
     MatrixOneForm,
+    NonFiniteError,
     OneForm,
     SampledCover,
     ScalarField,
@@ -217,24 +218,27 @@ def _with(field, changes):
     return MatrixField(field.region, field.rows, field.cols, data)
 
 
-def test_mat_inv_names_first_singular_point_in_dict_order():
+def test_mat_inv_names_first_singular_point_in_point_order():
     base = random_field(_rng(2, 1), 2, 1, points=[5, 3, 0, 4, 1])
     zero = JetMatrix(np.zeros((2, 2)), np.zeros((1, 2, 2)))
     bad = _with(base, {3: zero, 1: zero})
     with pytest.raises(SingularMatrixError) as exc:
         mat_inv(bad)
-    assert exc.value.point == 3
-    assert str(exc.value) == "determinant 0.000e+00 below floor 1.0e-09 at point 3"
+    assert exc.value.point == 1
+    assert str(exc.value) == "determinant 0.000e+00 below floor 1.0e-09 at point 1"
 
 
 def test_mat_inv_reports_non_finite_inverse_before_later_singular_point():
     small = JetMatrix([[1e-5]], [[[1e300]]])          # det passes, gradient overflows
     zero = JetMatrix([[0.0]], [[[0.0]]])
+    # the earlier point in point_order decides, whatever the mapping order
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="finite"):
-            mat_inv(MatrixField("a", 1, 1, {0: small, 1: zero}))
-        with pytest.raises(SingularMatrixError):
-            mat_inv(MatrixField("a", 1, 1, {1: zero, 0: small}))
+        for data in ({0: small, 1: zero}, {1: zero, 0: small}):
+            with pytest.raises(NonFiniteError, match="finite"):
+                mat_inv(MatrixField("a", 1, 1, data))
+        for data in ({0: zero, 1: small}, {1: small, 0: zero}):
+            with pytest.raises(SingularMatrixError):
+                mat_inv(MatrixField("a", 1, 1, data))
 
 
 def test_mc_names_first_point_in_sorted_order():

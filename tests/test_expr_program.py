@@ -231,9 +231,10 @@ class TestSharing:
         assert "t = 6" in str(exc.value)
 
     def test_first_failing_point_in_points_order(self):
-        coords = {0: np.array([1.0]), 1: np.array([6.0]), 2: np.array([7.0])}
+        # insertion order is not point_order: point 10 comes before 2
+        coords = {2: np.array([8.0]), 10: np.array([7.0])}
         with pytest.raises(ExprDomainError, match="t = 7$") as exc:
-            eval_matrix([["t", "exp(exp(t)) * exp(t)"]], "r", coords, points=[0, 2, 1])
+            eval_matrix([["t", "exp(exp(t)) * exp(t)"]], "r", coords)
         assert exc.value.offset == 0
 
     def test_shared_entries_are_evaluated_once_per_point(self):

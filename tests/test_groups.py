@@ -82,7 +82,7 @@ class TestGroupModel:
 
     def test_expand_roundtrip(self):
         m = so2_model()
-        coeff, res = m.expand([[0.0, -2.5], [2.5, 0.0]])
+        (coeff,), res = m.expand_stack(np.array([[[0.0, -2.5], [2.5, 0.0]]]))
         assert res <= 1e-14
         assert np.allclose(coeff, [2.5])
         assert np.allclose(np.tensordot(coeff, m.lie_basis, 1), [[0.0, -2.5], [2.5, 0.0]])

@@ -3,8 +3,8 @@
 ``ScalarField`` and ``MatrixField`` keep every point in one read-only
 float64 stack ``coeffs``: index 0 of a row is the value, ``1:`` the
 gradient, shapes (P, 1 + dim) and (P, 1 + dim, rows, cols).  ``data`` is
-a read-only mapping in the order of the mapping the field was built
-from, or of a kernel's first operand.  A mapping keeps the caller's
+a read-only mapping, and both are in ``point_order`` whatever the order
+of the mapping the field was built from.  A mapping keeps the caller's
 ``Jet``/``JetMatrix`` objects; a kernel builds exactly one per point,
 through the validating constructor; restriction, relabelling and gluing
 reuse what they are given.
@@ -25,6 +25,7 @@ from sheafgauge import (
     mat_inv,
     mat_mul,
     mat_scale,
+    point_order,
 )
 from sheafgauge.catalog import eval_matrix
 
@@ -87,8 +88,8 @@ class TestStack:
             assert row_of(field.data[p]).tobytes() == row.tobytes()
 
     def test_rows_follow_the_mapping_order(self, field):
-        assert list(field.data) == POINTS
-        assert field.ordered_points() == [0, 1, 10, 11, 2]
+        # every kind keeps its rows in point_order, not the mapping's order
+        assert list(field.data) == field.ordered_points() == [0, 1, 10, 11, 2]
 
     def test_layout(self):
         assert scalar_field().coeffs.shape == (len(POINTS), 1 + DIM)
@@ -97,9 +98,9 @@ class TestStack:
 
     def test_restrict_keeps_the_order_and_the_objects(self, field):
         r = field.restrict({0, 11, 1})
-        assert list(r.data) == [11, 0, 1]
+        assert list(r.data) == [0, 1, 11]
         assert all(r.data[p] is field.data[p] for p in r.data)
-        assert np.array_equal(r.coeffs, field.coeffs[[0, 2, 4]])
+        assert np.array_equal(r.coeffs, field.coeffs[[0, 1, 3]])
         assert not r.coeffs.flags.writeable
 
 
@@ -115,7 +116,7 @@ class TestStackedConstructor:
             broken = stack.copy()
             broken[index] = bad
             with pytest.raises(NonFiniteError, match=f"^{message}$"):
-                cls.from_stack("u", POINTS, broken)
+                cls.from_stack("u", point_order(POINTS), broken)
 
     def test_stack_built_equals_mapping_built(self, field):
         again = type(field).from_stack(field.region, list(field.data), field.coeffs)
@@ -125,6 +126,17 @@ class TestStackedConstructor:
     def test_points_must_be_distinct(self):
         with pytest.raises(FieldMismatchError, match="distinct"):
             MatrixField.from_stack("u", [0, 0], matrix_field([0, 1]).coeffs)
+        for f in (matrix_field(), scalar_field()):
+            with pytest.raises(FieldMismatchError, match="distinct and in point_order"):
+                type(f).from_stack("u", POINTS, f.coeffs)
+
+    def test_insertion_order_does_not_change_the_stack(self):
+        for f, build in ((matrix_field(), lambda d: MatrixField("u", 2, 2, d)),
+                         (scalar_field(), lambda d: ScalarField("u", d))):
+            a = build({p: f.data[p] for p in POINTS})
+            b = build({p: f.data[p] for p in reversed(POINTS)})
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+            assert list(a.data) == list(b.data)
 
 
 class TestEmpty:
