@@ -45,8 +45,7 @@ from .jets import (
     mat_inv,
     mat_mul,
     mat_scale,
-    max_diff_rows,
-    point_order,
+    residuals,
 )
 from .principal import (
     PrincipalSectionLocal,
@@ -216,8 +215,7 @@ def check_representation(R: RepresentationModel, samples) -> CheckResult:
         first = first if first is not None else g
         lhs = R.phi(mat_mul(g, h))
         rhs = mat_mul(R.phi(g), R.phi(h))
-        order = lhs.ordered_points()
-        pairs += zip(order, diff_rows(lhs, rhs, order))
+        pairs += diff_rows(lhs, rhs)
     if first is not None:
         unit = R.source.unit_field(first.region, first.points, first.dim)
         pairs += _from_identity([R.phi(unit)])
@@ -236,15 +234,14 @@ def check_lie_type(R: RepresentationModel, elements) -> dict[str, CheckResult]:
         img = R.phi(g)
         lhs = mc(R.target, img)
         rhs = mc(R.source, g)
-        mc_pairs += zip(lhs.ordered_points(),
-                        max_diff_rows(lhs.coeffs, rhs.coeffs @ R.phibar))
+        mc_pairs += residuals(lhs.ordered_points(), lhs.coeffs, rhs.coeffs @ R.phibar)
 
         # stacks of coefficient matrices, rows in point_order; rho is
         # their transpose
         order, cs = _rho_stack(R.source, g)
         _, ct = _rho_stack(R.target, img)
-        rho_pairs += zip(order, max_diff_rows(R.phibar.T @ cs.swapaxes(1, 2),
-                                              ct.swapaxes(1, 2) @ R.phibar.T))
+        rho_pairs += residuals(order, R.phibar.T @ cs.swapaxes(1, 2),
+                               ct.swapaxes(1, 2) @ R.phibar.T)
     return {"mc": worst("lie_type.mc", LIE_TYPE_TOL, mc_pairs),
             "rho": worst("lie_type.rho", LIE_TYPE_TOL, rho_pairs)}
 
@@ -264,9 +261,7 @@ def check_components(E: PrincipalSheafData,
                 continue
             gab = E.entry(a, b).restrict(shared)
             vb = transport_field(comps[b].restrict(shared), E.cover, a)
-            order = point_order(shared)
-            pairs += zip(order, diff_rows(comps[a].restrict(shared),
-                                          mat_mul(gab, vb), order))
+            pairs += diff_rows(comps[a].restrict(shared), mat_mul(gab, vb))
     return worst("compat", TAU_GLUE, pairs)
 
 

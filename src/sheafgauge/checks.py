@@ -171,9 +171,8 @@ def _koszul(b: _Build, key: str) -> CheckResult:
 def _thm3_roundtrip(b: _Build, key: str) -> CheckResult:
     s = random_section(b.E, b.rng(key))
     back = tensorial_to_section(b.E, section_to_tensorial(b.E, s))
-    residuals = [field_residual(s.components[c], back.components[c])
-                 for c in sorted(s.components)]
-    return worst("", 0.0, ((p, res) for res, p in residuals))
+    return worst("", 0.0, [pair for c in sorted(s.components)
+                           for pair in diff_rows(s.components[c], back.components[c])])
 
 
 def _thm3_tensorial(b: _Build, key: str) -> CheckResult:
@@ -192,11 +191,8 @@ def _thm3_tensorial(b: _Build, key: str) -> CheckResult:
 def _cor1(b: _Build, key: str) -> CheckResult:
     D = b.connection()
     back = pull_back_connection(b.E, b.R, b.induced())
-    pairs = []
-    for c in sorted(D.forms):
-        order = D.forms[c].ordered_points()
-        pairs += zip(order, diff_rows(D.forms[c], back.forms[c], order))
-    return worst("", 0.0, pairs)
+    return worst("", 0.0, [pair for c in sorted(D.forms)
+                           for pair in diff_rows(D.forms[c], back.forms[c])])
 
 
 _ANY, _REP, _SEED = frozenset(), frozenset({"representation"}), frozenset({"seed"})

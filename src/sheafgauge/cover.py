@@ -42,6 +42,8 @@ class SampledCover:
         self.points = frozenset(points)
         if not self.points:
             raise CoverError("cover needs at least one point")
+        if len(set(map(str, self.points))) < len(self.points):
+            raise CoverError("cover points must differ in their string forms, which reports print")
         self.regions: dict[str, frozenset] = {
             str(r): frozenset(pts) for r, pts in regions.items()}
 
@@ -195,15 +197,12 @@ def glue(pieces: Mapping[str, _StackedField]) -> _StackedField:
             raise FieldMismatchError("glue pieces must share one field kind")
     for i, la in enumerate(labels):
         for lb in labels[i + 1:]:
-            fa, fb = pieces[la], pieces[lb]
-            shared = point_order(fa.points & fb.points)
-            rows = diff_rows(fa, fb, shared)
-            k = first_true(np.greater(rows, TAU_GLUE))
-            if k < len(shared):
-                p, d = shared[k], rows[k]
-                raise OverlapMismatchError(
-                    f"glue pieces {la!r} and {lb!r} differ by {d:.3e} at {p!r}",
-                    region_a=la, region_b=lb, point=p, residual=d)
+            shared = pieces[la].points & pieces[lb].points
+            for p, d in diff_rows(pieces[la].restrict(shared), pieces[lb].restrict(shared)):
+                if d > TAU_GLUE:
+                    raise OverlapMismatchError(
+                        f"glue pieces {la!r} and {lb!r} differ by {d:.3e} at {p!r}",
+                        region_a=la, region_b=lb, point=p, residual=d)
     merged = {}
     for lab in labels:
         for p, v in pieces[lab].data.items():

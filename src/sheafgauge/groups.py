@@ -44,11 +44,11 @@ from .jets import (
     _StackedField,
     _require_aligned,
     determinants,
+    diff_rows,
     first_true,
     identity_matrix_field,
     mat_inv,
     mat_mul,
-    max_diff_rows,
 )
 from .report import CheckResult, worst
 
@@ -326,5 +326,4 @@ def check_logarithmic_rule(model: GroupModel, s: MatrixField,
     """Residual of mc(s t) = gauge_form(t, mc(s)) over the common points."""
     lhs = mc(model, group_mul(s, t))
     rhs = gauge_form(model, t, mc(model, s), t.region)
-    return worst("log.crossed", LOG_RULE_TOL, zip(
-        lhs.ordered_points(), max_diff_rows(lhs.coeffs, rhs.coeffs)))
+    return worst("log.crossed", LOG_RULE_TOL, diff_rows(lhs, rhs))

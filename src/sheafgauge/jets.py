@@ -27,7 +27,10 @@ one-point computation, so the numbers equal those of ``JetMatrix.matmul``
 and ``JetMatrix.inv`` bit for bit (``tests/test_batched.py`` holds them
 to it).  The field operations are ``d_field`` on scalar fields and
 ``mat_mul``, ``mat_inv`` and ``mat_scale`` on matrix fields; products of
-single jets are ``jet_mul`` and ``JetMatrix.matmul``.
+single jets are ``jet_mul`` and ``JetMatrix.matmul``.  Only the residual
+functions pair a point with its residual: ``residuals`` for the rows of
+two stacks, ``diff_rows`` for two fields of one kind (in ``point_order``)
+and ``field_residual``, the worst of ``diff_rows``' pairs.
 
 All field objects are immutable: no attribute can be set or deleted,
 operations return new fields, and the backing arrays and mappings are
@@ -389,6 +392,7 @@ class _StackedField:
     def _from_mapping(self, region: str, data: Mapping, tail=None, ndmin=0) -> "_StackedField":
         data = dict(data)
         order = point_order(data)
+        self._check_points(order)
         rows = [np.array(data[p], dtype=float, ndmin=ndmin) for p in order]
         if len({r.shape for r in rows}) > 1:
             for p, r in zip(order, rows):
@@ -482,6 +486,7 @@ class _JetField(_StackedField):
     def _from_mapping(self, region: str, data: Mapping, tail: tuple) -> "_JetField":
         data = dict(data)
         order = point_order(data)
+        self._check_points(order)
         entries = [data[p] for p in order]
         for p, x in zip(order, entries):
             self._check_entry(p, x, tail)
@@ -695,34 +700,29 @@ def max_diff(a, b) -> float:
 
 
 @np.errstate(over="ignore")   # a gap beyond the float range is inf
-def max_diff_rows(a, b) -> list[float]:
-    """``max_diff`` of each pair of rows of two stacks (leading axis)."""
+def residuals(points, a, b) -> list[tuple]:
+    """The (point, ``max_diff`` of its rows) pairs of two stacks, row i
+    of each (leading axis) belonging to ``points[i]``."""
     d = np.abs(np.subtract(a, b))
-    return np.max(d, axis=tuple(range(1, d.ndim)), initial=0.0).tolist()
+    return list(zip(points, np.max(d, axis=tuple(range(1, d.ndim)), initial=0.0).tolist()))
 
 
-def diff_rows(a: _StackedField, b: _StackedField, points: list) -> list[float]:
-    """Per point of ``points``, given in ``point_order``, the largest
-    deviation between the rows two fields of one kind hold there: value
-    and gradient entries for jet fields."""
-    if not points:
-        return []
-    ra, rb = a.restrict(points).coeffs, b.restrict(points).coeffs
-    if ra.shape != rb.shape:
-        raise DimensionMismatchError(a.MISMATCH_MESSAGE.format(a=a, b=b))
-    return max_diff_rows(ra, rb)
-
-
-def field_residual(a: _StackedField, b: _StackedField) -> tuple[float, object]:
-    """Max pointwise deviation between two fields of the same kind.
-
-    Returns (residual, worst point id); (0.0, None) for empty fields.
-    Value and gradient parts both count for jet fields.
-    """
+def diff_rows(a: _StackedField, b: _StackedField) -> list[tuple]:
+    """The (point, largest deviation) pairs of two fields of one kind on
+    the same points, in ``point_order``: value and gradient entries count
+    for jet fields; [] for empty fields."""
     if type(a) is not type(b):
         raise FieldMismatchError(f"cannot compare {type(a).__name__} with {type(b).__name__}")
     if a.points != b.points:
         raise FieldMismatchError("fields are defined on different point sets")
-    pts = a.ordered_points()
-    r = worst("field", 0.0, zip(pts, diff_rows(a, b, pts)))
+    if not a.data:
+        return []
+    if a.coeffs.shape != b.coeffs.shape:
+        raise DimensionMismatchError(a.MISMATCH_MESSAGE.format(a=a, b=b))
+    return residuals(a.ordered_points(), a.coeffs, b.coeffs)
+
+
+def field_residual(a: _StackedField, b: _StackedField) -> tuple[float, object]:
+    """(residual, worst point) of ``diff_rows``; (0.0, None) for empty fields."""
+    r = worst("field", 0.0, diff_rows(a, b))
     return r.residual, r.worst_point

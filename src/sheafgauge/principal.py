@@ -55,8 +55,8 @@ from .jets import (
     diff_rows,
     mat_inv,
     mat_mul,
-    max_diff_rows,
     point_order,
+    residuals,
 )
 from .report import CheckResult, worst
 
@@ -203,8 +203,7 @@ def check_cocycle(P: PrincipalSheafData) -> dict[str, CheckResult]:
                 ab = P.cocycle[(a, b)].restrict(pts)
                 bc = transport_field(P.cocycle[(b, c)].restrict(pts), cover, a)
                 ac = P.cocycle[(a, c)].restrict(pts)
-                order = point_order(pts)
-                triples += zip(order, diff_rows(mat_mul(ab, bc), ac, order))
+                triples += diff_rows(mat_mul(ab, bc), ac)
 
     pairs = {"unit": _from_identity(units), "inverse": _from_identity(inverses),
              "triple": triples}
@@ -216,7 +215,7 @@ def _from_identity(fields):
     for f in fields:
         unit = np.zeros(f.coeffs.shape[1:])
         unit[0] = np.eye(f.rows)
-        yield from zip(f.ordered_points(), max_diff_rows(f.coeffs, unit))
+        yield from residuals(f.ordered_points(), f.coeffs, unit)
 
 
 def section_transition(P: PrincipalSheafData, s: PrincipalSectionLocal,
@@ -254,8 +253,7 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection) -> CheckResu
             pts = P.cover.overlap_points(x, y)
             rhs = gauge_form(P.group, P.entry(x, y).restrict(pts), D.form(x).restrict(pts), x)
             lhs = transport_form(D.form(y).restrict(pts), P.cover, x)
-            order = lhs.ordered_points()
-            pairs += zip(order, diff_rows(lhs, rhs, order))
+            pairs += diff_rows(lhs, rhs)
     return worst("connection", TAU_GLUE, pairs)
 
 
@@ -288,20 +286,15 @@ def complete_connection(P: PrincipalSheafData,
         edges[b].add(a)
 
     big: dict[str, LieValuedOneForm] = {chart0: w0}
-    parent: dict[str, str] = {chart0: chart0}
     queue = deque([chart0])
-    order = [chart0]
     while queue:
         a = queue.popleft()
         for b in sorted(edges[a]):
-            if b in parent:
-                continue
-            parent[b] = a
-            big[b] = _propagate(P, a, b, big[a])
-            order.append(b)
-            queue.append(b)
+            if b not in big:
+                big[b] = _propagate(P, a, b, big[a])
+                queue.append(b)
 
-    unreachable = set(cover.regions) - set(parent)
+    unreachable = set(cover.regions) - set(big)
     if unreachable:
         raise CoverError(
             f"overlap graph is disconnected; unreachable: {sorted(unreachable)}")

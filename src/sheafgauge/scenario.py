@@ -48,6 +48,7 @@ from .cover import SampledCover, arc_range, circle_cover
 from .errors import ParseError, ScenarioError
 from .expr import eval_expr, parse_expr
 from .groups import GroupModel, LieValuedOneForm, model_by_name
+from .jets import point_order
 from .principal import PrincipalSheafData
 
 DEFAULT_POINTS = 24
@@ -61,7 +62,7 @@ MAX_POINTS = 50_000
 class Scenario:
     name: str = "unnamed"
     n_points: int = DEFAULT_POINTS
-    regions: dict[str, list[int]] = dc_field(default_factory=dict)
+    regions: dict[str, tuple[int, int]] = dc_field(default_factory=dict)
     group_kind: str | None = None
     cocycle_rows: dict[tuple[str, str], list[list]] = dc_field(default_factory=dict)
     representation: str | None = None
@@ -298,7 +299,8 @@ def build_seed(s: Scenario, cover: SampledCover,
                group: GroupModel) -> tuple[str, LieValuedOneForm] | None:
     """Evaluate the seed connection form on every sample point.
 
-    Every entry is evaluated at every point first.  Coefficient seeds
+    Every entry is evaluated at every point first, in ``point_order``,
+    so a failure names the point a cocycle entry would.  Coefficient seeds
     fill the (dim, m) arrays directly; matrix seeds are then expanded in
     the Lie basis and must lie in its span.
     """
@@ -315,14 +317,14 @@ def build_seed(s: Scenario, cover: SampledCover,
             raise ScenarioError("connection rows must form an ambient-size matrix")
         entries = [e for row in s.seed_rows for e in row]
     coords = global_coords(cover)
-    pts = list(coords)
-    values = np.array([[eval_expr(e, float(np.atleast_1d(c)[0])).value for e in entries]
-                       for c in coords.values()])
+    pts = point_order(coords)
+    values = np.array([[eval_expr(e, float(np.atleast_1d(coords[p])[0])).value
+                        for e in entries] for p in pts])
     if s.seed_coeffs is not None:
         coeffs = values[:, None]
     else:
         coeffs = group.span_coeffs(values.reshape(len(pts), 1, k, k), pts, "seed matrix")
-    return s.seed_chart, LieValuedOneForm(s.seed_chart, dict(zip(pts, coeffs)))
+    return s.seed_chart, LieValuedOneForm.from_stack(s.seed_chart, pts, coeffs)
 
 
 # -- built-in demos -----------------------------------------------------------

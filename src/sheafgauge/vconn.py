@@ -38,7 +38,7 @@ from .associated import (
 from .cover import TAU_GLUE, transport_form
 from .errors import PreconditionError, PullbackImageError
 from .groups import LieValuedOneForm
-from .jets import MatrixOneForm, ScalarField, diff_rows, first_true, max_diff_rows
+from .jets import MatrixOneForm, ScalarField, diff_rows, residuals
 from .principal import (
     PrincipalConnection,
     PrincipalSheafData,
@@ -120,8 +120,7 @@ def check_nabla_agreement(E: PrincipalSheafData, nab: PrincipalConnection,
             gab = E.entry(a, b).restrict(shared)
             db = transport_form(der[b].restrict(shared), E.cover, a)
             want = np.einsum("pij,pkjl->pkil", gab.coeffs[:, 0], db.coeffs)
-            pairs += zip(db.ordered_points(),
-                         max_diff_rows(der[a].restrict(shared).coeffs, want))
+            pairs += residuals(db.ordered_points(), der[a].restrict(shared).coeffs, want)
     return worst("nabla.agreement", TAU_GLUE, pairs)
 
 
@@ -141,7 +140,7 @@ def check_leibniz_koszul(E: PrincipalSheafData, nab: PrincipalConnection,
         ca = a.restrict(order).coeffs
         rhs = ca[:, 0, None, None, None] * base[chart].coeffs + np.einsum(
             "pk,pil->pkil", ca[:, 1:], s.components[chart].coeffs[:, 0])
-        pairs += zip(order, max_diff_rows(lhs[chart].coeffs, rhs))
+        pairs += residuals(order, lhs[chart].coeffs, rhs)
     return worst("koszul", KOSZUL_TOL, pairs)
 
 
@@ -162,12 +161,11 @@ def pull_back_connection(E: PrincipalSheafData, R: RepresentationModel,
         w = nab.forms[chart]
         pts = w.ordered_points()
         coeff = w.coeffs @ pinv
-        res = max_diff_rows(coeff @ R.phibar, w.coeffs)
-        bad = first_true(np.greater(res, IMAGE_TOL))
-        if bad < len(pts):
-            raise PullbackImageError(
-                f"connection matrices leave the image of phibar at {pts[bad]!r} "
-                f"(residual {res[bad]:.3e})", point=pts[bad], residual=res[bad])
+        for p, d in residuals(pts, coeff @ R.phibar, w.coeffs):
+            if d > IMAGE_TOL:
+                raise PullbackImageError(
+                    f"connection matrices leave the image of phibar at {p!r} "
+                    f"(residual {d:.3e})", point=p, residual=d)
         forms[chart] = LieValuedOneForm.from_stack(w.region, pts, coeff)
     return PrincipalConnection(forms)
 
@@ -183,8 +181,6 @@ def check_frame_roundtrip(E: PrincipalSheafData, nab: PrincipalConnection) -> Ch
     check_connection(E, nab).require(PreconditionError,
                                      "vector connection fails its transition law")
     back = _apply_phibar(trivial_rep(E.group.ambient), nab)
-    pairs = []
-    for c in sorted(nab.forms):
-        order = nab.forms[c].ordered_points()
-        pairs += zip(order, diff_rows(nab.forms[c], back.forms[c], order))
-    return worst("frame.roundtrip", ROUNDTRIP_TOL, pairs)
+    return worst("frame.roundtrip", ROUNDTRIP_TOL,
+                 [pair for c in sorted(nab.forms)
+                  for pair in diff_rows(nab.forms[c], back.forms[c])])

@@ -36,7 +36,7 @@ from sheafgauge import (
     transport_field,
     transport_form,
 )
-from sheafgauge.jets import diff_rows, max_diff, max_diff_rows
+from sheafgauge.jets import diff_rows, max_diff, residuals
 
 SHAPES = [(k, dim) for k in (1, 2, 3, 4) for dim in (1, 2, 3)]
 N_POINTS = 7
@@ -158,17 +158,17 @@ def test_residual_rows_match_one_point_diffs(k, dim):
     rng = _rng(k, dim)
     a, b = random_field(rng, k, dim), random_field(rng, k, dim)
     pts = a.ordered_points()
-    assert diff_rows(a, b, pts) == [a.data[p].max_abs_diff(b.data[p]) for p in pts]
+    assert diff_rows(a, b) == [(p, a.data[p].max_abs_diff(b.data[p])) for p in pts]
     res, at = field_residual(a, b)
     want = max(pts, key=lambda p: (a.data[p].max_abs_diff(b.data[p]), -pts.index(p)))
     assert (res, at) == (a.data[want].max_abs_diff(b.data[want]), want)
 
     la = LieValuedOneForm("a", {p: m.grad.reshape(dim, -1) for p, m in a.data.items()})
     lb = LieValuedOneForm("a", {p: m.grad.reshape(dim, -1) for p, m in b.data.items()})
-    want = [max_diff(la.data[p], lb.data[p]) for p in pts]
-    assert diff_rows(la, lb, pts) == want
-    assert max_diff_rows(np.array([la.data[p] for p in pts]),
-                         np.array([lb.data[p] for p in pts])) == want
+    want = [(p, max_diff(la.data[p], lb.data[p])) for p in pts]
+    assert diff_rows(la, lb) == want
+    assert residuals(pts, np.array([la.data[p] for p in pts]),
+                     np.array([lb.data[p] for p in pts])) == want
 
     sa = ScalarField("a", {p: Jet(m.value[0, 0], m.grad[:, 0, 0]) for p, m in a.data.items()})
     sb = ScalarField("a", {p: Jet(m.value[0, 0], m.grad[:, 0, 0]) for p, m in b.data.items()})
@@ -179,8 +179,8 @@ def test_residual_rows_match_one_point_diffs(k, dim):
 def test_rows_are_plain_floats():
     a = random_field(_rng(2, 1), 2, 1)
     b = random_field(_rng(2, 1, salt=1), 2, 1)
-    rows = diff_rows(a, b, a.ordered_points())
-    assert all(type(r) is float for r in rows)
+    rows = diff_rows(a, b)
+    assert all(type(r) is float for _, r in rows)
     res, _ = field_residual(OneForm("a", {0: [1.0, 2.0]}), OneForm("a", {0: [1.0, 3.5]}))
     assert type(res) is float and res == 1.5
 
@@ -197,8 +197,8 @@ def test_empty_fields(k):
     assert len(mc(model, e)) == 0
     assert rho_matrix(model, e) == {}
     assert field_residual(e, e) == (0.0, None)
-    assert diff_rows(e, e, []) == []
-    assert diff_rows(mc(model, e), mc(model, e), []) == []
+    assert diff_rows(e, e) == []
+    assert diff_rows(mc(model, e), mc(model, e)) == []
     cover = two_chart_cover(2, _rng(k, 2))
     assert len(transport_field(e, cover, "b")) == 0
     assert len(transport_form(MatrixOneForm("a", k, k, {}), cover, "b")) == 0

@@ -396,8 +396,9 @@ class TestNoTestOnlyApi:
 
 
 class TestOneHomePerRule:
-    """The failure record, the Lie-span test and the gauge action of eq7
-    are each written in one place."""
+    """The failure record, the Lie-span test, the gauge action of eq7 and
+    the pairing of sample points with residuals are each written in one
+    place."""
 
     def test_only_errors_with_fields_of_their_own_define_init(self):
         tree = parsed(Path(sheafgauge.errors.__file__))
@@ -418,6 +419,16 @@ class TestOneHomePerRule:
                    if isinstance(fn, ast.FunctionDef) and fn.name == "gauge_form"]
         assert len(calls) == 1
         assert calls[0][0] == "groups.py" and home.lineno <= calls[0][1] <= home.end_lineno
+
+    def test_points_meet_residuals_only_in_jets(self):
+        # each law takes its (point, residual) pairs from jets.residuals or
+        # jets.diff_rows instead of zipping points with rows by hand
+        paths = [Path(m.__file__) for m in
+                 (sheafgauge.principal, sheafgauge.associated, sheafgauge.vconn)]
+        zips = [(path.name, node.lineno) for path in paths
+                for node in ast.walk(parsed(path)) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "zip"]
+        assert zips == []
 
 
 class TestEveryJetIsValidated:

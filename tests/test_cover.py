@@ -46,6 +46,11 @@ class TestCoverConstruction:
         with pytest.raises(CoverError):
             SampledCover([0], {"u": [0, 5]}, {("u", 0): [0.0], ("u", 5): [1.0]})
 
+    def test_points_with_one_string_form_rejected(self):
+        # a report names a point by its string, so 1 and "1" would read alike
+        with pytest.raises(CoverError, match="string forms"):
+            SampledCover([1, "1"], {"u": [1, "1"]}, {("u", 1): [0.0], ("u", "1"): [1.0]})
+
     def test_missing_coords_rejected(self):
         with pytest.raises(CoverError):
             SampledCover([0, 1], {"u": [0, 1]}, {("u", 0): [0.0]})

@@ -19,6 +19,7 @@ from sheafgauge import (
     JetMatrix,
     MatrixField,
     NonFiniteError,
+    OneForm,
     ScalarField,
     glue,
     identity_matrix_field,
@@ -137,6 +138,17 @@ class TestStackedConstructor:
             b = build({p: f.data[p] for p in reversed(POINTS)})
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
             assert list(a.data) == list(b.data)
+
+    @pytest.mark.parametrize("keys", [(1, "1"), ("1", 1)])
+    def test_points_with_one_string_form_are_refused(self, keys):
+        # 1 and "1" tie in point_order, so no row order of theirs is one
+        # that from_stack would take back from the field
+        m, j = matrix_field([0]).data[0], scalar_field([0]).data[0]
+        for build in (lambda: MatrixField("u", 2, 2, dict.fromkeys(keys, m)),
+                      lambda: ScalarField("u", dict.fromkeys(keys, j)),
+                      lambda: OneForm("u", dict.fromkeys(keys, [1.0, 2.0]))):
+            with pytest.raises(FieldMismatchError, match="distinct and in point_order"):
+                build()
 
 
 class TestEmpty:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sheafgauge import (
+    ExprDomainError,
     ScenarioError,
     SpanError,
     build_cover,
@@ -235,6 +236,41 @@ row = 0; 0
         with pytest.raises(SpanError) as exc:
             build_seed(scn, cover, group)
         assert exc.value.residual >= 0.5
+
+    def test_seed_and_cocycle_entry_fail_at_one_point(self):
+        # exp(1000 * t) overflows from point 3 (t = 0.785398) on; the first
+        # of those points in point_order is 10 (t = 2.61799)
+        seed = parse_scenario(DEMO_SO2.replace("coeffs = (2 + sin(t)) / 4",
+                                               "coeffs = exp(1000 * t)"))
+        with pytest.raises(ExprDomainError, match="t = 2.61799$"):
+            build_seed(seed, build_cover(seed), build_group(seed))
+        entry = parse_scenario(DEMO_SO2.replace("row = cos(t); -sin(t)",
+                                                "row = cos(t) + exp(1000 * t); -sin(t)"))
+        with pytest.raises(ExprDomainError, match="t = 2.61799$"):
+            build_principal(entry, build_cover(entry), build_group(entry))
+
+    def test_seed_span_error_names_the_first_point_in_point_order(self):
+        # alpha's points come first in the cover, 6 .. 11 before 0 and 1;
+        # sin(t) leaves the torus algebra everywhere but at 0 and 6 (within
+        # rounding), so the cover's order would fail at 7, point_order at 1
+        text = """\
+[space]
+points = 12
+region alpha = 6 .. 1
+region beta  = 0 .. 7
+[group]
+kind = torus(2)
+[cocycle alpha beta]
+row = 1; 0
+row = 0; 1
+[connection alpha]
+row = 0; sin(t)
+row = 0; 0
+"""
+        scn, cover, group = built(text)
+        with pytest.raises(SpanError) as exc:
+            build_seed(scn, cover, group)
+        assert exc.value.point == 1
 
     def test_seed_row_shape_checked(self):
         scn = parse_scenario(MINIMAL + "[connection alpha]\nrow = 0; 0\n")
