@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteError,
     ScenarioError,
 )
-from .groups import MAX_AMBIENT, RANK_TOL, GroupModel, _rho_stack, gl_model, mc, so2_model
+from .groups import MAX_AMBIENT, GroupModel, _left_inverse, _rho_stack, gl_model, mc, so2_model
 from .jets import (
     Jet,
     JetMatrix,
@@ -85,7 +85,7 @@ class RepresentationModel:
 
     @property
     def injective(self) -> bool:
-        return int(np.linalg.matrix_rank(self.phibar, tol=RANK_TOL)) == self.source.rank
+        return _left_inverse(self.phibar, "phibar") is not None
 
     def __repr__(self):
         return f"RepresentationModel({self.name!r}, n={self.n})"

@@ -77,12 +77,15 @@ class SampledCover:
                     f"region {rid!r} lacks coordinates at {point_order(missing)[:4]}")
 
         self.jacobians: dict[tuple, np.ndarray] = {}
+        overlaps: dict[tuple, frozenset] = {}    # each pair's overlap, built once
         for (a, b, p), m in dict(jacobians or {}).items():
             a, b = str(a), str(b)
             j = np.asarray(m, dtype=float)
             if a not in self.regions or b not in self.regions:
                 raise UnknownRegionError(f"jacobian for unknown region pair ({a}, {b})")
-            if p not in self.overlap_points(a, b):
+            if (a, b) not in overlaps:
+                overlaps[(a, b)] = self.overlap_points(a, b)
+            if p not in overlaps[(a, b)]:
                 raise CoverError(f"jacobian at {p!r} outside overlap of {a!r}, {b!r}")
             if j.shape != (self._dims[a], self._dims[b]):
                 raise CoverError(f"jacobian shape {j.shape} wrong for ({a}, {b})")

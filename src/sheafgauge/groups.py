@@ -21,6 +21,14 @@ place that insists the expansion residual stays within ``SPAN_TOL``,
 naming the first point that leaves the modeled algebra.  Elements
 whose determinant falls below ``jets.DET_FLOOR`` count as singular.
 These thresholds are fixed module constants, not parameters.
+
+Every independence test and every left inverse of a basis (the Lie
+basis here, a representation's phibar in ``associated`` and ``vconn``)
+goes through ``_left_inverse``, which works on the Gram system: the
+rows are independent when the squared sine of the angle between each
+row and the span of the rows before it, read off a Cholesky factor,
+exceeds ``RANK_TOL``.  The test is relative, so scaling a basis does
+not change its verdict, and no report needs an SVD.
 """
 
 from __future__ import annotations
@@ -55,9 +63,40 @@ from .report import CheckResult, worst
 SPAN_TOL = 1e-10
 BRACKET_TOL = 1e-12
 LOG_RULE_TOL = 1e-9
-# Singular values below this count as zero in a rank test (the Lie basis
-# here, a representation's phibar in ``associated``).
+# Rows count as dependent when the squared sine of the angle between one
+# of them and the span of the rows before it is at most this (the Lie
+# basis here, a representation's phibar in ``associated``).
 RANK_TOL = 1e-10
+
+
+def _left_inverse(rows: np.ndarray, what: str) -> np.ndarray | None:
+    """The left inverse ``solve(A A^T, A)`` of the (m, q) matrix A of
+    ``rows``, or None when the rows are linearly dependent.
+
+    Each row is first scaled by the power of two that brings its largest
+    entry into [0.5, 1), so that no Gram entry overflows.  The scaled
+    Gram matrix is factored by Cholesky: the rows are dependent when
+    that fails (a zero row does) or when some squared pivot, over the
+    squared length of its row, is at most ``RANK_TOL``; that ratio is
+    the squared sine of the angle between a row and the span of the
+    rows before it.  The left inverse is solved from the same Gram
+    matrix and scaled back, so it has the bits of the unscaled formula
+    whenever the rows share one scale, as every shipped basis does; it
+    is exact for orthogonal rows, where an SVD-based pinv loses an ulp.
+    Non-finite rows raise NonFiniteError naming ``what``.
+    """
+    if not np.isfinite(rows).all():
+        raise NonFiniteError(f"{what} must be finite")
+    _, exp = np.frexp(np.max(np.abs(rows), axis=1, keepdims=True, initial=0.0))
+    scaled = np.ldexp(rows, -exp)
+    gram = scaled @ scaled.T
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+    except np.linalg.LinAlgError:
+        return None
+    if (pivots <= RANK_TOL * np.diagonal(gram)).any():
+        return None
+    return np.ldexp(np.linalg.solve(gram, scaled), -exp)
 
 
 class LieValuedOneForm(_StackedField):
@@ -96,12 +135,9 @@ class GroupModel:
         self.lie_basis.setflags(write=False)
         m = basis.shape[0]
         self._flat = basis.reshape(m, -1)            # (m, k*k)
-        if np.linalg.matrix_rank(self._flat, tol=RANK_TOL) != m:
+        self._pinv = _left_inverse(self._flat, "lie basis matrices")  # (m, k*k)
+        if self._pinv is None:
             raise SpanError("lie basis matrices are linearly dependent")
-        # left inverse via the Gram system: exact for orthogonal bases,
-        # where SVD-based pinv loses an ulp and spoils unit-element checks
-        gram = self._flat @ self._flat.T
-        self._pinv = np.linalg.solve(gram, self._flat)   # (m, k*k): coeffs = pinv @ flat
         self.structure_constants = self._derive_structure()
         self.structure_constants.setflags(write=False)
 

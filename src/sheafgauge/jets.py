@@ -78,6 +78,9 @@ def point_order(points) -> list:
     return sorted(points, key=str)
 
 
+_ORDER_MESSAGE = "{cls.KIND} points must be distinct and in point_order"
+
+
 def _all_finite(a: np.ndarray) -> bool:
     """True when no entry of ``a`` is NaN, +inf or -inf; true when empty.
 
@@ -387,12 +390,21 @@ class _StackedField:
     def _check_points(cls, points: list) -> None:
         keys = [str(p) for p in points]
         if any(a >= b for a, b in zip(keys, keys[1:])):
-            raise FieldMismatchError(f"{cls.KIND} points must be distinct and in point_order")
+            raise FieldMismatchError(_ORDER_MESSAGE.format(cls=cls))
+
+    @classmethod
+    def _ordered(cls, points) -> list:
+        """``point_order`` of distinct ``points``, each turned into a
+        string once: it passes ``_check_points`` unless two of them share
+        a string form, which raises here."""
+        keys = {p: str(p) for p in points}
+        if len(set(keys.values())) < len(keys):
+            raise FieldMismatchError(_ORDER_MESSAGE.format(cls=cls))
+        return sorted(keys, key=keys.__getitem__)
 
     def _from_mapping(self, region: str, data: Mapping, tail=None, ndmin=0) -> "_StackedField":
         data = dict(data)
-        order = point_order(data)
-        self._check_points(order)
+        order = self._ordered(data)
         rows = [np.array(data[p], dtype=float, ndmin=ndmin) for p in order]
         if len({r.shape for r in rows}) > 1:
             for p, r in zip(order, rows):
@@ -485,8 +497,7 @@ class _JetField(_StackedField):
 
     def _from_mapping(self, region: str, data: Mapping, tail: tuple) -> "_JetField":
         data = dict(data)
-        order = point_order(data)
-        self._check_points(order)
+        order = self._ordered(data)
         entries = [data[p] for p in order]
         for p, x in zip(order, entries):
             self._check_entry(p, x, tail)

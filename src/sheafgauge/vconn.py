@@ -15,8 +15,8 @@ the transition entries and that the connection obeys eq7, then applies
 phibar to each chart form coefficientwise; ``check_frame_roundtrip``
 checks the connection itself and applies phibar through the same
 private step.  ``pull_back_connection`` inverts that when phibar is
-injective, using its pseudo-inverse and insisting the forms actually
-lie in the image.
+injective, using its left inverse from the Gram system and insisting
+the forms actually lie in the image.
 
 ``nabla_apply`` is the covariant derivative on section components,
 d(v_i) + sum_j v_j theta_ij per chart, which satisfies the Leibniz rule
@@ -37,7 +37,7 @@ from .associated import (
 )
 from .cover import TAU_GLUE, transport_form
 from .errors import PreconditionError, PullbackImageError
-from .groups import LieValuedOneForm
+from .groups import LieValuedOneForm, _left_inverse
 from .jets import MatrixOneForm, ScalarField, diff_rows, residuals
 from .principal import (
     PrincipalConnection,
@@ -149,13 +149,13 @@ def pull_back_connection(E: PrincipalSheafData, R: RepresentationModel,
     """Recover the principal connection inducing a vector connection.
 
     Only available when phibar is injective; each chart's gl(n)
-    coefficients are expanded through the pseudo-inverse of phibar, and
+    coefficients are expanded through the left inverse of phibar, and
     a reconstruction residual above ``IMAGE_TOL`` (the form leaves the
     image of phibar) is an error naming the offending point.
     """
     if not R.injective:
         raise PullbackImageError("phibar is not injective; no pull-back exists")
-    pinv = np.linalg.pinv(R.phibar)     # (n*n, m)
+    pinv = _left_inverse(R.phibar, "phibar").T      # (n*n, m)
     forms = {}
     for chart in sorted(nab.forms):
         w = nab.forms[chart]

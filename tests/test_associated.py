@@ -13,8 +13,10 @@ from sheafgauge import (
     Jet,
     JetMatrix,
     MatrixField,
+    NonFiniteError,
     PrincipalSectionLocal,
     PrincipalSheafData,
+    RepresentationModel,
     SampledCover,
     ScalarField,
     TensorialMorphismData,
@@ -104,6 +106,18 @@ class TestRepresentations:
         assert not rep_by_name("gl1_diag_powers(0)").injective
         with pytest.raises(ScenarioError):
             rep_by_name("fourier")
+
+    @pytest.mark.parametrize("phibar,injective", [
+        ([[1e-11]], True), ([[1e200]], True), ([[0.0]], False)])
+    def test_injective_does_not_depend_on_scale(self, phibar, injective):
+        R = RepresentationModel("scaled", gl_model(1), 1, lambda g: g, phibar)
+        assert R.injective is injective
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_phibar_raises_a_package_error(self, entry):
+        R = RepresentationModel("bad", gl_model(1), 1, lambda g: g, [[entry]])
+        with pytest.raises(NonFiniteError, match="phibar must be finite"):
+            R.injective
 
     def test_rep_by_name_checks_ambient(self, so2_pipe, mobius_pipe):
         rep_by_name("so2_in_gl2", source=so2_pipe.group)

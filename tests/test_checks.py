@@ -396,9 +396,9 @@ class TestNoTestOnlyApi:
 
 
 class TestOneHomePerRule:
-    """The failure record, the Lie-span test, the gauge action of eq7 and
-    the pairing of sample points with residuals are each written in one
-    place."""
+    """The failure record, the Lie-span test, the gauge action of eq7,
+    the pairing of sample points with residuals and the rank test of a
+    basis are each written in one place."""
 
     def test_only_errors_with_fields_of_their_own_define_init(self):
         tree = parsed(Path(sheafgauge.errors.__file__))
@@ -429,6 +429,16 @@ class TestOneHomePerRule:
                 for node in ast.walk(parsed(path)) if isinstance(node, ast.Call)
                 and getattr(node.func, "id", None) == "zip"]
         assert zips == []
+
+    def test_no_library_code_reaches_an_svd(self):
+        # every rank test and left inverse of a basis is groups._left_inverse,
+        # which works on the Gram system
+        svd = {"svd", "pinv", "matrix_rank", "lstsq"}
+        reads = [(path.name, node.lineno) for path in SOURCES
+                 for node in ast.walk(parsed(path))
+                 if isinstance(node, ast.Attribute) and node.attr in svd
+                 or isinstance(node, ast.alias) and node.name in svd]
+        assert reads == []
 
 
 class TestEveryJetIsValidated:

@@ -1,5 +1,7 @@
 """Sampled covers: overlaps, gluing, chart transport."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,20 @@ def two_chart_scaled_cover():
 
 
 class TestCoverConstruction:
+    def test_each_overlap_is_built_once(self, monkeypatch):
+        calls = Counter()
+        overlap_points = SampledCover.overlap_points
+
+        def counted(cover, a, b):
+            calls[(a, b)] += 1
+            return overlap_points(cover, a, b)
+
+        monkeypatch.setattr(SampledCover, "overlap_points", counted)
+        n = 240
+        circle_cover(n, {"u": arc_range(0, 130, n), "v": arc_range(120, 10, n)})
+        assert set(calls) == {("u", "u"), ("u", "v"), ("v", "u"), ("v", "v")}
+        assert max(calls.values()) == 1
+
     def test_uncovered_point_rejected(self):
         with pytest.raises(CoverError):
             SampledCover([0, 1], {"u": [0]}, {("u", 0): [0.0]})

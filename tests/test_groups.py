@@ -13,6 +13,7 @@ from sheafgauge import (
     JetMatrix,
     LieValuedOneForm,
     MatrixField,
+    NonFiniteError,
     ScenarioError,
     SpanError,
     ad_action,
@@ -56,6 +57,11 @@ def small_cover():
     return circle_cover(8, {"u": range(8)})
 
 
+E11 = np.diag([1.0, 0.0])
+E22 = np.diag([0.0, 1.0])
+SCALES = (1e-20, 1.0, 1e150)
+
+
 class TestGroupModel:
     def test_gl2_structure_constants_shape(self):
         m = gl_model(2)
@@ -68,9 +74,39 @@ class TestGroupModel:
         c = m.structure_constants[1, 2]
         assert np.allclose(c, [1.0, 0.0, 0.0, -1.0])
 
-    def test_dependent_basis_rejected(self):
-        with pytest.raises(SpanError):
-            GroupModel("bad", 2, [np.eye(2), 2 * np.eye(2)])
+    # The rank test refuses a basis when the squared sine of the angle
+    # between one matrix and the span of those before it is at most
+    # RANK_TOL, whatever the scale of the basis.
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("basis", [
+        [np.eye(2), 2 * np.eye(2)],
+        [np.eye(2), np.zeros((2, 2))],
+        [np.zeros((2, 2)), np.eye(2)],
+        # sin^2 of the angle is about 1e-12; the two matrices commute, so
+        # only the rank test can refuse them
+        [E11, E11 + 1e-6 * E22],
+    ])
+    def test_dependent_basis_rejected(self, basis, scale):
+        with pytest.raises(SpanError, match="linearly dependent"):
+            GroupModel("bad", 2, scale * np.array(basis))
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_nearly_dependent_basis_above_the_bound_accepted(self, scale):
+        # sin^2 of the angle is about 1e-8
+        m = GroupModel("ok", 2, scale * np.array([E11, E11 + 1e-4 * E22]))
+        assert m.rank == 2 and not m.structure_constants.any()
+
+    @pytest.mark.parametrize("entry", [1e-11, 1e150])
+    def test_one_element_basis_accepted_at_any_scale(self, entry):
+        m = GroupModel("ok", 1, [[[entry]]])
+        (coeff,), res = m.expand_stack(np.array([[[3.0 * entry]]]))
+        assert m.rank == 1 and res == 0.0
+        assert np.allclose(coeff, [3.0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_non_finite_basis_raises_a_package_error(self, entry):
+        with pytest.raises(NonFiniteError, match="lie basis matrices must be finite"):
+            GroupModel("bad", 1, [[[entry]]])
 
     def test_bracket_leaving_span_rejected(self):
         # span{e01} is not closed under ... it is abelian; use {e00, e01+e10}
