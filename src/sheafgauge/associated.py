@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteError,
     ScenarioError,
 )
-from .groups import MAX_AMBIENT, GroupModel, _left_inverse, _rho_stack, gl_model, mc, so2_model
+from .groups import MAX_AMBIENT, GroupModel, _left_inverse, gl_model, mc, rho_matrix, so2_model
 from .jets import (
     Jet,
     JetMatrix,
@@ -81,11 +81,12 @@ class RepresentationModel:
         pb = pb.copy()
         pb.setflags(write=False)
         self.phibar = pb
+        self._pinv = _left_inverse(pb, "phibar")     # (m, n*n); None unless injective
         self.target = gl_model(n)
 
     @property
     def injective(self) -> bool:
-        return _left_inverse(self.phibar, "phibar") is not None
+        return self._pinv is not None
 
     def __repr__(self):
         return f"RepresentationModel({self.name!r}, n={self.n})"
@@ -236,12 +237,9 @@ def check_lie_type(R: RepresentationModel, elements) -> dict[str, CheckResult]:
         rhs = mc(R.source, g)
         mc_pairs += residuals(lhs.ordered_points(), lhs.coeffs, rhs.coeffs @ R.phibar)
 
-        # stacks of coefficient matrices, rows in point_order; rho is
-        # their transpose
-        order, cs = _rho_stack(R.source, g)
-        _, ct = _rho_stack(R.target, img)
-        rho_pairs += residuals(order, R.phibar.T @ cs.swapaxes(1, 2),
-                               ct.swapaxes(1, 2) @ R.phibar.T)
+        order, rs = rho_matrix(R.source, g)
+        _, rt = rho_matrix(R.target, img)
+        rho_pairs += residuals(order, R.phibar.T @ rs, rt @ R.phibar.T)
     return {"mc": worst("lie_type.mc", LIE_TYPE_TOL, mc_pairs),
             "rho": worst("lie_type.rho", LIE_TYPE_TOL, rho_pairs)}
 

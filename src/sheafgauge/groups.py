@@ -7,8 +7,11 @@ that basis are derived from it.  Group elements are invertible
 
 Two maps matter here.  The adjoint representation sends g to the
 conjugation a -> g a g^-1, expressed in the Lie basis by
-``rho_matrix``.  The logarithmic differential ``mc`` sends g to
-g^-1 dg, a Lie-algebra valued one-form.  Together they give eq7's
+``rho_matrix``, which returns ``(points, stack)``: the points in
+``point_order`` and, per point, the (m, m) matrix of Ad(g) whose
+column i holds the coefficients of g E_i g^-1.  The logarithmic
+differential ``mc`` sends g to g^-1 dg, a Lie-algebra valued
+one-form.  Together they give eq7's
 gauge action on one-forms, ``gauge_form(g, w) = rho(g^-1) . w + mc(g)``,
 the one implementation of the connection law.  It is a right action;
 at w = 0 that is the crossed homomorphism rule
@@ -23,12 +26,13 @@ whose determinant falls below ``jets.DET_FLOOR`` count as singular.
 These thresholds are fixed module constants, not parameters.
 
 Every independence test and every left inverse of a basis (the Lie
-basis here, a representation's phibar in ``associated`` and ``vconn``)
-goes through ``_left_inverse``, which works on the Gram system: the
-rows are independent when the squared sine of the angle between each
-row and the span of the rows before it, read off a Cholesky factor,
-exceeds ``RANK_TOL``.  The test is relative, so scaling a basis does
-not change its verdict, and no report needs an SVD.
+basis here, a representation's phibar in ``associated``) is
+``_left_inverse``, run once by each model's constructor.  It works on
+the Gram system: the rows are independent when the squared sine of
+the angle between each row and the span of the rows before it, read
+off a Cholesky factor, exceeds ``RANK_TOL``.  The test is relative,
+so scaling a basis does not change its verdict, and no report needs an
+SVD.
 """
 
 from __future__ import annotations
@@ -128,9 +132,10 @@ class GroupModel:
         self.kind = str(kind)
         self.ambient = int(ambient)
         basis = np.asarray(lie_basis, dtype=float)
-        if basis.ndim != 3 or basis.shape[1:] != (self.ambient, self.ambient):
+        if basis.ndim != 3 or basis.shape[1:] != (self.ambient, self.ambient) \
+                or not len(basis):
             raise DimensionMismatchError(
-                f"lie basis must be (m, {self.ambient}, {self.ambient})")
+                f"lie basis must be (m, {self.ambient}, {self.ambient}) with m >= 1")
         self.lie_basis = basis
         self.lie_basis.setflags(write=False)
         m = basis.shape[0]
@@ -280,35 +285,28 @@ def ad_action(model: GroupModel, g: MatrixField, a: MatrixField) -> MatrixField:
     return out
 
 
-def rho_matrix(model: GroupModel, g: MatrixField) -> dict:
-    """Per point, the matrix of Ad(g) in the Lie basis.
+def rho_matrix(model: GroupModel, g: MatrixField) -> tuple[list, np.ndarray]:
+    """Ad(g) in the Lie basis, as ``(points, stack)``.
 
-    Column i holds the coefficients of g E_i g^-1, so coefficient
-    vectors transform by left multiplication.  Only the value part of
-    g enters; coefficients of one-forms are plain reals.  Points are
-    taken in ``point_order``: the first one whose conjugation
-    leaves the span raises SpanError, and the first exactly singular
-    element, when no earlier point left the span, raises
-    SingularMatrixError naming its point.
+    The points are in ``point_order``; entry k of the (P, m, m) stack is
+    the matrix of Ad(g) at ``points[k]``, whose column i holds the
+    coefficients of g E_i g^-1, so coefficient vectors transform by left
+    multiplication.  Only the value part of g enters; coefficients of
+    one-forms are plain reals.  The first point whose conjugation leaves
+    the span raises SpanError, and the first exactly singular element,
+    when no earlier point left the span, raises SingularMatrixError
+    naming its point.
     """
-    pts, coeff = _rho_stack(model, g)
-    return dict(zip(pts, coeff.swapaxes(1, 2)))
-
-
-def _rho_stack(model: GroupModel, g: MatrixField) -> tuple[list, np.ndarray]:
-    """``rho_matrix`` as ``(points, stack)``: entry k of the (P, m, m)
-    stack is rho at ``points[k]`` transposed, so its row i holds the
-    coefficients of g E_i g^-1."""
     pts = g.ordered_points()
     v = g.coeffs[:, 0]
     sign, _ = np.linalg.slogdet(v)       # zero exactly where inv finds a zero pivot
     stop = first_true(sign == 0.0)
     vi = np.linalg.inv(v[:stop])
     images = np.einsum("pij,mjk,pkl->pmil", v[:stop], model.lie_basis, vi)
-    coeff = model.span_coeffs(images, pts, "adjoint action")
+    coeff = model.span_coeffs(images, pts, "adjoint action")   # row i: g E_i g^-1
     if stop < len(pts):
         raise _singular(pts[stop])
-    return pts, coeff
+    return pts, coeff.swapaxes(1, 2)
 
 
 def _singular(p) -> SingularMatrixError:
@@ -343,8 +341,8 @@ def rho_dot_form(model: GroupModel, g: MatrixField,
     form, which may not know its rank, comes back as it is.
     """
     _require_aligned(g, w)
-    _, rt = _rho_stack(model, g)         # rows in point_order, as w's
-    return w._like(w.region, w.coeffs @ rt) if len(w) else w
+    _, rho = rho_matrix(model, g)        # rows in point_order, as w's
+    return w._like(w.region, w.coeffs @ rho.swapaxes(1, 2)) if len(w) else w
 
 
 def gauge_form(model: GroupModel, g: MatrixField, w: LieValuedOneForm,

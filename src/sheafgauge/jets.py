@@ -287,10 +287,6 @@ class JetMatrix:
         return cls(v, np.zeros((dim,) + v.shape))
 
     @classmethod
-    def identity(cls, n: int, dim: int) -> "JetMatrix":
-        return cls.constant(np.eye(n), dim)
-
-    @classmethod
     def from_jets(cls, rows: Iterable[Iterable[Jet]]) -> "JetMatrix":
         grid = [list(r) for r in rows]
         dim = len(grid[0][0].grad_tuple)
@@ -693,8 +689,7 @@ def mat_scale(a: MatrixField, s) -> MatrixField:
 
 
 def identity_matrix_field(region: str, points, n: int, dim: int) -> MatrixField:
-    eye = JetMatrix.identity(n, dim)
-    return MatrixField(region, n, n, {p: eye for p in points})
+    return constant_matrix_field(region, points, np.eye(n), dim)
 
 
 def constant_matrix_field(region: str, points, matrix, dim: int) -> MatrixField:

@@ -186,7 +186,7 @@ def check_cocycle(P: PrincipalSheafData) -> dict[str, CheckResult]:
             ab = P.cocycle[(a, b)]
             if not ab.points:
                 continue
-            ba = transport_field(P.cocycle[(b, a)], cover, a)
+            ba = transport_field(P.entry(b, a), cover, a)
             inverses.append(mat_mul(ab, ba))
 
     triples = []
@@ -248,8 +248,6 @@ def check_connection(P: PrincipalSheafData, D: PrincipalConnection) -> CheckResu
     pairs = []
     for a, b in P.overlap_graph_edges():
         for x, y in [(a, b), (b, a)]:
-            if x not in D.forms or y not in D.forms:
-                raise MissingEntryError(f"connection lacks a form on {x!r} or {y!r}")
             pts = P.cover.overlap_points(x, y)
             rhs = gauge_form(P.group, P.entry(x, y).restrict(pts), D.form(x).restrict(pts), x)
             lhs = transport_form(D.form(y).restrict(pts), P.cover, x)

@@ -15,8 +15,8 @@ the transition entries and that the connection obeys eq7, then applies
 phibar to each chart form coefficientwise; ``check_frame_roundtrip``
 checks the connection itself and applies phibar through the same
 private step.  ``pull_back_connection`` inverts that when phibar is
-injective, using its left inverse from the Gram system and insisting
-the forms actually lie in the image.
+injective, through the left inverse the representation stores, and
+insists the forms actually lie in the image.
 
 ``nabla_apply`` is the covariant derivative on section components,
 d(v_i) + sum_j v_j theta_ij per chart, which satisfies the Leibniz rule
@@ -37,8 +37,8 @@ from .associated import (
 )
 from .cover import TAU_GLUE, transport_form
 from .errors import PreconditionError, PullbackImageError
-from .groups import LieValuedOneForm, _left_inverse
-from .jets import MatrixOneForm, ScalarField, diff_rows, residuals
+from .groups import LieValuedOneForm
+from .jets import MatrixOneForm, ScalarField, d_field, diff_rows, residuals
 from .principal import (
     PrincipalConnection,
     PrincipalSheafData,
@@ -137,9 +137,9 @@ def check_leibniz_koszul(E: PrincipalSheafData, nab: PrincipalConnection,
     pairs = []
     for chart in sorted(lhs):
         order = lhs[chart].ordered_points()
-        ca = a.restrict(order).coeffs
-        rhs = ca[:, 0, None, None, None] * base[chart].coeffs + np.einsum(
-            "pk,pil->pkil", ca[:, 1:], s.components[chart].coeffs[:, 0])
+        ar = a.restrict(order)
+        rhs = ar.coeffs[:, 0, None, None, None] * base[chart].coeffs + np.einsum(
+            "pk,pil->pkil", d_field(ar).coeffs, s.components[chart].coeffs[:, 0])
         pairs += residuals(order, lhs[chart].coeffs, rhs)
     return worst("koszul", KOSZUL_TOL, pairs)
 
@@ -155,7 +155,7 @@ def pull_back_connection(E: PrincipalSheafData, R: RepresentationModel,
     """
     if not R.injective:
         raise PullbackImageError("phibar is not injective; no pull-back exists")
-    pinv = _left_inverse(R.phibar, "phibar").T      # (n*n, m)
+    pinv = R._pinv.T                                # (n*n, m)
     forms = {}
     for chart in sorted(nab.forms):
         w = nab.forms[chart]

@@ -115,9 +115,8 @@ class TestRepresentations:
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_non_finite_phibar_raises_a_package_error(self, entry):
-        R = RepresentationModel("bad", gl_model(1), 1, lambda g: g, [[entry]])
         with pytest.raises(NonFiniteError, match="phibar must be finite"):
-            R.injective
+            RepresentationModel("bad", gl_model(1), 1, lambda g: g, [[entry]])
 
     def test_rep_by_name_checks_ambient(self, so2_pipe, mobius_pipe):
         rep_by_name("so2_in_gl2", source=so2_pipe.group)

@@ -155,7 +155,7 @@ class TestNoThresholdKnobs:
         found = package_callables()
         # the scan reaches methods, private helpers and the one exemption
         for name in ["sheafgauge.report.worst", "sheafgauge.jets.JetMatrix.inv",
-                     "sheafgauge.groups._rho_stack", "sheafgauge.groups.GroupModel.__init__",
+                     "sheafgauge.groups._left_inverse", "sheafgauge.groups.GroupModel.__init__",
                      "sheafgauge.cover.SampledCover._validate_jacobians"]:
             assert name in found, name
         knobs = []
@@ -359,26 +359,18 @@ UNCALLED_EXPORTS = {
                        "thm3.roundtrip through it",
     "check_nabla_agreement": "the induced covariant derivative glues across charts; "
                              "ROADMAP item 3 makes it the induced.nabla key",
-    "d_field": "the derivation of the jet algebra, through which acceptance "
-               "criterion 01 states the Leibniz rule",
-    "constant_matrix_field": "builds the constant fields that tests feed to the "
-                             "kernels, as identity_matrix_field builds the unit",
     "to_source": "the inverse of parse_expr, which the parser's round-trip tests use",
 }
 
 
-def references(path: Path, strings: bool = False) -> set:
+def references(path: Path) -> set:
     """The names a file reads, each outside the top-level statement that
-    defines it; with ``strings``, also the dotted parts of its string
-    constants, the form in which ``bench/tracing.py`` names what it
-    rebinds."""
+    defines it.  A string constant is no reference: the dotted names that
+    ``bench/tracing.py`` rebinds need a caller of their own."""
     found = set()
     for stmt in parsed(path).body:
-        names = set()
-        for node in ast.walk(stmt):
-            names.add(getattr(node, "id", None) or getattr(node, "attr", None))
-            if strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.update(node.value.split("."))
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(stmt)}
         found |= names - {getattr(stmt, "name", None)}
     return found
 
@@ -387,8 +379,7 @@ class TestNoTestOnlyApi:
     def test_every_export_has_a_caller_outside_the_tests(self):
         used = set().union(*(references(path) for path in SOURCES
                              if path.name != "__init__.py"))
-        used |= set().union(*(references(path, strings=True)
-                              for path in (ROOT / "bench").glob("*.py")
+        used |= set().union(*(references(path) for path in (ROOT / "bench").glob("*.py")
                               if not path.name.startswith("test_")))
         uncalled = [name for name in sheafgauge.__all__
                     if not inspect.ismodule(getattr(sheafgauge, name)) and name not in used]
@@ -397,8 +388,8 @@ class TestNoTestOnlyApi:
 
 class TestOneHomePerRule:
     """The failure record, the Lie-span test, the gauge action of eq7,
-    the pairing of sample points with residuals and the rank test of a
-    basis are each written in one place."""
+    the pairing of sample points with residuals and the rank test and
+    left inverse of a basis are each written in one place."""
 
     def test_only_errors_with_fields_of_their_own_define_init(self):
         tree = parsed(Path(sheafgauge.errors.__file__))
@@ -419,6 +410,21 @@ class TestOneHomePerRule:
                    if isinstance(fn, ast.FunctionDef) and fn.name == "gauge_form"]
         assert len(calls) == 1
         assert calls[0][0] == "groups.py" and home.lineno <= calls[0][1] <= home.end_lineno
+
+    def test_left_inverse_runs_only_in_the_model_constructors(self):
+        # a basis is solved once, when its model is built; every later use
+        # reads the stored left inverse
+        def calls(node):
+            return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and getattr(n.func, "id", getattr(n.func, "attr", None)) == "_left_inverse"]
+
+        trees = [parsed(path) for path in SOURCES]
+        in_init = [cls.name for tree in trees for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                   for _ in calls(fn)]
+        assert sorted(in_init) == ["GroupModel", "RepresentationModel"]
+        assert sum(len(calls(tree)) for tree in trees) == 2
 
     def test_points_meet_residuals_only_in_jets(self):
         # each law takes its (point, residual) pairs from jets.residuals or

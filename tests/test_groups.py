@@ -108,6 +108,11 @@ class TestGroupModel:
         with pytest.raises(NonFiniteError, match="lie basis matrices must be finite"):
             GroupModel("bad", 1, [[[entry]]])
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_empty_basis_raises_a_package_error(self, k):
+        with pytest.raises(DimensionMismatchError, match=r"with m >= 1$"):
+            GroupModel("bad", k, np.zeros((0, k, k)))
+
     def test_bracket_leaving_span_rejected(self):
         # span{e01} is not closed under ... it is abelian; use {e00, e01+e10}
         e = np.zeros((2, 2, 2))
@@ -146,7 +151,7 @@ class TestGroupMul:
         g = rotation_field("u", {p: 0.2 * p + 0.1 for p in range(8)})
         prod = group_mul(g, mat_inv(g))
         for p in range(8):
-            assert prod.data[p].max_abs_diff(JetMatrix.identity(2, 1)) <= 1e-12
+            assert prod.data[p].max_abs_diff(JetMatrix.constant(np.eye(2), 1)) <= 1e-12
 
     def test_so2_angle_addition(self):
         # R(a) R(b) = R(a+b), gradients included
@@ -216,30 +221,36 @@ class TestAdjoint:
                 assert np.max(np.abs(gbr - got)) <= 1e-10
 
 
+def rho_at(model, g) -> dict:
+    """Ad(g) per point, read from ``rho_matrix``'s (points, stack)."""
+    pts, stack = rho_matrix(model, g)
+    return dict(zip(pts, stack))
+
+
 class TestRhoMatrix:
     def test_unit_gives_identity(self):
         m = gl_model(2)
         e = m.unit_field("u", [0], 1)
-        assert np.array_equal(rho_matrix(m, e)[0], np.eye(4))
+        assert np.array_equal(rho_at(m, e)[0], np.eye(4))
 
     def test_abelian_models_give_identity(self):
         g = rotation_field("u", {0: 1.3})
-        assert np.allclose(rho_matrix(so2_model(), g)[0], [[1.0]])
+        assert np.allclose(rho_at(so2_model(), g)[0], [[1.0]])
         a = scalar_field_1x1("u", {0: (3.7, 0.2)})
-        assert np.allclose(rho_matrix(gl1_positive_model(), a)[0], [[1.0]])
+        assert np.allclose(rho_at(gl1_positive_model(), a)[0], [[1.0]])
 
     def test_gl2_diagonal_oracle(self):
         # conjugation by diag(2,1) scales e01 by 2 and e10 by 1/2
         m = gl_model(2)
         g = constant_matrix_field("u", [0], np.diag([2.0, 1.0]), 1)
-        assert np.allclose(rho_matrix(m, g)[0], np.diag([1.0, 2.0, 0.5, 1.0]))
+        assert np.allclose(rho_at(m, g)[0], np.diag([1.0, 2.0, 0.5, 1.0]))
 
     def test_homomorphism_on_catalog(self, small_cover):
         m = gl_model(2)
         elems = catalog_elements(m, small_cover, "u")
         for g, h in itertools.product(elems, repeat=2):
-            rg, rh = rho_matrix(m, g), rho_matrix(m, h)
-            rgh = rho_matrix(m, group_mul(g, h))
+            rg, rh = rho_at(m, g), rho_at(m, h)
+            rgh = rho_at(m, group_mul(g, h))
             for p in small_cover.regions["u"]:
                 assert np.max(np.abs(rgh[p] - rg[p] @ rh[p])) <= 1e-10
 
@@ -354,6 +365,18 @@ class TestRhoDotForm:
             for p in out.data:
                 assert np.max(np.abs(np.tensordot(out.data[p][0], m.lie_basis, 1)
                                      - conj.data[p].value)) <= 1e-10
+
+    @pytest.mark.parametrize("model", GAUGE_MODELS, ids=lambda m: m.kind)
+    def test_applies_each_points_rho_matrix_entry(self, model, small_cover):
+        # each chart direction's coefficient row transforms by Ad(g) at its point
+        w = random_form(model, small_cover, np.random.default_rng(24))
+        for g in catalog_elements(model, small_cover, "u"):
+            pts, rho = rho_matrix(model, g)
+            out = rho_dot_form(model, g, w)
+            assert out.ordered_points() == pts
+            for k, p in enumerate(pts):
+                want = (rho[k] @ w.data[p].T).T
+                assert np.max(np.abs(out.data[p] - want)) <= 1e-14
 
 
 def random_form(model, cover, rng):

@@ -224,7 +224,7 @@ class TestMatrixFields:
 
     def test_singular_matrix_reports_point(self):
         a = MatrixField("u", 2, 2, {
-            0: JetMatrix.identity(2, 1),
+            0: JetMatrix.constant(np.eye(2), 1),
             1: JetMatrix(np.zeros((2, 2)), np.zeros((1, 2, 2)))})
         with pytest.raises(SingularMatrixError) as err:
             mat_inv(a)

@@ -11,6 +11,7 @@ from sheafgauge import (
     EmptyOverlapError,
     JetMatrix,
     LieValuedOneForm,
+    MissingEntryError,
     MissingExtensionError,
     PrincipalConnection,
     PrincipalSectionLocal,
@@ -60,6 +61,21 @@ def two_arc_principal(kind, rows):
     return scn, cover, group, build_principal(scn, cover, group)
 
 
+def one_directional_principal() -> PrincipalSheafData:
+    """Two arcs of a six-point circle whose cocycle holds (a, b) but not (b, a)."""
+    cover = circle_cover(6, {"a": arc_range(0, 3, 6), "b": arc_range(3, 0, 6)})
+    model = gl_model(1)
+    cocycle = {(r, r): model.unit_field(r, cover.regions[r], 1) for r in "ab"}
+    cocycle[("a", "b")] = model.unit_field("a", cover.overlap_points("a", "b"), 1)
+    return PrincipalSheafData(cover, model, cocycle)
+
+
+def zero_forms(cover, charts, rank) -> PrincipalConnection:
+    return PrincipalConnection({rid: LieValuedOneForm(rid, {p: np.zeros((1, rank))
+                                                            for p in cover.regions[rid]})
+                                for rid in charts})
+
+
 class TestCocycle:
     def test_identity_cocycle_exact_zero(self, cover12):
         P = trivial_principal(cover12, gl_model(2))
@@ -96,12 +112,17 @@ class TestCocycle:
         ab = P.entry("alpha", "beta")
         ba = P.entry("beta", "alpha")
         prod = ab.data[0].matmul(ba.data[0])
-        assert prod.max_abs_diff(JetMatrix.identity(2, 1)) <= 1e-12
+        assert prod.max_abs_diff(JetMatrix.constant(np.eye(2), 1)) <= 1e-12
 
     def test_diagonal_is_unit(self, so2_pipe):
         e = so2_pipe.P.entry("alpha", "alpha")
         for p in e.data:
-            assert e.data[p].max_abs_diff(JetMatrix.identity(2, 1)) == 0.0
+            assert e.data[p].max_abs_diff(JetMatrix.constant(np.eye(2), 1)) == 0.0
+
+    def test_one_directional_cocycle_raises_a_package_error(self):
+        P = one_directional_principal()
+        with pytest.raises(MissingEntryError, match=r"^no cocycle entry for \('b', 'a'\)$"):
+            check_cocycle(P)
 
 
 class TestSectionTransition:
@@ -167,6 +188,21 @@ class TestCheckConnection:
             for a, b in [("alpha", "beta"), ("beta", "alpha")] for p in ov)
         assert not r.passed
         assert r.residual == pytest.approx(want, rel=1e-12)
+
+
+    def test_one_directional_cocycle_raises_a_package_error(self):
+        P = one_directional_principal()
+        with pytest.raises(MissingEntryError, match=r"^no cocycle entry for \('b', 'a'\)$"):
+            check_connection(P, zero_forms(P.cover, "ab", 1))
+
+    @pytest.mark.parametrize("present", [0, 1])
+    def test_a_chart_without_a_form_raises_a_package_error(self, cover12, present):
+        P = trivial_principal(cover12, so2_model())
+        ids = cover12.region_ids()
+        D = zero_forms(cover12, [ids[present]], 1)
+        with pytest.raises(MissingEntryError,
+                           match=rf"^no connection form on chart {ids[1 - present]!r}$"):
+            check_connection(P, D)
 
 
 class TestCompleteConnection:
