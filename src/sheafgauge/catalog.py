@@ -37,15 +37,22 @@ def stable_seed(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 
 
+def sample_values(coords, points) -> list[float]:
+    """The sample value of each of ``points``, in order: the first
+    coordinate in ``coords``, as a float."""
+    return [float(np.atleast_1d(coords[p])[0]) for p in points]
+
+
 def eval_matrix(rows, region: str, coords) -> MatrixField:
     """Evaluate a matrix of expression strings or trees over sample points.
 
     The entries are compiled once into one program (``compile_exprs``),
     so a subexpression shared by several entries is evaluated once per
-    point; the program then runs at each point's first coordinate, in
-    ``point_order``.  An entry that fails raises ExprDomainError at the
-    first failing point in ``point_order``, and at the first failing
-    entry in row-major order.
+    point.  The program runs once over the sample values of all points
+    in ``point_order`` (``Program.run_points``), one instruction at a
+    time, and its output columns are the field's stack.  An entry that
+    fails raises ExprDomainError at the first failing point in
+    ``point_order``, and at the first failing entry in row-major order.
     """
     parsed = [[parse_expr(e) if isinstance(e, str) else e for e in row]
               for row in rows]
@@ -54,14 +61,9 @@ def eval_matrix(rows, region: str, coords) -> MatrixField:
         raise DimensionMismatchError("expression matrix rows differ in length")
     program = compile_exprs([e for row in parsed for e in row])
     pts = point_order(coords)
-    values, grads = [], []
-    for p in pts:
-        jets = program.run(float(np.atleast_1d(coords[p])[0]))
-        values.append([j.value for j in jets])
-        grads.append([j.grad_tuple for j in jets])
-    v = np.array(values).reshape((-1,) + shape)
-    g = np.array(grads).reshape((-1,) + shape + (1,)).transpose(0, 3, 1, 2)
-    return MatrixField.from_stack(region, pts, jet_stack(v, g))
+    v, d = (np.moveaxis(np.reshape(columns, shape + (len(pts),)), -1, 0)
+            for columns in program.run_points(sample_values(coords, pts)))
+    return MatrixField.from_stack(region, pts, jet_stack(v, d[:, None]))
 
 
 def _rotation_rows(angle_expr: str) -> list[list[str]]:

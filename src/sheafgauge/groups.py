@@ -329,7 +329,7 @@ def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
                               "logarithmic differential")
     if stop < len(pts):
         raise _singular(pts[stop])
-    return LieValuedOneForm.from_stack(g.region, pts, coeff)
+    return LieValuedOneForm._on_points_of(g, coeff)
 
 
 def rho_dot_form(model: GroupModel, g: MatrixField,

@@ -462,6 +462,12 @@ class _StackedField:
         the same order."""
         return object.__new__(type(self))._checked(region, list(self.data), coeffs, None)
 
+    @classmethod
+    def _on_points_of(cls, field: "_StackedField", coeffs) -> "_StackedField":
+        """A field of this kind holding ``coeffs`` on ``field``'s region and
+        points, in its order, which ``field`` has already checked."""
+        return object.__new__(cls)._checked(field.region, list(field.data), coeffs, None)
+
     def restrict(self, points) -> "_StackedField":
         pts = set(points)
         missing = pts - self.points
@@ -636,7 +642,7 @@ def jet_stack(values: np.ndarray, grads: np.ndarray) -> np.ndarray:
 
 def d_field(f: ScalarField) -> OneForm:
     """Exterior derivative: reads off each jet's gradient as coefficients."""
-    return OneForm.from_stack(f.region, f.ordered_points(), f.coeffs[:, 1:])
+    return OneForm._on_points_of(f, f.coeffs[:, 1:])
 
 
 # -- matrix field algebra ---------------------------------------------------

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .associated import RepresentationModel, rep_by_name
-from .catalog import eval_matrix
+from .catalog import eval_matrix, sample_values
 from .cover import SampledCover, arc_range, circle_cover
 from .errors import ParseError, ScenarioError
 from .expr import eval_expr, parse_expr
@@ -318,8 +318,8 @@ def build_seed(s: Scenario, cover: SampledCover,
         entries = [e for row in s.seed_rows for e in row]
     coords = global_coords(cover)
     pts = point_order(coords)
-    values = np.array([[eval_expr(e, float(np.atleast_1d(coords[p])[0])).value
-                        for e in entries] for p in pts])
+    values = np.array([[eval_expr(e, t).value for e in entries]
+                       for t in sample_values(coords, pts)])
     if s.seed_coeffs is not None:
         coeffs = values[:, None]
     else:

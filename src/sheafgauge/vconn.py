@@ -77,7 +77,7 @@ def _apply_phibar(R: RepresentationModel, D: PrincipalConnection) -> PrincipalCo
     for chart, w in D.forms.items():
         # an empty form may not know its rank; its image holds no coefficients
         coeffs = w.coeffs @ R.phibar if len(w) else np.zeros((0, 0, R.n * R.n))
-        forms[chart] = LieValuedOneForm.from_stack(w.region, w.ordered_points(), coeffs)
+        forms[chart] = LieValuedOneForm._on_points_of(w, coeffs)
     return PrincipalConnection(forms)
 
 
@@ -97,7 +97,7 @@ def nabla_apply(E: PrincipalSheafData, nab: PrincipalConnection,
         c = comp.coeffs
         mats = theta.coeffs.reshape(theta.coeffs.shape[:2] + (n, n))
         der = c[:, 1:] + np.einsum("pkij,pjl->pkil", mats, c[:, 0])
-        out[chart] = MatrixOneForm.from_stack(comp.region, comp.ordered_points(), der)
+        out[chart] = MatrixOneForm._on_points_of(comp, der)
     return out
 
 
@@ -166,7 +166,7 @@ def pull_back_connection(E: PrincipalSheafData, R: RepresentationModel,
                 raise PullbackImageError(
                     f"connection matrices leave the image of phibar at {p!r} "
                     f"(residual {d:.3e})", point=p, residual=d)
-        forms[chart] = LieValuedOneForm.from_stack(w.region, pts, coeff)
+        forms[chart] = LieValuedOneForm._on_points_of(w, coeff)
     return PrincipalConnection(forms)
 
 

@@ -1,16 +1,20 @@
 """Each instruction of a compiled program against the Jet operator it replaces.
 
 A program computes on plain floats: every ``call1``/``call2`` instruction
-holds a float kernel, and ``/`` and ``^`` are branches of
-``Program.run``.  Each is run here as the one node of a program whose
-operands are injected with any value and d/dt, and compared with the
-Jet operator on the same operands: the value and the derivative agree
-in ``float.hex``, or both sides fail and the program says so with
+holds a float kernel, and ``run_points`` runs the column kernel of each
+over all its sample values at once (``/`` and ``^`` entry by entry).
+Each is run here as the one node of a program whose operands are
+injected with any value and d/dt, by both drivers, and compared with
+the Jet operator on the same operands: the value and the derivative
+agree in ``float.hex``, or both sides fail and the program says so with
 ``ExprDomainError`` at the node's offset.  Operands include the edges
 of the float range: signed zeros, the smallest subnormal, 1e154 (whose
-square is near the largest float) and the largest magnitudes.
+square is near the largest float) and the largest magnitudes; a column
+holds every combination of them, and a failing one stops the column at
+its own entry.
 """
 
+import itertools
 import warnings
 
 import pytest
@@ -42,17 +46,35 @@ def compiled_node(op: str) -> tuple:
     return compile_exprs([tree]).code[-1]
 
 
-def run_node(op: str, a: tuple, b: tuple | None = None) -> Jet:
-    """The node ``op`` run as a program whose operands are (value, d/dt)
-    pairs ``a`` and ``b``, each injected by a leaf instruction on t."""
+def node_program(op: str, a, b=None) -> Program:
+    """The node ``op`` as a program whose operands at the sample value k
+    are the (value, d/dt) pairs ``a(k)`` and ``b(k)``, each injected by a
+    leaf instruction on t."""
     kind, fn, _, _, _ = compiled_node(op)
     code = (("var", None, None, None, 0),
-            ("call1", lambda *_: a, 0, None, 1),
-            ("const", None, 0.0, None, 2) if b is None else ("call1", lambda *_: b, 0, None, 2),
+            ("call1", lambda t, _: a(t), 0, None, 1),
+            ("const", None, 0.0, None, 2) if b is None else ("call1", lambda t, _: b(t), 0, None, 2),
             (kind, fn, 1, None if b is None else 2, NODE))
+    return Program(code, (NODE,))
+
+
+def run_node(op: str, a: tuple, b: tuple | None = None) -> Jet:
+    """The node run by ``run`` on the operands ``a`` and ``b``."""
+    program = node_program(op, lambda t: a, None if b is None else lambda t: b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return Program(code, (NODE,)).run(0.0)[0]
+        return program.run(0.0)[0]
+
+
+def run_column(op: str, a: list, b: list | None = None) -> list[tuple]:
+    """The node run by ``run_points`` over a column: its operands at the
+    k-th sample value, k, are ``a[k]`` and ``b[k]``."""
+    program = node_program(op, lambda t: a[int(t)],
+                           None if b is None else lambda t: b[int(t)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (values,), (ders,) = program.run_points(range(len(a)))
+    return [(v.hex(), d.hex()) for v, d in zip(values, ders)]
 
 
 def bits(j: Jet) -> tuple:
@@ -60,15 +82,61 @@ def bits(j: Jet) -> tuple:
 
 
 def assert_same(op: str, want, a: tuple, b: tuple | None = None) -> None:
-    """``want()`` is the Jet operator on the operands as jets."""
+    """``want()`` is the Jet operator on the operands as jets; both
+    drivers agree with it, ``run_points`` over a one-entry column."""
     try:
         expected = bits(want())
     except JET_FAILURES:
-        with pytest.raises(ExprDomainError) as exc:
-            run_node(op, a, b)
-        assert exc.value.offset == NODE
+        for run in (lambda: run_node(op, a, b),
+                    lambda: run_column(op, [a], None if b is None else [b])):
+            with pytest.raises(ExprDomainError) as exc:
+                run()
+            assert exc.value.offset == NODE
         return
     assert bits(run_node(op, a, b)) == expected
+    assert run_column(op, [a], None if b is None else [b]) == [expected]
+
+
+def assert_same_column(op: str, want, entries: list) -> None:
+    """``want(*entry)`` is the Jet operator on one entry's operands as
+    jets.  ``run_points`` over the column of all entries agrees with it
+    entry by entry up to the first entry where it fails, and fails there
+    as the node fails on that entry alone."""
+    a = [e[0] for e in entries]
+    b = [e[1] for e in entries] if len(entries[0]) == 2 else None
+    expected = []
+    for k, entry in enumerate(entries):
+        try:
+            expected.append(bits(want(*entry)))
+        except JET_FAILURES:
+            with pytest.raises(ExprDomainError) as exc:
+                run_column(op, a, b)
+            with pytest.raises(ExprDomainError) as alone:
+                run_node(op, *entry)
+            assert exc.value.offset == alone.value.offset == NODE
+            assert str(exc.value) == str(alone.value).replace("at t = 0", f"at t = {k}")
+            break
+    assert run_column(op, a[:len(expected)], b and b[:len(expected)]) == expected
+
+
+def over_the_edges(op: str, want, entries: list) -> None:
+    """One column of every entry that does not fail, then each failing
+    entry between entries that do not."""
+    def fails(entry) -> bool:
+        try:
+            want(*entry)
+        except JET_FAILURES:
+            return True
+        return False
+
+    ok = [e for e in entries if not fails(e)]
+    assert_same_column(op, want, ok)
+    for bad in (e for e in entries if fails(e)):
+        assert_same_column(op, want, ok[:2] + [bad] + ok[:1])
+
+
+def jets(*pairs) -> list[Jet]:
+    return [Jet(v, (d,)) for v, d in pairs]
 
 
 class TestKernelsAreTheirJetOperators:
@@ -110,6 +178,39 @@ class TestKernelsAreTheirJetOperators:
         with pytest.raises(ExprDomainError, match=message) as exc:
             run_node("^", (0.0, 1.0), b)
         assert exc.value.offset == NODE
+
+
+class TestColumnKernelsOverTheEdges:
+    @pytest.mark.parametrize("op", sorted(UNARY))
+    def test_unary(self, op):
+        over_the_edges(op, lambda a: UNARY[op](*jets(a)),
+                       [(a,) for a in itertools.product(EDGES, EDGES)])
+
+    @pytest.mark.parametrize("op", sorted(BINARY))
+    def test_binary(self, op):
+        pairs = list(itertools.product(EDGES, EDGES))
+        over_the_edges(op, lambda a, b: BINARY[op](*jets(a, b)),
+                       list(itertools.product(pairs, pairs)))
+
+    def test_power(self):
+        exponents = [(float(k), zero) for k in (-1075, -3, -1, 0, 1, 2, 308, 1024)
+                     for zero in (0.0, -0.0)]
+        over_the_edges("^", lambda a, b: jets(a)[0] ** int(b[0]),
+                       list(itertools.product(itertools.product(EDGES, EDGES), exponents)))
+
+    @pytest.mark.parametrize("b, message", [
+        ((2.0, 1.0), "exponent depends on the variable"),
+        ((2.5, 0.0), "exponent 2.5 is not an integer"),
+        ((-1.0, 0.0), "zero base with negative exponent"),
+    ])
+    def test_power_checks_stop_the_column_at_their_entry(self, b, message):
+        a = [(1.0, 1.0), (2.0, 1.0), (0.0, 1.0), (3.0, 1.0)]
+        bs = [(2.0, 0.0), (2.0, 0.0), b, (2.0, 0.0)]
+        with pytest.raises(ExprDomainError, match=message) as exc:
+            run_column("^", a, bs)
+        assert exc.value.offset == NODE
+        assert run_column("^", a[:2], bs[:2]) == [((1.0).hex(), (2.0).hex()),
+                                                  ((4.0).hex(), (4.0).hex())]
 
 
 class TestLeaves:

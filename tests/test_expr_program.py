@@ -6,11 +6,15 @@ are held bit for bit to a reference node-by-node walk written out here
 on plain floats, with one-entry gradients in the jets' own operation
 order: the same values, the same derivatives, and on failure the same
 error kind at the same offset, at the first failing point and the
-first failing entry in row-major order.
+first failing entry in row-major order.  The two drivers are held to
+each other the same way: ``run_points`` over a list of sample values
+gives what ``run`` gives at each of them, and raises the error ``run``
+meets first.
 """
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -158,8 +162,12 @@ def matrices(draw):
             for _ in range(n_rows)]
 
 
-samples = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 40.0, 800.0]),
-                             st.floats(-6.0, 6.0)), min_size=1, max_size=3)
+sample = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 40.0, 800.0]),
+                   st.floats(-6.0, 6.0))
+samples = st.lists(sample, min_size=1, max_size=3)
+# none, one and many sample values
+sample_lists = st.one_of(st.just([]), samples.map(lambda ts: ts[:1]),
+                         st.lists(sample, min_size=2, max_size=12))
 
 
 def evaluate(rows, ts):
@@ -197,6 +205,62 @@ class TestAgainstReference:
         program = compile_exprs(flat)
         assert len(program.code) == len(distinct)
         assert len(program.outputs) == len(flat)
+
+
+def hex_columns(columns) -> list:
+    return [[x.hex() for x in column] for column in columns]
+
+
+class TestDrivers:
+    @given(matrices(), sample_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_run_points_is_run_at_each_value(self, rows, ts):
+        program = compile_exprs([e for row in rows for e in row])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = [program.run(t) for t in ts]
+            except ExprDomainError as first:
+                with pytest.raises(ExprDomainError) as exc:
+                    program.run_points(ts)
+                assert type(exc.value) is type(first)
+                assert (exc.value.offset, str(exc.value)) == (first.offset, str(first))
+                return
+            values, ders = program.run_points(ts)
+        assert hex_columns(values) == hex_columns(
+            [[jets[i].value for jets in want] for i in range(len(program.outputs))])
+        assert hex_columns(ders) == hex_columns(
+            [[jets[i].grad_tuple[0] for jets in want] for i in range(len(program.outputs))])
+
+    def test_a_later_instruction_failing_at_an_earlier_value_wins(self):
+        ts = [0.0, 1.0, 10.0]
+        chain = parse_expr("exp(exp(exp(t)))")       # overflows at t = 10 only
+        with pytest.raises(ExprDomainError, match="range at t = 10$"):
+            compile_exprs([chain]).run_points(ts)
+        # the chain comes first in the code; the division fails first in ts
+        program = compile_exprs([chain, parse_expr("1 / (t - 1)")])
+        with pytest.raises(ExprDomainError, match="^division by zero$") as exc:
+            program.run_points(ts)
+        assert exc.value.offset == 2
+        with pytest.raises(ExprDomainError) as first:
+            for t in ts:
+                program.run(t)
+        assert (first.value.offset, str(first.value)) == (2, "division by zero")
+
+    def test_operand_columns_are_released_after_their_last_reader(self):
+        ts = [k / 96 for k in range(96)]
+
+        def peak(terms: int) -> int:
+            program = compile_exprs([parse_expr(" + ".join(["t"] * terms))])
+            tracemalloc.start()
+            try:
+                program.run_points(ts)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # holding every column, the peak grows with the program's length
+        assert peak(400) < 3 * peak(40)
 
 
 class TestSharing:

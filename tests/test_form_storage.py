@@ -8,6 +8,8 @@ restriction, relabelling, chart transport and gluing keep the rows in
 ``point_order``.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -20,13 +22,21 @@ from sheafgauge import (
     NonFiniteError,
     OneForm,
     SampledCover,
+    d_field,
     gauge_form,
     gl_model,
     glue,
+    mc,
+    nabla_apply,
     point_order,
+    pull_back_connection,
+    random_scalar_field,
+    random_section,
     rho_dot_form,
     transport_form,
 )
+from sheafgauge.jets import _StackedField
+from sheafgauge.vconn import _apply_phibar
 
 POINTS = [11, 2, 0, 10, 1]
 ORDER = [0, 1, 10, 11, 2]           # sorted by string form
@@ -131,6 +141,30 @@ class TestStack:
         for points in (POINTS, [0, 1, 10, 10, 2]):
             with pytest.raises(FieldMismatchError, match="distinct and in point_order"):
                 kind.cls.from_stack("u", points, stack)
+
+    def test_a_result_on_a_checked_field_reuses_its_point_order(self, so2_pipe,
+                                                                 monkeypatch):
+        # each of these results lies on the points of one input field, in
+        # its order, which that field checked when it was built
+        E = so2_pipe.E
+        a = random_scalar_field("base", E.cover.points, 1, random.Random(3))
+        s = random_section(E, random.Random(4))
+        g = so2_pipe.P.cocycle[("alpha", "beta")]
+
+        def refuse(cls, points):
+            raise AssertionError("points checked again")
+
+        monkeypatch.setattr(_StackedField, "_check_points", classmethod(refuse))
+        assert d_field(a).ordered_points() == a.ordered_points()
+        assert mc(so2_pipe.group, g).ordered_points() == g.ordered_points()
+        for chart, w in _apply_phibar(so2_pipe.R, so2_pipe.D).forms.items():
+            assert w.ordered_points() == so2_pipe.D.form(chart).ordered_points()
+        for chart, w in pull_back_connection(E, so2_pipe.R, so2_pipe.nab).forms.items():
+            assert w.ordered_points() == so2_pipe.nab.form(chart).ordered_points()
+        for chart, w in nabla_apply(E, so2_pipe.nab, s).items():
+            assert w.ordered_points() == s.components[chart].ordered_points()
+        with pytest.raises(AssertionError, match="checked again"):   # points from outside
+            OneForm.from_stack("u", ORDER, KINDS[0].stack())
 
     def test_from_stack_rejects_a_row_count_mismatch(self, kind):
         with pytest.raises(FieldMismatchError, match="4 points for 5"):
