@@ -247,7 +247,8 @@ def _transport(f, cover: SampledCover, to: str):
         return f.relabel(to)
     c, k = f.coeffs, f.LEAD
     jac = _jacobians(cover, f.region, to, list(f.data))
-    return f._like(to, np.concatenate((c[:, :k], _pull_axis(c[:, k:], jac)), axis=1))
+    pulled = np.concatenate((c[:, :k], _pull_axis(c[:, k:], jac)), axis=1)
+    return type(f)._on_points_of(f, pulled, to)
 
 
 def circle_cover(n_points: int, arcs: Mapping[str, Iterable[int]]) -> SampledCover:

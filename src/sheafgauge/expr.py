@@ -30,17 +30,10 @@ kernel takes the operations, in the order, of the jet operator it
 stands for, and each instruction's result is wrapped in a ``Jet`` whose
 validating constructor is that instruction's finiteness check.
 
-A program has two drivers, and the number of sample values a caller has
-picks one.  ``Program.run(t)`` runs the whole program at one value.
-``Program.run_points(ts)`` is forward-mode evaluation over all values at
-once (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008,
-ch. 3): each instruction computes its value and d/dt columns, one entry
-per value, with the same float operations per entry, and drops an
-operand's columns after their last reader.  ``catalog.eval_matrix``
-runs each matrix through ``run_points``.  ``run`` stays for the
-one-value calls of ``eval_expr``, which ``scenario.build_seed`` makes
-at every point: through ``run_points`` such a call costs about 1.7
-times as much (14 against 8 µs for a seed entry, compile included).
+A program runs at one sample value (``Program.run``) or over many at
+once (``Program.run_points``, forward mode over a stack of values:
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3);
+``Program`` says which callers use which.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from operator import add, mul, neg, sub
 
 from .errors import ExprDomainError, NonFiniteError, ParseError
 from .jets import Jet
@@ -301,44 +293,6 @@ _UNARY = {"sin": _sin, "cos": _cos, "exp": _exp}
 _BINARY = {"*": _mul, "+": _add, "-": _sub, "/": _div, "^": _pow}
 
 
-# Column kernels: a float kernel over the columns of its operands, one
-# entry per sample value, with the same operations per entry in the same
-# order (``math`` per entry, never numpy's ufuncs, whose exp differs in
-# the last bit).  The kernels with checks, ``/`` and ``^``, have none and
-# run entry by entry.
-def _sin_column(a, da):
-    return list(map(math.sin, a)), list(map(mul, map(math.cos, a), da))
-
-
-def _cos_column(a, da):
-    return list(map(math.cos, a)), [-math.sin(x) * dx for x, dx in zip(a, da)]
-
-
-def _exp_column(a, da):
-    e = list(map(math.exp, a))
-    return e, list(map(mul, e, da))
-
-
-def _neg_column(a, da):
-    return list(map(neg, a)), list(map(neg, da))
-
-
-def _add_column(a, da, b, db):
-    return list(map(add, a, b)), list(map(add, da, db))
-
-
-def _sub_column(a, da, b, db):
-    return list(map(sub, a, b)), list(map(sub, da, db))
-
-
-def _mul_column(a, da, b, db):
-    return list(map(mul, a, b)), [x * dy + y * dx for x, dx, y, dy in zip(a, da, b, db)]
-
-
-_COLUMNS = {_sin: _sin_column, _cos: _cos_column, _exp: _exp_column, _neg: _neg_column,
-            _add: _add_column, _sub: _sub_column, _mul: _mul_column}
-
-
 def _each(fn, columns) -> tuple[list, list]:
     """A float kernel run entry by entry over its operand columns."""
     pairs = list(map(fn, *columns))
@@ -396,16 +350,22 @@ class Program:
     instruction of each tree's root.
 
     There are two drivers, and the number of sample values a caller has
-    picks one.  ``run(t)`` runs every instruction at one value;
-    ``run_points(ts)`` runs each instruction over all values before the
-    next one, and drops each operand's columns after its last reader, so
-    a run holds the columns of the instructions still to be read, not
-    those of the whole program.  Both compute on plain floats and wrap
-    each instruction's result at each value in a one-direction ``Jet``.
-    That jet is the instruction's check: its validating constructor
-    rejects a non-finite value or derivative, which fails the run at the
-    offset of the instruction that left it.  Both give the same numbers
-    and, on failure, the same error, bit for bit.
+    picks one.  ``run(t)`` runs every instruction at one value.
+    ``run_points(ts)`` runs each instruction over all values, one float
+    kernel call per value, before the next instruction, and drops each
+    operand's columns after its last reader, so a run holds the columns
+    of the instructions still to be read, not those of the whole
+    program.  ``catalog.eval_matrix`` runs each matrix through
+    ``run_points``.  ``run`` stays for the one-value calls of
+    ``eval_expr``, which ``scenario.build_seed`` makes at every point:
+    ``run_points`` has a fixed cost per instruction (its columns and
+    last-reader table) that one value does not pay back.  Both compute
+    on plain floats and wrap each instruction's result at each value in
+    a one-direction ``Jet``.  That jet is the instruction's check: its
+    validating constructor rejects a non-finite value or derivative,
+    which fails the run at the offset of the instruction that left it.
+    Both give the same numbers and, on failure, the same error, bit for
+    bit.
     """
 
     code: tuple
@@ -469,19 +429,14 @@ class Program:
             else:
                 columns, operands = (ts, [1.0] * n), ()
             try:
-                if fn is None:
-                    v, d = columns
-                elif fn in _COLUMNS:
-                    v, d = _COLUMNS[fn](*columns)
-                else:
-                    v, d = _each(fn, columns)
+                v, d = columns if fn is None else _each(fn, columns)
                 deque(map(Jet, v, zip(d)), 0)
             except (ExprDomainError, OverflowError, NonFiniteError):
-                v, d, k, failure = _until_failure(fn, columns, ts, pos)
-                if failure is not None:
-                    error, n, ts = failure, k, ts[:k]
-                    vals = [c if c is None else c[:k] for c in vals]
-                    ders = [c if c is None else c[:k] for c in ders]
+                # rerun it value by value to find the first that fails
+                v, d, n, error = _until_failure(fn, columns, ts, pos)
+                ts = ts[:n]
+                vals = [c if c is None else c[:n] for c in vals]
+                ders = [c if c is None else c[:n] for c in ders]
             vals[i], ders[i] = v, d
             for j in operands:
                 if last[j] == i:

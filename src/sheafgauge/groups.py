@@ -342,7 +342,7 @@ def rho_dot_form(model: GroupModel, g: MatrixField,
     """
     _require_aligned(g, w)
     _, rho = rho_matrix(model, g)        # rows in point_order, as w's
-    return w._like(w.region, w.coeffs @ rho.swapaxes(1, 2)) if len(w) else w
+    return type(w)._on_points_of(w, w.coeffs @ rho.swapaxes(1, 2)) if len(w) else w
 
 
 def gauge_form(model: GroupModel, g: MatrixField, w: LieValuedOneForm,
@@ -352,7 +352,9 @@ def gauge_form(model: GroupModel, g: MatrixField, w: LieValuedOneForm,
     may not know its rank, gives mc(g) relabelled."""
     rot = rho_dot_form(model, mat_inv(g), w)
     dg = mc(model, g)
-    return rot._like(region, rot.coeffs + dg.coeffs) if len(rot) else dg.relabel(region)
+    if not len(rot):
+        return dg.relabel(region)
+    return type(rot)._on_points_of(rot, rot.coeffs + dg.coeffs, region)
 
 
 def check_logarithmic_rule(model: GroupModel, s: MatrixField,

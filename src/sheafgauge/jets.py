@@ -457,16 +457,14 @@ class _StackedField:
     def __len__(self):
         return len(self.data)
 
-    def _like(self, region: str, coeffs) -> "_StackedField":
-        """A field of this kind holding ``coeffs`` on the same points, in
-        the same order."""
-        return object.__new__(type(self))._checked(region, list(self.data), coeffs, None)
-
     @classmethod
-    def _on_points_of(cls, field: "_StackedField", coeffs) -> "_StackedField":
-        """A field of this kind holding ``coeffs`` on ``field``'s region and
-        points, in its order, which ``field`` has already checked."""
-        return object.__new__(cls)._checked(field.region, list(field.data), coeffs, None)
+    def _on_points_of(cls, field: "_StackedField", coeffs,
+                      region: str | None = None) -> "_StackedField":
+        """A field of this kind holding ``coeffs`` on ``field``'s points, in
+        its order, which ``field`` has already checked; on ``region``, or
+        on ``field``'s region when that is None."""
+        return object.__new__(cls)._checked(field.region if region is None else region,
+                                            list(field.data), coeffs, None)
 
     def restrict(self, points) -> "_StackedField":
         pts = set(points)
@@ -657,7 +655,7 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
         raise DimensionMismatchError("JetMatrix product shape mismatch")
     ca, cb = a.coeffs, b.coeffs
     value, grad = _leibniz_matmul(ca[:, 0], ca[:, 1:], cb[:, 0], cb[:, 1:])
-    return a._like(a.region, jet_stack(value, grad))
+    return type(a)._on_points_of(a, jet_stack(value, grad))
 
 
 def mat_inv(a: MatrixField) -> MatrixField:
@@ -685,13 +683,13 @@ def mat_inv(a: MatrixField) -> MatrixField:
 def mat_scale(a: MatrixField, s) -> MatrixField:
     """Scale a matrix field by a scalar field (jetwise) or a number."""
     if not isinstance(s, ScalarField):
-        return a._like(a.region, float(s) * a.coeffs)
+        return type(a)._on_points_of(a, float(s) * a.coeffs)
     _require_aligned(a, s)
     if len(a) and s.dim != a.dim:
         raise DimensionMismatchError("scalar jet dim mismatch")
     sv, sg = s.coeffs[:, 0, None, None], s.coeffs[:, 1:, None, None]
     v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
-    return a._like(a.region, jet_stack(sv * v, sg * v[:, None] + sv[:, None] * g))
+    return type(a)._on_points_of(a, jet_stack(sv * v, sg * v[:, None] + sv[:, None] * g))
 
 
 def identity_matrix_field(region: str, points, n: int, dim: int) -> MatrixField:

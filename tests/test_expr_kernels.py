@@ -1,9 +1,8 @@
 """Each instruction of a compiled program against the Jet operator it replaces.
 
 A program computes on plain floats: every ``call1``/``call2`` instruction
-holds a float kernel, and ``run_points`` runs the column kernel of each
-over all its sample values at once (``/`` and ``^`` entry by entry).
-Each is run here as the one node of a program whose operands are
+holds a float kernel, and ``run_points`` runs each over all its sample
+values, one call per entry, before the next instruction.  Each is run here as the one node of a program whose operands are
 injected with any value and d/dt, by both drivers, and compared with
 the Jet operator on the same operands: the value and the derivative
 agree in ``float.hex``, or both sides fail and the program says so with
@@ -180,7 +179,7 @@ class TestKernelsAreTheirJetOperators:
         assert exc.value.offset == NODE
 
 
-class TestColumnKernelsOverTheEdges:
+class TestColumnsOverTheEdges:
     @pytest.mark.parametrize("op", sorted(UNARY))
     def test_unary(self, op):
         over_the_edges(op, lambda a: UNARY[op](*jets(a)),
