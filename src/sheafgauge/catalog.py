@@ -56,9 +56,9 @@ def eval_matrix(rows, region: str, coords) -> MatrixField:
     """
     parsed = [[parse_expr(e) if isinstance(e, str) else e for e in row]
               for row in rows]
+    if not parsed or any(len(row) != len(parsed[0]) for row in parsed):
+        raise DimensionMismatchError("expression matrix has no rows or rows differ in length")
     shape = (len(parsed), len(parsed[0]))
-    if any(len(row) != shape[1] for row in parsed):
-        raise DimensionMismatchError("expression matrix rows differ in length")
     program = compile_exprs([e for row in parsed for e in row])
     pts = point_order(coords)
     v, d = (np.moveaxis(np.reshape(columns, shape + (len(pts),)), -1, 0)

@@ -33,7 +33,9 @@ validating constructor is that instruction's finiteness check.
 A program runs at one sample value (``Program.run``) or over many at
 once (``Program.run_points``, forward mode over a stack of values:
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 3);
-``Program`` says which callers use which.
+``Program`` says which callers use which.  A failure has one rule, the
+one of ``run``; ``run_points`` finds its first failing value by running
+``run`` at each value in order.
 """
 
 from __future__ import annotations
@@ -299,29 +301,6 @@ def _each(fn, columns) -> tuple[list, list]:
     return [v for v, _ in pairs], [d for _, d in pairs]
 
 
-def _out_of_range(t: float, pos: int) -> ExprDomainError:
-    return ExprDomainError(f"result out of floating-point range at t = {t:.6g}", pos)
-
-
-def _until_failure(fn, columns, ts: list, pos: int) -> tuple:
-    """One instruction run one sample value at a time, each result checked
-    by its ``Jet``: the value and d/dt columns before the first sample
-    value where it fails, that value's index, and the error the run
-    raises there (None, and the full columns, when it does not fail)."""
-    v, d = [], []
-    for k, operands in enumerate(zip(*columns)):
-        try:
-            value, der = operands if fn is None else fn(*operands)
-            Jet(value, (der,))
-        except ExprDomainError as e:
-            return v, d, k, ExprDomainError(str(e), pos)
-        except (OverflowError, NonFiniteError):
-            return v, d, k, _out_of_range(ts[k], pos)
-        v.append(value)
-        d.append(der)
-    return v, d, len(v), None
-
-
 def _last_readers(code: tuple, outputs: tuple) -> list:
     """Entry j is the index of the last instruction that reads instruction
     j; None for an output and for an instruction nothing reads."""
@@ -362,10 +341,12 @@ class Program:
     last-reader table) that one value does not pay back.  Both compute
     on plain floats and wrap each instruction's result at each value in
     a one-direction ``Jet``.  That jet is the instruction's check: its
-    validating constructor rejects a non-finite value or derivative,
-    which fails the run at the offset of the instruction that left it.
-    Both give the same numbers and, on failure, the same error, bit for
-    bit.
+    validating constructor rejects a non-finite value or derivative.
+    Both give the same numbers, bit for bit.  There is one failure
+    rule, and ``run`` holds it: a failing instruction raises
+    ExprDomainError at its offset.  When an instruction of
+    ``run_points`` fails, it reruns the program through ``run`` at each
+    value in order and raises the first error.
     """
 
     code: tuple
@@ -400,7 +381,8 @@ class Program:
             # OverflowError from math.exp and float powers; NonFiniteError
             # from the Jet constructor.  Operands are already built, so
             # this instruction's operation is the one at fault.
-            raise _out_of_range(t, pos) from None
+            raise ExprDomainError(
+                f"result out of floating-point range at t = {t:.6g}", pos) from None
         return [jets[i] for i in self.outputs]
 
     def run_points(self, ts) -> tuple[list, list]:
@@ -409,16 +391,14 @@ class Program:
         Returns ``(values, derivatives)``, each a list with one entry per
         tree: its value, or its d/dt, at each sample value in order.
         Each instruction builds one jet per sample value, as ``run`` does
-        at each of them.  The error raised is the one ``run`` meets first
-        over ``ts`` in order: a failure at the k-th value cuts the run to
-        the values before it, so a later instruction can only replace it
-        with a failure at an earlier value.
+        at each of them.  When an instruction fails at some value, the
+        program is run again through ``run`` at each value of ``ts`` in
+        order, so the error raised is the one ``run`` meets first.
         """
         ts = [float(t) for t in ts]
         n = len(ts)
         vals, ders = [None] * len(self.code), [None] * len(self.code)
         last = _last_readers(self.code, self.outputs)
-        error = None
         for i, (op, fn, x, y, pos) in enumerate(self.code):
             if op == "call2":
                 columns, operands = (vals[x], ders[x], vals[y], ders[y]), (x, y)
@@ -432,17 +412,15 @@ class Program:
                 v, d = columns if fn is None else _each(fn, columns)
                 deque(map(Jet, v, zip(d)), 0)
             except (ExprDomainError, OverflowError, NonFiniteError):
-                # rerun it value by value to find the first that fails
-                v, d, n, error = _until_failure(fn, columns, ts, pos)
-                ts = ts[:n]
-                vals = [c if c is None else c[:n] for c in vals]
-                ders = [c if c is None else c[:n] for c in ders]
+                # the columns hold what run computes, so run fails too:
+                # its error at the first failing value of ts is the one
+                for t in ts:
+                    self.run(t)
+                raise
             vals[i], ders[i] = v, d
             for j in operands:
                 if last[j] == i:
                     vals[j] = ders[j] = None
-        if error is not None:
-            raise error
         return [vals[i] for i in self.outputs], [ders[i] for i in self.outputs]
 
 

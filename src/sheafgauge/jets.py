@@ -670,7 +670,8 @@ def mat_inv(a: MatrixField) -> MatrixField:
     stop = first_true(np.abs(det) < DET_FLOOR)
     vi = np.linalg.inv(v[:stop])
     gi = -np.einsum("pij,pkjl,plm->pkim", vi, g[:stop], vi)
-    out = MatrixField.from_stack(a.region, pts[:stop], jet_stack(vi, gi))
+    # the inverse's points are a prefix of a's order, already checked
+    out = MatrixField._on_points_of(a.restrict(pts[:stop]), jet_stack(vi, gi))
     if stop < len(pts):
         p = pts[stop]
         raise SingularMatrixError(

@@ -45,7 +45,7 @@ import numpy as np
 from .associated import RepresentationModel, rep_by_name
 from .catalog import eval_matrix, sample_values
 from .cover import SampledCover, arc_range, circle_cover
-from .errors import ParseError, ScenarioError
+from .errors import ExprDomainError, ParseError, ScenarioError
 from .expr import eval_expr, parse_expr
 from .groups import GroupModel, LieValuedOneForm, model_by_name
 from .jets import point_order
@@ -268,7 +268,9 @@ def build_principal(s: Scenario, cover: SampledCover,
 
     Each named pair is evaluated on all sample points; the overlap
     restriction becomes the cocycle entry and the full field is kept as
-    its extension.  Every overlapping region pair must be named.
+    its extension.  Every overlapping region pair must be named.  An
+    entry that fails raises ExprDomainError, its message prefixed with
+    ``cocycle (a, b): ``.
     """
     k = group.ambient
     coords = global_coords(cover)
@@ -278,7 +280,10 @@ def build_principal(s: Scenario, cover: SampledCover,
         if len(rows) != k:
             raise ScenarioError(
                 f"cocycle ({a}, {b}) is {len(rows)}x{len(rows[0])}, ambient is {k}")
-        full = eval_matrix(rows, a, coords)
+        try:
+            full = eval_matrix(rows, a, coords)
+        except ExprDomainError as e:
+            raise ExprDomainError(f"cocycle ({a}, {b}): {e}", e.offset) from None
         ext[(a, b)] = full
         entries[(a, b)] = full.restrict(cover.overlap_points(a, b))
     named = {frozenset(pair) for pair in s.cocycle_rows}
@@ -302,7 +307,8 @@ def build_seed(s: Scenario, cover: SampledCover,
     Every entry is evaluated at every point first, in ``point_order``,
     so a failure names the point a cocycle entry would.  Coefficient seeds
     fill the (dim, m) arrays directly; matrix seeds are then expanded in
-    the Lie basis and must lie in its span.
+    the Lie basis and must lie in its span.  An entry that fails raises
+    ExprDomainError, its message prefixed with ``connection <chart>: ``.
     """
     if s.seed_chart is None:
         return None
@@ -318,8 +324,11 @@ def build_seed(s: Scenario, cover: SampledCover,
         entries = [e for row in s.seed_rows for e in row]
     coords = global_coords(cover)
     pts = point_order(coords)
-    values = np.array([[eval_expr(e, t).value for e in entries]
-                       for t in sample_values(coords, pts)])
+    try:
+        values = np.array([[eval_expr(e, t).value for e in entries]
+                           for t in sample_values(coords, pts)])
+    except ExprDomainError as e:
+        raise ExprDomainError(f"connection {s.seed_chart}: {e}", e.offset) from None
     if s.seed_coeffs is not None:
         coeffs = values[:, None]
     else:

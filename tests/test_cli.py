@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from sheafgauge.cli import main
+from sheafgauge.scenario import DEMO_SO2
 
 TRIPLE_CLASH = """\
 name = clash
@@ -93,6 +94,19 @@ class TestCheck:
         r = runner.invoke(main, ["check", str(f)])
         assert r.exit_code == 2
         assert "unterminated" in r.stderr
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("row = cos(t); -sin(t)", "row = 1 / sin(t); -sin(t)",
+         "error: cocycle (alpha, beta): division by zero\n"),
+        ("coeffs = (2 + sin(t)) / 4", "coeffs = 1 / (t - t)",
+         "error: connection alpha: division by zero\n"),
+    ])
+    def test_failing_expression_names_its_section(self, runner, tmp_path, old, new, message):
+        f = tmp_path / "bad.scn"
+        f.write_text(DEMO_SO2.replace(old, new))
+        r = runner.invoke(main, ["check", str(f)])
+        assert r.exit_code == 2
+        assert r.stderr == message
 
     def test_failures_reported_without_strict(self, runner, tmp_path):
         f = tmp_path / "clash.scn"

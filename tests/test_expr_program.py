@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from sheafgauge import DimensionMismatchError, ExprDomainError, eval_expr, parse_expr
 from sheafgauge.catalog import eval_matrix
-from sheafgauge.expr import BinOp, Call, Neg, Num, Pi, Var, compile_exprs
+from sheafgauge.expr import BinOp, Call, Neg, Num, Pi, Program, Var, compile_exprs
 
 
 class Failure(Exception):
@@ -212,6 +212,9 @@ def hex_columns(columns) -> list:
 
 
 class TestDrivers:
+    """``run_points`` against ``run``: the same bits on a passing program,
+    and on a failing one the error ``run`` meets first over the values."""
+
     @given(matrices(), sample_lists)
     @settings(max_examples=300, deadline=None)
     def test_run_points_is_run_at_each_value(self, rows, ts):
@@ -261,6 +264,33 @@ class TestDrivers:
 
         # holding every column, the peak grows with the program's length
         assert peak(400) < 3 * peak(40)
+
+
+class TestFailurePath:
+    @pytest.mark.parametrize("srcs,runs", [
+        (["t", "sin(t)"], 0),                       # passes: run is never called
+        (["1 / (t - 3)"], 4),
+        (["exp(exp(exp(t)))", "1 / (t - 3)"], 3),   # overflows from t = 2 on
+        (["1 / (t - 3)", "exp(exp(exp(t)))"], 3),   # the later tree fails first in ts
+        (["t^0.5"], 1),
+    ])
+    def test_run_is_called_up_to_the_first_failing_value(self, monkeypatch, srcs, runs):
+        ts = [0.0, 1.0, 2.0, 3.0, 4.0]
+        calls = []
+        run = Program.run
+
+        def counting(self, t):
+            calls.append(t)
+            return run(self, t)
+
+        monkeypatch.setattr(Program, "run", counting)
+        program = compile_exprs([parse_expr(src) for src in srcs])
+        if runs:
+            with pytest.raises(ExprDomainError):
+                program.run_points(ts)
+        else:
+            program.run_points(ts)
+        assert calls == ts[:runs]
 
 
 class TestSharing:
@@ -330,9 +360,10 @@ class TestShapes:
         assert (j.value, j.gradient.tolist()) == (2500.0, [5000.0])
         assert len(compile_exprs([tree]).code) == 5000
 
-    def test_ragged_rows_are_rejected(self):
+    @pytest.mark.parametrize("rows", [[["t", "1"], ["t"]], []])
+    def test_ragged_rows_are_rejected(self, rows):
         with pytest.raises(DimensionMismatchError, match="rows differ in length"):
-            eval_matrix([["t", "1"], ["t"]], "r", {0: np.array([0.0])})
+            eval_matrix(rows, "r", {0: np.array([0.0])})
 
     def test_no_points_gives_an_empty_field(self):
         field = eval_matrix([["t", "1"]], "r", {})

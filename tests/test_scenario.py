@@ -249,6 +249,19 @@ row = 0; 0
         with pytest.raises(ExprDomainError, match="t = 2.61799$"):
             build_principal(entry, build_cover(entry), build_group(entry))
 
+    def test_failing_entry_keeps_its_offset_under_its_section(self):
+        # the CLI tests check the messages' section prefixes
+        entry = parse_scenario(DEMO_SO2.replace("row = cos(t); -sin(t)",
+                                                "row = 1 / sin(t); -sin(t)"))
+        with pytest.raises(ExprDomainError, match="^cocycle ") as exc:
+            build_principal(entry, build_cover(entry), build_group(entry))
+        assert exc.value.offset == 2
+        seed = parse_scenario(DEMO_SO2.replace("coeffs = (2 + sin(t)) / 4",
+                                               "coeffs = 1 / (t - t)"))
+        with pytest.raises(ExprDomainError, match="^connection ") as exc:
+            build_seed(seed, build_cover(seed), build_group(seed))
+        assert exc.value.offset == 2
+
     def test_seed_span_error_names_the_first_point_in_point_order(self):
         # alpha's points come first in the cover, 6 .. 11 before 0 and 1;
         # sin(t) leaves the torus algebra everywhere but at 0 and 6 (within
