@@ -360,10 +360,13 @@ class TestShapes:
         assert (j.value, j.gradient.tolist()) == (2500.0, [5000.0])
         assert len(compile_exprs([tree]).code) == 5000
 
-    @pytest.mark.parametrize("rows", [[["t", "1"], ["t"]], []])
-    def test_ragged_rows_are_rejected(self, rows):
+    def test_ragged_rows_are_rejected(self):
         with pytest.raises(DimensionMismatchError, match="rows differ in length"):
-            eval_matrix(rows, "r", {0: np.array([0.0])})
+            eval_matrix([["t", "1"], ["t"]], "r", {0: np.array([0.0])})
+
+    def test_empty_matrix_is_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="rows differ in length"):
+            eval_matrix([], "r", {0: np.array([0.0])})
 
     def test_no_points_gives_an_empty_field(self):
         field = eval_matrix([["t", "1"]], "r", {})
