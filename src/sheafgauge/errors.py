@@ -100,11 +100,17 @@ class ParseError(SheafGaugeError):
 
 
 class ExprDomainError(SheafGaugeError):
-    """Evaluation hit an undefined operation (division by zero, bad power)."""
+    """Evaluation hit an undefined operation (division by zero, bad power).
 
-    def __init__(self, message: str, offset: int = -1):
+    ``offset`` is the source offset of the failing node in its expression
+    and ``entry`` the index, among the expressions compiled together, of
+    the first one holding that node; each is -1 when unknown.
+    """
+
+    def __init__(self, message: str, offset: int = -1, entry: int = -1):
         super().__init__(message)
         self.offset = offset
+        self.entry = entry
 
 
 class ScenarioError(SheafGaugeError):

@@ -44,6 +44,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import ExprDomainError, NonFiniteError, ParseError
 from .jets import Jet
@@ -326,7 +327,8 @@ class Program:
     instructions (``x`` is the float of a ``const``), ``fn`` is the
     float kernel of a ``call1`` or ``call2`` and ``pos`` is the source
     offset where the subtree first occurs.  ``outputs`` indexes the
-    instruction of each tree's root.
+    instruction of each tree's root.  An error names the tree that holds
+    the failing instruction first (``tree_of``) as its ``entry``.
 
     There are two drivers, and the number of sample values a caller has
     picks one.  ``run(t)`` runs every instruction at one value.
@@ -376,14 +378,25 @@ class Program:
                 push_val(v)
                 push_der(d)
         except ExprDomainError as e:
-            raise ExprDomainError(str(e), pos) from None
+            # vals holds one value per instruction before the failing one
+            raise ExprDomainError(str(e), pos, self.tree_of(len(vals))) from None
         except (OverflowError, NonFiniteError):
             # OverflowError from math.exp and float powers; NonFiniteError
             # from the Jet constructor.  Operands are already built, so
             # this instruction's operation is the one at fault.
-            raise ExprDomainError(
-                f"result out of floating-point range at t = {t:.6g}", pos) from None
+            raise ExprDomainError(f"result out of floating-point range at t = {t:.6g}",
+                                  pos, self.tree_of(len(vals))) from None
         return [jets[i] for i in self.outputs]
+
+    def tree_of(self, i: int) -> int:
+        """The index of the first tree that holds instruction ``i``.
+
+        ``compile_exprs`` appends each tree's new instructions after all
+        earlier ones, so that is the first tree whose root, or an earlier
+        tree's root, has index ``i`` or more: a subtree shared by several
+        trees belongs to the first of them.
+        """
+        return next(k for k, top in enumerate(accumulate(self.outputs, max)) if top >= i)
 
     def run_points(self, ts) -> tuple[list, list]:
         """The trees at every sample value of ``ts``, as columns.

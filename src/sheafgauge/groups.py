@@ -25,6 +25,13 @@ naming the first point that leaves the modeled algebra.  Elements
 whose determinant falls below ``jets.DET_FLOOR`` count as singular.
 These thresholds are fixed module constants, not parameters.
 
+An element's inverses live in the element: a ``MatrixField`` inverts
+its values at most once and keeps the result, and ``mat_inv`` hands its
+output the input's values as that output's inverses.  So eq7's gauge
+action inverts g once: ``mat_inv(g)`` inverts it, ``mc(g)`` reads the
+same inverses, and ``rho_matrix`` of ``mat_inv(g)`` forms Ad(g^-1)
+from that inverse and g's own values.
+
 Every independence test and every left inverse of a basis (the Lie
 basis here, a representation's phibar in ``associated``) is
 ``_left_inverse``, run once by each model's constructor.  It works on
@@ -55,9 +62,9 @@ from .jets import (
     MatrixField,
     _StackedField,
     _require_aligned,
-    determinants,
     diff_rows,
     first_true,
+    floor_inverses,
     identity_matrix_field,
     mat_inv,
     mat_mul,
@@ -269,7 +276,7 @@ def group_mul(g: MatrixField, h: MatrixField) -> MatrixField:
     """Pointwise product of group-element fields; result must stay invertible."""
     out = mat_mul(g, h)
     pts = out.ordered_points()
-    det = determinants(out.coeffs[:, 0])
+    det = out._determinants()
     bad = first_true(np.abs(det) < DET_FLOOR)
     if bad < len(pts):
         raise FieldMismatchError(
@@ -293,16 +300,16 @@ def rho_matrix(model: GroupModel, g: MatrixField) -> tuple[list, np.ndarray]:
     coefficients of g E_i g^-1, so coefficient vectors transform by left
     multiplication.  Only the value part of g enters; coefficients of
     one-forms are plain reals.  The first point whose conjugation leaves
-    the span raises SpanError, and the first exactly singular element,
+    the span raises SpanError, and the first element without an inverse,
     when no earlier point left the span, raises SingularMatrixError
-    naming its point.
+    naming its point.  An element lacks an inverse where it is exactly
+    singular (LU meets a zero pivot); one that ``mat_inv`` made has the
+    input's values as its inverses at every point.
     """
     pts = g.ordered_points()
-    v = g.coeffs[:, 0]
-    sign, _ = np.linalg.slogdet(v)       # zero exactly where inv finds a zero pivot
-    stop = first_true(sign == 0.0)
-    vi = np.linalg.inv(v[:stop])
-    images = np.einsum("pij,mjk,pkl->pmil", v[:stop], model.lie_basis, vi)
+    vi = g._inverses()
+    stop = len(vi)
+    images = np.einsum("pij,mjk,pkl->pmil", g.coeffs[:stop, 0], model.lie_basis, vi)
     coeff = model.span_coeffs(images, pts, "adjoint action")   # row i: g E_i g^-1
     if stop < len(pts):
         raise _singular(pts[stop])
@@ -322,10 +329,8 @@ def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
     the span, raises SingularMatrixError naming its point.
     """
     pts = g.ordered_points()
-    v, grad = g.coeffs[:, 0], g.coeffs[:, 1:]
-    stop = first_true(np.abs(determinants(v)) < DET_FLOOR)
-    vi = np.linalg.inv(v[:stop])
-    coeff = model.span_coeffs(np.einsum("pij,pkjl->pkil", vi, grad[:stop]), pts,
+    stop, vi = floor_inverses(g)
+    coeff = model.span_coeffs(np.einsum("pij,pkjl->pkil", vi, g.coeffs[:stop, 1:]), pts,
                               "logarithmic differential")
     if stop < len(pts):
         raise _singular(pts[stop])

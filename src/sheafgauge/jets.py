@@ -25,7 +25,14 @@ call over all points; a jet-field result builds one object per point
 through the validating constructor.  Each point's arithmetic is the
 one-point computation, so the numbers equal those of ``JetMatrix.matmul``
 and ``JetMatrix.inv`` bit for bit (``tests/test_batched.py`` holds them
-to it).  The field operations are ``d_field`` on scalar fields and
+to it), with one exception: inverting a field that ``mat_inv`` made
+gives back that call's input values exactly, where ``JetMatrix.inv``
+would invert the inverse again.  A ``MatrixField`` computes the
+determinants and the inverses of its values at most once, on first use,
+and keeps them read-only in its own slots; ``mat_inv``, ``groups.mc``,
+``groups.rho_matrix`` and ``groups.group_mul`` read them there, and
+``mat_inv`` hands its output the input's values as its inverses.  The
+field operations are ``d_field`` on scalar fields and
 ``mat_mul``, ``mat_inv`` and ``mat_scale`` on matrix fields; products of
 single jets are ``jet_mul`` and ``JetMatrix.matmul``.  Only the residual
 functions pair a point with its residual: ``residuals`` for the rows of
@@ -547,8 +554,10 @@ class _Matrices:
 
 class MatrixField(_Matrices, _JetField):
     """Matrix-of-jets field.  Column vectors are the cols == 1 case;
-    ``coeffs`` has shape (P, 1 + dim, rows, cols)."""
+    ``coeffs`` has shape (P, 1 + dim, rows, cols); the slots keep the
+    values' determinants and inverses once computed."""
 
+    __slots__ = ("_dets", "_inverse")
     KIND, NDIM = "matrix field", 3
     SHAPE_MESSAGE = "matrix field rows must be (1 + dim, rows, cols) arrays"
     MIXED_MESSAGE = "mixed jet dims in matrix field"
@@ -574,12 +583,48 @@ class MatrixField(_Matrices, _JetField):
     def _entries(coeffs: np.ndarray) -> list:
         return [JetMatrix(r[0], r[1:]) for r in coeffs]
 
+    def _set(self, region: str, order, coeffs: np.ndarray, entries=None) -> "MatrixField":
+        _set_field_dets(self, None)
+        _set_field_inverse(self, None)
+        return super()._set(region, order, coeffs, entries)
+
+    def _determinants(self) -> np.ndarray:
+        """``determinants`` of the values, one per point in ``point_order``."""
+        d = self._dets
+        if d is None:
+            d = determinants(self.coeffs[:, 0])
+            d.setflags(write=False)
+            _set_field_dets(self, d)
+        return d
+
+    def _inverses(self) -> np.ndarray:
+        """The inverses of the values up to the first exactly singular
+        one, where LU meets a zero pivot; all of them for a field that
+        ``mat_inv`` made, whose inverses are its input's values.  LAPACK
+        inverts a stack matrix by matrix, so each has the bits of
+        inverting its value alone."""
+        vi = self._inverse
+        if vi is None:
+            v = self.coeffs[:, 0]
+            stop = len(v)
+            if not self._determinants().all():   # det is exactly 0 at a zero pivot
+                sign, _ = np.linalg.slogdet(v)
+                stop = first_true(sign == 0.0)
+            vi = np.linalg.inv(v[:stop])
+            vi.setflags(write=False)
+            _set_field_inverse(self, vi)
+        return vi
+
     def map_entries(self, fn: Callable[[object, JetMatrix], JetMatrix],
                     rows=None, cols=None) -> "MatrixField":
         out = {p: fn(p, m) for p, m in self.data.items()}
         r = self.rows if rows is None else rows
         c = self.cols if cols is None else cols
         return MatrixField(self.region, r, c, out)
+
+
+_set_field_dets = MatrixField._dets.__set__
+_set_field_inverse = MatrixField._inverse.__set__
 
 
 class OneForm(_StackedField):
@@ -658,24 +703,34 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     return type(a)._on_points_of(a, jet_stack(value, grad))
 
 
+def floor_inverses(a: MatrixField) -> tuple[int, np.ndarray]:
+    """``(stop, inverses)``: the index of ``a``'s first value whose
+    determinant lies below ``DET_FLOOR``, else ``len(a)``, and ``a``'s
+    kept inverses of the values before it (numpy's determinant is
+    exactly 0 at a zero pivot, so the kept inverses reach ``stop``)."""
+    stop = first_true(np.abs(a._determinants()) < DET_FLOOR)
+    return stop, a._inverses()[:stop]
+
+
 def mat_inv(a: MatrixField) -> MatrixField:
     """Pointwise inverse, rows in ``point_order``; a failure names the
     first failing point in ``point_order``: the first whose determinant
-    lies below ``DET_FLOOR`` raises SingularMatrixError."""
+    lies below ``DET_FLOOR`` raises SingularMatrixError.  The output
+    keeps ``a``'s values as its own inverses, so inverting it again
+    returns them exactly."""
     pts = a.ordered_points()
     if pts and a.rows != a.cols:
         raise DimensionMismatchError("only square matrices invert")
-    v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
-    det = determinants(v)
-    stop = first_true(np.abs(det) < DET_FLOOR)
-    vi = np.linalg.inv(v[:stop])
-    gi = -np.einsum("pij,pkjl,plm->pkim", vi, g[:stop], vi)
+    stop, vi = floor_inverses(a)
+    v, g = a.coeffs[:stop, 0], a.coeffs[:stop, 1:]
+    gi = -np.einsum("pij,pkjl,plm->pkim", vi, g, vi)
     # the inverse's points are a prefix of a's order, already checked
     out = MatrixField._on_points_of(a.restrict(pts[:stop]), jet_stack(vi, gi))
+    _set_field_inverse(out, v)
     if stop < len(pts):
         p = pts[stop]
         raise SingularMatrixError(
-            f"determinant {float(det[stop]):.3e} below floor {DET_FLOOR:.1e} "
+            f"determinant {float(a._determinants()[stop]):.3e} below floor {DET_FLOOR:.1e} "
             f"at point {p}", point=p)
     return out
 

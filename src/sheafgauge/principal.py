@@ -48,6 +48,7 @@ from .errors import (
     FieldMismatchError,
     MissingEntryError,
     MissingExtensionError,
+    SingularMatrixError,
 )
 from .groups import GroupModel, LieValuedOneForm, gauge_form
 from .jets import (
@@ -122,14 +123,15 @@ class PrincipalSheafData:
         """Build the full ordered-pair cocycle from one entry per pair.
 
         Diagonal entries become identities, the reversed pairs become
-        pointwise inverses transported into the second chart.
+        pointwise inverses transported into the second chart.  A singular
+        entry raises SingularMatrixError prefixed with ``cocycle (a, b): ``.
         """
         cocycle = {}
         for (a, b), f in entries.items():
             a, b = str(a), str(b)
             cocycle[(a, b)] = f
             if (b, a) not in entries:
-                cocycle[(b, a)] = transport_field(mat_inv(f), cover, b)
+                cocycle[(b, a)] = transport_field(_entry_inverse(f, a, b), cover, b)
         for rid, pts in cover.regions.items():
             cocycle.setdefault((rid, rid),
                                group.unit_field(rid, pts, cover.dim(rid)))
@@ -140,7 +142,7 @@ class PrincipalSheafData:
             if (b, a) not in (ext or {}):
                 # beyond the overlap there is no jacobian; extended data is
                 # only meaningful on shared-coordinate covers, so relabel
-                ext_full[(b, a)] = mat_inv(f).relabel(b)
+                ext_full[(b, a)] = _entry_inverse(f, a, b).relabel(b)
         return cls(cover, group, cocycle, ext_full)
 
     def entry(self, a: str, b: str) -> MatrixField:
@@ -162,6 +164,15 @@ class PrincipalSheafData:
             if (a, b) in self.cocycle or (b, a) in self.cocycle:
                 out.append((a, b))
         return out
+
+
+def _entry_inverse(f: MatrixField, a: str, b: str) -> MatrixField:
+    """``mat_inv`` of the cocycle entry (a, b), its failure named under
+    the entry."""
+    try:
+        return mat_inv(f)
+    except SingularMatrixError as e:
+        raise SingularMatrixError(f"cocycle ({a}, {b}): {e}", point=e.point) from None
 
 
 def check_cocycle(P: PrincipalSheafData) -> dict[str, CheckResult]:

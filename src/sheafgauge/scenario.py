@@ -270,7 +270,8 @@ def build_principal(s: Scenario, cover: SampledCover,
     restriction becomes the cocycle entry and the full field is kept as
     its extension.  Every overlapping region pair must be named.  An
     entry that fails raises ExprDomainError, its message prefixed with
-    ``cocycle (a, b): ``.
+    ``cocycle (a, b): row r, entry c: ``; a subexpression shared by
+    several entries belongs to the first of them in row-major order.
     """
     k = group.ambient
     coords = global_coords(cover)
@@ -283,7 +284,7 @@ def build_principal(s: Scenario, cover: SampledCover,
         try:
             full = eval_matrix(rows, a, coords)
         except ExprDomainError as e:
-            raise ExprDomainError(f"cocycle ({a}, {b}): {e}", e.offset) from None
+            raise _at_entry(f"cocycle ({a}, {b})", e, e.entry, len(rows[0])) from None
         ext[(a, b)] = full
         entries[(a, b)] = full.restrict(cover.overlap_points(a, b))
     named = {frozenset(pair) for pair in s.cocycle_rows}
@@ -292,6 +293,16 @@ def build_principal(s: Scenario, cover: SampledCover,
             raise ScenarioError(
                 f"regions {a!r} and {b!r} overlap but no cocycle entry is given")
     return PrincipalSheafData.from_pairs(cover, group, entries, ext)
+
+
+def _at_entry(section: str, e: ExprDomainError, index: int,
+              cols: int | None) -> ExprDomainError:
+    """``e`` under its section and entry, counted from 1: ``row r, entry
+    c`` of a matrix with ``cols`` columns, or ``entry k`` of a list
+    (``cols`` None).  The offset is kept."""
+    where = (f"entry {index + 1}" if cols is None
+             else f"row {index // cols + 1}, entry {index % cols + 1}")
+    return ExprDomainError(f"{section}: {where}: {e}", e.offset, index)
 
 
 def build_representation(s: Scenario, group: GroupModel) -> RepresentationModel:
@@ -308,7 +319,9 @@ def build_seed(s: Scenario, cover: SampledCover,
     so a failure names the point a cocycle entry would.  Coefficient seeds
     fill the (dim, m) arrays directly; matrix seeds are then expanded in
     the Lie basis and must lie in its span.  An entry that fails raises
-    ExprDomainError, its message prefixed with ``connection <chart>: ``.
+    ExprDomainError, its message prefixed with ``connection <chart>: ``
+    and ``entry k: `` for coefficients or ``row r, entry c: `` for a
+    matrix.
     """
     if s.seed_chart is None:
         return None
@@ -317,18 +330,20 @@ def build_seed(s: Scenario, cover: SampledCover,
         if len(s.seed_coeffs) != m:
             raise ScenarioError(
                 f"connection coeffs: {len(s.seed_coeffs)} entries, algebra rank {m}")
-        entries = s.seed_coeffs
+        entries, cols = s.seed_coeffs, None
     else:
         if len(s.seed_rows) != k or any(len(r) != k for r in s.seed_rows):
             raise ScenarioError("connection rows must form an ambient-size matrix")
-        entries = [e for row in s.seed_rows for e in row]
+        entries, cols = [e for row in s.seed_rows for e in row], k
     coords = global_coords(cover)
     pts = point_order(coords)
-    try:
-        values = np.array([[eval_expr(e, t).value for e in entries]
-                           for t in sample_values(coords, pts)])
-    except ExprDomainError as e:
-        raise ExprDomainError(f"connection {s.seed_chart}: {e}", e.offset) from None
+    values = np.empty((len(pts), len(entries)))
+    for i, t in enumerate(sample_values(coords, pts)):
+        for j, e in enumerate(entries):
+            try:
+                values[i, j] = eval_expr(e, t).value
+            except ExprDomainError as err:
+                raise _at_entry(f"connection {s.seed_chart}", err, j, cols) from None
     if s.seed_coeffs is not None:
         coeffs = values[:, None]
     else:

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from sheafgauge.cli import main
-from sheafgauge.scenario import DEMO_SO2
+from sheafgauge.scenario import DEMO_SO2, DEMOS
 
 TRIPLE_CLASH = """\
 name = clash
@@ -97,9 +97,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("old,new,message", [
         ("row = cos(t); -sin(t)", "row = 1 / sin(t); -sin(t)",
-         "error: cocycle (alpha, beta): division by zero\n"),
+         "error: cocycle (alpha, beta): row 1, entry 1: division by zero\n"),
         ("coeffs = (2 + sin(t)) / 4", "coeffs = 1 / (t - t)",
-         "error: connection alpha: division by zero\n"),
+         "error: connection alpha: entry 1: division by zero\n"),
     ])
     def test_failing_expression_names_its_section(self, runner, tmp_path, old, new, message):
         f = tmp_path / "bad.scn"
@@ -107,6 +107,15 @@ class TestCheck:
         r = runner.invoke(main, ["check", str(f)])
         assert r.exit_code == 2
         assert r.stderr == message
+
+    def test_singular_cocycle_entry_names_its_section(self, runner, tmp_path):
+        f = tmp_path / "singular.scn"
+        f.write_text(DEMOS["mobius"].replace("[cocycle gamma alpha]\nrow = -1",
+                                             "[cocycle gamma alpha]\nrow = 0"))
+        r = runner.invoke(main, ["check", str(f)])
+        assert r.exit_code == 2
+        assert r.stderr == ("error: cocycle (gamma, alpha): determinant 0.000e+00 "
+                            "below floor 1.0e-09 at point 0\n")
 
     def test_failures_reported_without_strict(self, runner, tmp_path):
         f = tmp_path / "clash.scn"

@@ -6,7 +6,7 @@ are held bit for bit to a reference node-by-node walk written out here
 on plain floats, with one-entry gradients in the jets' own operation
 order: the same values, the same derivatives, and on failure the same
 error kind at the same offset, at the first failing point and the
-first failing entry in row-major order.  The two drivers are held to
+first failing entry in row-major order, which the error names.  The two drivers are held to
 each other the same way: ``run_points`` over a list of sample values
 gives what ``run`` gives at each of them, and raises the error ``run``
 meets first.
@@ -188,6 +188,7 @@ class TestAgainstReference:
             with pytest.raises(ExprDomainError) as exc:
                 evaluate(rows, ts)
             assert exc.value.offset == f.offset
+            assert exc.value.entry == first_failing_entry(rows, ts)
             assert MESSAGES[f.kind] in str(exc.value)
             return
         field = evaluate(rows, ts)
@@ -205,6 +206,18 @@ class TestAgainstReference:
         program = compile_exprs(flat)
         assert len(program.code) == len(distinct)
         assert len(program.outputs) == len(flat)
+
+
+def first_failing_entry(rows, ts) -> int:
+    """The row-major index of the entry the reference walk fails on first."""
+    flat = [e for row in rows for e in row]
+    for t in ts:
+        for k, e in enumerate(flat):
+            try:
+                reference(e, t)
+            except Failure:
+                return k
+    raise AssertionError("the walk passes")
 
 
 def hex_columns(columns) -> list:
@@ -323,6 +336,26 @@ class TestSharing:
             eval_matrix(rows, "r", {0: np.array([1.0]), 1: np.array([6.0])})
         assert exc.value.offset == offset
         assert "t = 6" in str(exc.value)
+
+    def test_each_instruction_belongs_to_the_first_tree_holding_it(self):
+        program = compile_exprs([parse_expr(s) for s in
+                                 ("sin(t) + 1", "2 * sin(t)", "sin(t)", "cos(t)")])
+        # t, sin(t), 1, sin(t) + 1 | 2, 2 * sin(t) | (shared) | cos(t)
+        assert [program.tree_of(i) for i in range(len(program.code))] == [0, 0, 0, 0, 1, 1, 3]
+
+    @pytest.mark.parametrize("srcs,entry", [
+        (["t", "1 / (t - t)"], 1),
+        (["2 * (1 / (t - t))", "1 / (t - t)"], 0),
+        (["t", "1 / (t - t)", "3 + 1 / (t - t)"], 1),
+        (["t", "exp(exp(exp(t)))", "1 + exp(exp(exp(t)))"], 1),
+    ])
+    def test_an_error_names_the_first_tree_holding_its_node(self, srcs, entry):
+        program = compile_exprs([parse_expr(s) for s in srcs])
+        with pytest.raises(ExprDomainError) as one:
+            program.run(9.0)
+        with pytest.raises(ExprDomainError) as many:
+            program.run_points([0.5, 9.0])
+        assert one.value.entry == many.value.entry == entry
 
     def test_first_failing_point_in_points_order(self):
         # insertion order is not point_order: point 10 comes before 2

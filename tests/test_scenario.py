@@ -6,6 +6,7 @@ import pytest
 from sheafgauge import (
     ExprDomainError,
     ScenarioError,
+    SingularMatrixError,
     SpanError,
     build_cover,
     build_group,
@@ -16,7 +17,7 @@ from sheafgauge import (
     load_scenario,
     parse_scenario,
 )
-from sheafgauge.scenario import DEMO_SO2, demo_names
+from sheafgauge.scenario import DEMO_SO2, DEMOS, demo_names
 
 MINIMAL = """\
 name = tiny
@@ -261,6 +262,38 @@ row = 0; 0
         with pytest.raises(ExprDomainError, match="^connection ") as exc:
             build_seed(seed, build_cover(seed), build_group(seed))
         assert exc.value.offset == 2
+
+    @pytest.mark.parametrize("demo,old,new,where", [
+        ("so2", "row = cos(t); -sin(t)", "row = cos(t); 2 / sin(t)",
+         "cocycle (alpha, beta): row 1, entry 2"),
+        ("so2", "row = sin(t); cos(t)", "row = sin(t); 2 / sin(t)",
+         "cocycle (alpha, beta): row 2, entry 2"),
+        # 2 / sin(t) is shared by entries (1, 2) and (2, 1): it belongs to
+        # the first of them in row-major order
+        ("so2", "row = cos(t); -sin(t)\nrow = sin(t); cos(t)",
+         "row = cos(t); 2 / sin(t)\nrow = 2 / sin(t); cos(t)",
+         "cocycle (alpha, beta): row 1, entry 2"),
+        ("so2", "coeffs = (2 + sin(t)) / 4", "coeffs = 2 / sin(t)",
+         "connection alpha: entry 1"),
+        ("shear-frame", "row = 0; 1 / (2 + sin(t))", "row = 0; 2 / sin(t)",
+         "connection alpha: row 2, entry 2"),
+    ])
+    def test_failing_entry_is_named_by_row_and_entry(self, demo, old, new, where):
+        scn = parse_scenario(DEMOS[demo].replace(old, new))
+        build = build_principal if where.startswith("cocycle") else build_seed
+        with pytest.raises(ExprDomainError) as exc:
+            build(scn, build_cover(scn), build_group(scn))
+        assert str(exc.value) == f"{where}: division by zero"
+        assert exc.value.offset == 2
+
+    def test_singular_entry_is_named_under_its_section(self):
+        scn = parse_scenario(DEMOS["mobius"].replace("[cocycle gamma alpha]\nrow = -1",
+                                                     "[cocycle gamma alpha]\nrow = 0"))
+        with pytest.raises(SingularMatrixError) as exc:
+            build_principal(scn, build_cover(scn), build_group(scn))
+        assert str(exc.value) == ("cocycle (gamma, alpha): determinant 0.000e+00 "
+                                  "below floor 1.0e-09 at point 0")
+        assert exc.value.point == 0
 
     def test_seed_span_error_names_the_first_point_in_point_order(self):
         # alpha's points come first in the cover, 6 .. 11 before 0 and 1;
