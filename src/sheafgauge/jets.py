@@ -22,7 +22,10 @@ a ``MatrixField`` stack is (P, 1 + dim, rows, cols) and a
 ``MatrixOneForm``, ``groups.LieValuedOneForm``) hold (P, dim, ...), and
 ``data[p]`` is a view of its row.  Kernels read the stacks, in one numpy
 call over all points; a jet-field result builds one object per point
-through the validating constructor.  Each point's arithmetic is the
+through the validating constructor.  A ``MatrixField``'s objects share
+their rows: each ``JetMatrix`` holds views of its row of the stack, made
+read-only before the objects are built, not copies; a ``Jet`` holds a
+tuple of floats.  Each point's arithmetic is the
 one-point computation, so the numbers equal those of ``JetMatrix.matmul``
 and ``JetMatrix.inv`` bit for bit (``tests/test_batched.py`` holds them
 to it), with one exception: inverting a field that ``mat_inv`` made
@@ -261,14 +264,34 @@ def _leibniz_matmul(va: np.ndarray, ga: np.ndarray, vb: np.ndarray,
                      + np.einsum("...ij,...kjl->...kil", va, gb))
 
 
+_FLOAT64 = np.dtype(float)
+
+
+def _held(a) -> np.ndarray:
+    """``a`` itself when it is a read-only, C-contiguous float64 view into
+    memory that a read-only ndarray owns; otherwise a read-only copy."""
+    if type(a) is np.ndarray and a.dtype is _FLOAT64 and type(a.base) is np.ndarray:
+        flags, owner = a.flags, a.base.flags
+        if owner.owndata and not (owner.writeable or flags.writeable) and flags.c_contiguous:
+            return a
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 class JetMatrix:
-    """A matrix of jets at one point: value (r, c) and gradient (dim, r, c)."""
+    """A matrix of jets at one point: value (r, c) and gradient (dim, r, c).
+
+    A read-only, C-contiguous float64 view into memory that a read-only
+    ndarray owns, such as a row of a ``MatrixField`` stack, is held as
+    given: no caller can write through it.  Any other value or gradient
+    is copied.  The shape and finiteness checks run on every input."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value, grad):
-        v = np.array(value, dtype=float)
-        g = np.array(grad, dtype=float)
+        v = _held(value)
+        g = _held(grad)
         if v.ndim != 2:
             raise DimensionMismatchError("JetMatrix value must be 2-d")
         if g.ndim != 3 or g.shape[1:] != v.shape:
@@ -278,8 +301,6 @@ class JetMatrix:
             raise DimensionMismatchError("JetMatrix needs at least one chart direction")
         if not (_all_finite(v) and _all_finite(g)):
             raise NonFiniteError("JetMatrix components must be finite")
-        v.setflags(write=False)
-        g.setflags(write=False)
         _set_matrix_value(self, v)
         _set_matrix_grad(self, g)
 
@@ -297,11 +318,13 @@ class JetMatrix:
     def from_jets(cls, rows: Iterable[Iterable[Jet]]) -> "JetMatrix":
         grid = [list(r) for r in rows]
         dim = len(grid[0][0].grad_tuple)
-        v = np.array([[j.value for j in r] for r in grid])
         if any(len(j.grad_tuple) != dim for r in grid for j in r):
             raise DimensionMismatchError("mixed jet dims in one matrix")
-        g = np.array([[j.grad_tuple for j in r] for r in grid])
-        return cls(v, g.transpose(2, 0, 1))
+        # one (1 + dim, rows, cols) stack, read-only: value and gradient are views
+        s = np.array([[(j.value,) + j.grad_tuple for j in r] for r in grid])
+        s = s.transpose(2, 0, 1).copy()
+        s.setflags(write=False)
+        return cls(s[0], s[1:])
 
     @property
     def rows(self) -> int:
@@ -316,7 +339,7 @@ class JetMatrix:
         return self.grad.shape[0]
 
     def entry(self, i: int, j: int) -> Jet:
-        return Jet(self.value[i, j], self.grad[:, i, j].tolist())
+        return Jet(self.value.item(i, j), tuple(self.grad[:, i, j].tolist()))
 
     def matmul(self, other: "JetMatrix") -> "JetMatrix":
         if self.cols != other.rows or self.dim != other.dim:
@@ -427,11 +450,11 @@ class _StackedField:
         return self._set(region, order, c, entries)
 
     def _set(self, region: str, order, coeffs: np.ndarray, entries=None) -> "_StackedField":
-        """Store ``coeffs`` and map ``order`` to ``entries``, by default
-        those ``_entries`` makes of the rows."""
+        """Store ``coeffs``, read-only, and map ``order`` to ``entries``, by
+        default those ``_entries`` makes of the read-only rows."""
+        coeffs.setflags(write=False)
         if entries is None:
             entries = self._entries(coeffs)
-        coeffs.setflags(write=False)
         object.__setattr__(self, "region", str(region))
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "data", MappingProxyType(dict(zip(order, entries))))
@@ -496,7 +519,8 @@ class _JetField(_StackedField):
     rows 1: the gradient.  Rows are in ``point_order`` for every kind; a
     failure names the first failing point in ``point_order``.  ``data``
     holds the caller's ``Jet`` or ``JetMatrix`` objects, or, for a stack,
-    one object per row built by the public validating constructor.
+    one object per row built by the public validating constructor; a
+    ``JetMatrix`` holds views of its row.
     """
 
     __slots__ = ()
@@ -581,7 +605,7 @@ class MatrixField(_Matrices, _JetField):
 
     @staticmethod
     def _entries(coeffs: np.ndarray) -> list:
-        return [JetMatrix(r[0], r[1:]) for r in coeffs]
+        return list(map(JetMatrix, coeffs[:, 0], coeffs[:, 1:]))
 
     def _set(self, region: str, order, coeffs: np.ndarray, entries=None) -> "MatrixField":
         _set_field_dets(self, None)

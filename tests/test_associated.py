@@ -25,11 +25,13 @@ from sheafgauge import (
     check_components,
     check_lie_type,
     check_representation,
+    checks,
     evaluate_tensorial,
     gl_model,
     gl1_diag_powers,
     group_mul,
     jet_mul,
+    load_demo,
     mat_inv,
     mat_mul,
     quotient_reduce,
@@ -38,6 +40,7 @@ from sheafgauge import (
     random_scalar_field,
     random_section,
     rep_by_name,
+    run_checks,
     section_smul,
     section_to_tensorial,
     section_transition,
@@ -137,6 +140,21 @@ class TestLieType:
         parts = check_lie_type(so2_in_gl2(),
                                [so2_pipe.P.entry("alpha", "beta")])
         assert all(r.passed for r in parts.values())
+
+    @pytest.mark.parametrize("demo", sorted(REPS))
+    def test_doubled_phibar_turns_def1_mc_red(self, demo, monkeypatch):
+        # negative control: phi no longer differentiates to phibar, so the
+        # Maurer-Cartan half of def1 fails; the bundle P is untouched
+        build = checks.build_representation
+
+        def doubled(scn, group):
+            R = build(scn, group)
+            return RepresentationModel(R.name, R.source, R.n, R.phi, 2.0 * R.phibar)
+        monkeypatch.setattr(checks, "build_representation", doubled)
+        report = run_checks(load_demo(demo))
+        assert report["liehom.def1.mc"].status == "fail"
+        cocycle = [r for r in report.results() if r.name.startswith("cocycle.")]
+        assert cocycle and all(r.status == "pass" for r in cocycle)
 
 
 class TestPushCocycle:

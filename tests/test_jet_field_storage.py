@@ -7,7 +7,9 @@ a read-only mapping, and both are in ``point_order`` whatever the order
 of the mapping the field was built from.  A mapping keeps the caller's
 ``Jet``/``JetMatrix`` objects; a kernel builds exactly one per point,
 through the validating constructor; restriction, relabelling and gluing
-reuse what they are given.
+reuse what they are given.  A ``JetMatrix`` a stack builds holds views of
+its row, read-only, not copies; one built from an array its caller can
+still write through holds a copy.
 """
 
 import numpy as np
@@ -29,6 +31,7 @@ from sheafgauge import (
     point_order,
 )
 from sheafgauge.catalog import eval_matrix
+from sheafgauge.jets import jet_stack
 
 POINTS = [11, 2, 0, 10, 1]          # a mapping order that is not point_order
 DIM = 2
@@ -149,6 +152,64 @@ class TestStackedConstructor:
                       lambda: OneForm("u", dict.fromkeys(keys, [1.0, 2.0]))):
             with pytest.raises(FieldMismatchError, match="distinct and in point_order"):
                 build()
+
+
+def assert_views_of_rows(field, stack):
+    """Each entry of ``field`` holds read-only views of its row of ``stack``."""
+    for m, row in zip(field.data.values(), stack):
+        assert np.shares_memory(m.value, row[0]) and np.shares_memory(m.grad, row[1:])
+        assert not (m.value.flags.writeable or m.grad.flags.writeable)
+
+
+class TestSharedRows:
+    def test_from_stack_entries_view_its_stack(self):
+        f = MatrixField.from_stack("u", point_order(POINTS), matrix_field().coeffs)
+        assert_views_of_rows(f, f.coeffs)
+
+    def test_kernel_entries_view_their_stack(self):
+        a = matrix_field()
+        for f in (MatrixField._on_points_of(a, 2.0 * a.coeffs), mat_mul(a, a),
+                  mat_scale(a, scalar_field()), mat_inv(a)):
+            assert_views_of_rows(f, f.coeffs)
+
+    def test_restrict_and_relabel_keep_views_of_the_source_stack(self):
+        f = mat_mul(matrix_field(), matrix_field(seed=1))
+        r = f.restrict({0, 11, 1})
+        # the kept objects view the source's rows of their points
+        assert_views_of_rows(r, [f.coeffs[i] for i in (0, 1, 3)])
+        moved = f.relabel("v")
+        assert moved.coeffs is f.coeffs
+        assert_views_of_rows(moved, moved.coeffs)
+
+    def test_a_writable_source_is_copied(self):
+        value, grad = np.eye(2), np.ones((DIM, 2, 2))
+        stack = jet_stack(value[None], grad[None])
+        view = stack.view()
+        view.setflags(write=False)       # read-only, but stack can still write to it
+        for m, sources in ((JetMatrix(value, grad), (value, grad)),
+                           (JetMatrix(view[0, 0], view[0, 1:]), (stack,))):
+            for a in sources:
+                assert not np.shares_memory(m.value, a) and not np.shares_memory(m.grad, a)
+                a[...] = 7.0
+            assert m.value.tolist() == np.eye(2).tolist()
+            assert m.grad.tolist() == np.ones((DIM, 2, 2)).tolist()
+            assert not (m.value.flags.writeable or m.grad.flags.writeable)
+
+    def test_a_strided_view_is_copied_contiguous(self):
+        stack = jet_stack(np.eye(3)[None], np.ones((1, DIM, 3, 3)))
+        stack.setflags(write=False)
+        m = JetMatrix(stack[0, 0, ::2, ::2], stack[0, 1:, ::2, ::2])
+        assert m.value.flags.c_contiguous and m.grad.flags.c_contiguous
+        assert not np.shares_memory(m.value, stack)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_non_finite_in_a_read_only_view_gives_the_old_message(self, bad):
+        for index in np.ndindex(1 + DIM, 2, 2):
+            stack = np.ones((1, 1 + DIM, 2, 2))
+            stack[(0,) + index] = bad
+            stack.setflags(write=False)
+            with pytest.raises(NonFiniteError, match="^JetMatrix components must be finite$"):
+                JetMatrix(stack[0, 0], stack[0, 1:])
 
 
 class TestEmpty:
