@@ -41,7 +41,6 @@ from .jets import (
     constant_matrix_field,
     d_field,
     field_residual,
-    identity_matrix_field,
     jet_mul,
     mat_inv,
     mat_mul,

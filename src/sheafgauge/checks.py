@@ -111,7 +111,7 @@ class _Build:
         self.cover = build_cover(scn)
         self.group = build_group(scn)
         self.P = build_principal(scn, self.cover, self.group)
-        self.R = build_representation(scn, self.group) if scn.representation else None
+        self.R = build_representation(scn, self.group) if scn.representation is not None else None
         self.E = push_cocycle(self.P, self.R) if self.R is not None else None
         self.chart0 = self.cover.region_ids()[0]
         self.seed = None

@@ -21,8 +21,8 @@ at w = 0 that is the crossed homomorphism rule
 which ``check_logarithmic_rule`` verifies numerically.  ``span_coeffs``
 expands matrix stacks in the Lie basis by least squares and is the one
 place that insists the expansion residual stays within ``SPAN_TOL``,
-naming the first point that leaves the modeled algebra.  Elements
-whose determinant falls below ``jets.DET_FLOOR`` count as singular.
+naming the first point that leaves the modeled algebra.  Which
+elements have an inverse is ``MatrixField._inverses``' one rule.
 These thresholds are fixed module constants, not parameters.
 
 An element's inverses live in the element: a ``MatrixField`` inverts
@@ -58,14 +58,12 @@ from .errors import (
     SpanError,
 )
 from .jets import (
-    DET_FLOOR,
     MatrixField,
     _StackedField,
     _require_aligned,
+    constant_matrix_field,
     diff_rows,
     first_true,
-    floor_inverses,
-    identity_matrix_field,
     mat_inv,
     mat_mul,
 )
@@ -200,7 +198,7 @@ class GroupModel:
         return coeff
 
     def unit_field(self, region: str, points, dim: int) -> MatrixField:
-        return identity_matrix_field(region, points, self.ambient, dim)
+        return constant_matrix_field(region, points, np.eye(self.ambient), dim)
 
     def matches(self, other: "GroupModel") -> bool:
         return (self.kind == other.kind and self.ambient == other.ambient
@@ -273,15 +271,14 @@ def model_by_name(name: str) -> GroupModel:
 # -- operations ---------------------------------------------------------------
 
 def group_mul(g: MatrixField, h: MatrixField) -> MatrixField:
-    """Pointwise product of group-element fields; result must stay invertible."""
+    """Pointwise product of group-element fields; the first point where the
+    product has no inverse raises FieldMismatchError."""
     out = mat_mul(g, h)
-    pts = out.ordered_points()
-    det = out._determinants()
-    bad = first_true(np.abs(det) < DET_FLOOR)
-    if bad < len(pts):
+    bad = len(out._inverses())
+    if bad < len(out):
         raise FieldMismatchError(
-            f"group product leaves the invertible range at {pts[bad]!r} "
-            f"(det {float(det[bad]):.3e})")
+            f"group product leaves the invertible range at {out.ordered_points()[bad]!r} "
+            f"(det {float(out._determinants()[bad]):.3e})")
     return out
 
 
@@ -302,9 +299,7 @@ def rho_matrix(model: GroupModel, g: MatrixField) -> tuple[list, np.ndarray]:
     one-forms are plain reals.  The first point whose conjugation leaves
     the span raises SpanError, and the first element without an inverse,
     when no earlier point left the span, raises SingularMatrixError
-    naming its point.  An element lacks an inverse where it is exactly
-    singular (LU meets a zero pivot); one that ``mat_inv`` made has the
-    input's values as its inverses at every point.
+    naming its point.
     """
     pts = g.ordered_points()
     vi = g._inverses()
@@ -325,11 +320,12 @@ def mc(model: GroupModel, g: MatrixField) -> LieValuedOneForm:
 
     Points are taken in ``point_order``: the first one whose
     differential leaves the span raises SpanError, and the first one
-    whose determinant is below ``DET_FLOOR``, when no earlier point left
-    the span, raises SingularMatrixError naming its point.
+    without an inverse, when no earlier point left the span, raises
+    SingularMatrixError naming its point.
     """
     pts = g.ordered_points()
-    stop, vi = floor_inverses(g)
+    vi = g._inverses()
+    stop = len(vi)
     coeff = model.span_coeffs(np.einsum("pij,pkjl->pkil", vi, g.coeffs[:stop, 1:]), pts,
                               "logarithmic differential")
     if stop < len(pts):

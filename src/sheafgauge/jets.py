@@ -32,9 +32,9 @@ to it), with one exception: inverting a field that ``mat_inv`` made
 gives back that call's input values exactly, where ``JetMatrix.inv``
 would invert the inverse again.  A ``MatrixField`` computes the
 determinants and the inverses of its values at most once, on first use,
-and keeps them read-only in its own slots; ``mat_inv``, ``groups.mc``,
-``groups.rho_matrix`` and ``groups.group_mul`` read them there, and
-``mat_inv`` hands its output the input's values as its inverses.  The
+and keeps them read-only in its own slots; which values have one is
+decided there alone (``MatrixField._inverses``), and ``mat_inv``,
+``groups.mc``, ``groups.rho_matrix`` and ``groups.group_mul`` read it.  The
 field operations are ``d_field`` on scalar fields and
 ``mat_mul``, ``mat_inv`` and ``mat_scale`` on matrix fields; products of
 single jets are ``jet_mul`` and ``JetMatrix.matmul``.  Only the residual
@@ -622,19 +622,16 @@ class MatrixField(_Matrices, _JetField):
         return d
 
     def _inverses(self) -> np.ndarray:
-        """The inverses of the values up to the first exactly singular
-        one, where LU meets a zero pivot; all of them for a field that
-        ``mat_inv`` made, whose inverses are its input's values.  LAPACK
-        inverts a stack matrix by matrix, so each has the bits of
-        inverting its value alone."""
+        """The one invertibility rule: the inverses of the values before
+        the first whose |det| lies below ``DET_FLOOR``, at index ``len``;
+        all of them for a field ``mat_inv`` made, whose inverses are its
+        input's values (of the same condition number).  LAPACK inverts a
+        stack matrix by matrix, so each has the bits of inverting its
+        value alone."""
         vi = self._inverse
         if vi is None:
-            v = self.coeffs[:, 0]
-            stop = len(v)
-            if not self._determinants().all():   # det is exactly 0 at a zero pivot
-                sign, _ = np.linalg.slogdet(v)
-                stop = first_true(sign == 0.0)
-            vi = np.linalg.inv(v[:stop])
+            stop = first_true(np.abs(self._determinants()) < DET_FLOOR)
+            vi = np.linalg.inv(self.coeffs[:stop, 0])
             vi.setflags(write=False)
             _set_field_inverse(self, vi)
         return vi
@@ -727,25 +724,16 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     return type(a)._on_points_of(a, jet_stack(value, grad))
 
 
-def floor_inverses(a: MatrixField) -> tuple[int, np.ndarray]:
-    """``(stop, inverses)``: the index of ``a``'s first value whose
-    determinant lies below ``DET_FLOOR``, else ``len(a)``, and ``a``'s
-    kept inverses of the values before it (numpy's determinant is
-    exactly 0 at a zero pivot, so the kept inverses reach ``stop``)."""
-    stop = first_true(np.abs(a._determinants()) < DET_FLOOR)
-    return stop, a._inverses()[:stop]
-
-
 def mat_inv(a: MatrixField) -> MatrixField:
-    """Pointwise inverse, rows in ``point_order``; a failure names the
-    first failing point in ``point_order``: the first whose determinant
-    lies below ``DET_FLOOR`` raises SingularMatrixError.  The output
+    """Pointwise inverse, rows in ``point_order``: ``a``'s kept inverses;
+    the first point without one raises SingularMatrixError.  The output
     keeps ``a``'s values as its own inverses, so inverting it again
     returns them exactly."""
     pts = a.ordered_points()
     if pts and a.rows != a.cols:
         raise DimensionMismatchError("only square matrices invert")
-    stop, vi = floor_inverses(a)
+    vi = a._inverses()
+    stop = len(vi)
     v, g = a.coeffs[:stop, 0], a.coeffs[:stop, 1:]
     gi = -np.einsum("pij,pkjl,plm->pkim", vi, g, vi)
     # the inverse's points are a prefix of a's order, already checked
@@ -770,10 +758,6 @@ def mat_scale(a: MatrixField, s) -> MatrixField:
     sv, sg = s.coeffs[:, 0, None, None], s.coeffs[:, 1:, None, None]
     v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
     return type(a)._on_points_of(a, jet_stack(sv * v, sg * v[:, None] + sv[:, None] * g))
-
-
-def identity_matrix_field(region: str, points, n: int, dim: int) -> MatrixField:
-    return constant_matrix_field(region, points, np.eye(n), dim)
 
 
 def constant_matrix_field(region: str, points, matrix, dim: int) -> MatrixField:

@@ -26,6 +26,8 @@ names the scenario.  Sections begin with a bracketed header:
                             ``run_checks`` rejects any key that is not
                             a report key
 
+Only ``region`` and ``row`` lines repeat; a key given twice is an error.
+
 The base space is the circle sampled at N equally spaced angles; all
 charts share the angle coordinate, so overlap Jacobians are identity.
 Expressions are functions of the global angle and are evaluated on
@@ -93,6 +95,8 @@ def parse_scenario(text: str) -> Scenario:
     section: tuple | None = None
     seen_cocycle_rows: list[list] | None = None
     region_lines: dict[str, int] = {}
+    seen_keys: set[tuple] = set()
+    representation_line = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,6 +122,7 @@ def parse_scenario(text: str) -> Scenario:
                 s.cocycle_rows[pair] = seen_cocycle_rows
                 section = ("cocycle", pair)
             elif kind == "representation" and len(head) == 1:
+                representation_line = line_no
                 section = ("representation",)
             elif kind == "connection" and len(head) == 2:
                 if s.seed_chart is not None:
@@ -135,6 +140,14 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        # one value per key; region lines check their own ids, and the
+        # cocycle and connection sections their rows and coeffs
+        where = section[0] if section else None
+        if where in (None, "space", "group", "representation", "tolerances") \
+                and not key.startswith("region "):
+            if (where, key) in seen_keys:
+                raise ScenarioError(f"line {line_no}: repeated key {key!r}")
+            seen_keys.add((where, key))
 
         if section is None:
             if key == "name":
@@ -210,6 +223,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(
                     f"line {region_lines[rid]}: region {rid!r} bound {b} is outside "
                     f"0 .. {s.n_points - 1}")
+    if representation_line is not None and s.representation is None:
+        raise ScenarioError(f"line {representation_line}: representation section has no name")
     _validate(s)
     return s
 

@@ -446,6 +446,33 @@ class TestOneHomePerRule:
                  or isinstance(node, ast.alias) and node.name in svd]
         assert reads == []
 
+    def test_one_invertibility_rule(self):
+        # which values have an inverse is MatrixField._inverses' decision;
+        # JetMatrix.inv keeps its own test as the reference the fields are
+        # held to, and no zero-pivot pass second-guesses the floor
+        homes, slogdets = [], []
+        for path in SOURCES:
+            tree = parsed(path)
+            spans = [(f"{cls.name}.{fn.name}", fn.lineno, fn.end_lineno)
+                     for cls in tree.body if isinstance(cls, ast.ClassDef)
+                     for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+            spans += [(fn.name, fn.lineno, fn.end_lineno)
+                      for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Compare) and any(
+                        getattr(n, "id", getattr(n, "attr", None)) == "DET_FLOOR"
+                        for n in ast.walk(node)):
+                    homes += [name for name, lo, hi in spans if lo <= node.lineno <= hi] \
+                        or [f"{path.name}:{node.lineno}"]
+                if (isinstance(node, ast.Attribute) and node.attr == "slogdet"
+                        or isinstance(node, ast.alias) and node.name == "slogdet"):
+                    slogdets.append((path.name, node.lineno))
+        assert sorted(homes) == ["JetMatrix.inv", "MatrixField._inverses"]
+        assert slogdets == []
+        imported = {alias.name for node in ast.walk(parsed(Path(sheafgauge.groups.__file__)))
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "DET_FLOOR" not in imported
+
 
 class TestEveryJetIsValidated:
     """A ``Jet`` is made only by its validating constructor: the slot

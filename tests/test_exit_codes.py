@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from sheafgauge import SUITES, Jet, NonFiniteError, SheafGaugeError
 from sheafgauge.cli import main
-from sheafgauge.scenario import DEMO_MOBIUS, DEMO_SHEAR_FRAME, DEMOS
+from sheafgauge.scenario import DEMO_MOBIUS, DEMO_SHEAR_FRAME, DEMO_SO2, DEMOS
 
 FUZZ = settings(max_examples=30, derandomize=True, deadline=None)
 
@@ -87,6 +87,35 @@ class TestPinnedCases:
         assert r.exit_code == 0
         assert "connection.eq7" in r.stdout and "3 checks, 0 passed, 3 failed" in r.stdout
         assert run_cli(text, "connection", True).exit_code == 1
+
+    def test_empty_representation_name_exits_2(self):
+        r = run_cli(DEMO_SO2.replace("name = so2_in_gl2", "name ="), "all", True)
+        assert_input_error(r, "unknown representation ''")
+        assert r.stderr == "error: unknown representation ''\n"
+
+    def test_representation_section_without_a_name_exits_2(self):
+        r = run_cli(DEMO_SO2.replace("name = so2_in_gl2\n", ""), "all", True)
+        assert_input_error(r, "representation section has no name")
+        assert r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("after, again", [
+        ("name = so2", "name = so2"),
+        ("points = 24", "points = 48"),
+        ("kind = so(2)", "kind = gl(2)"),
+        ("name = so2_in_gl2", "name = trivial(2)"),
+        ("cocycle.unit = 1e-7", "cocycle.unit = 1e-3"),
+        ("cocycle.unit = 1e-7", "[tolerances]\ncocycle.unit = 1e-3"),
+        ("kind = so(2)", "[group]\nkind = so(2)"),
+    ])
+    def test_repeated_single_valued_key_exits_2(self, after, again):
+        # each of these keys takes one value, which a second line would replace
+        lines = (DEMO_SO2 + "[tolerances]\ncocycle.unit = 1e-7\n").splitlines()
+        at = lines.index(after) + 1
+        lines[at:at] = again.splitlines()
+        key = after.partition("=")[0].strip()
+        r = run_cli("\n".join(lines) + "\n", "all", False)
+        assert_input_error(r, f"line {at + len(again.splitlines())}: repeated key {key!r}")
+        assert r.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("build", [
         lambda: Jet(1.0, [float("nan")]),

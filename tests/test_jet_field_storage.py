@@ -23,8 +23,8 @@ from sheafgauge import (
     NonFiniteError,
     OneForm,
     ScalarField,
+    constant_matrix_field,
     glue,
-    identity_matrix_field,
     mat_inv,
     mat_mul,
     mat_scale,
@@ -264,5 +264,5 @@ class TestConstructionCounts:
         assert all(f.data[p] is entries[p] for p in POINTS)
 
     def test_identity_field_builds_one_matrix(self, built):
-        identity_matrix_field("u", POINTS, 2, DIM)
+        constant_matrix_field("u", POINTS, np.eye(2), DIM)
         assert built[JetMatrix] == 1

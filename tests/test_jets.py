@@ -19,7 +19,6 @@ from sheafgauge import (
     SingularMatrixError,
     constant_matrix_field,
     d_field,
-    identity_matrix_field,
     jet_mul,
     mat_inv,
     mat_mul,
@@ -141,7 +140,7 @@ class TestScalarFields:
             assert np.array_equal(left.data[p], right.data[p])
 
     def test_region_mismatch_rejected(self):
-        a = identity_matrix_field("u", [0], 2, 1)
+        a = constant_matrix_field("u", [0], np.eye(2), 1)
         with pytest.raises(FieldMismatchError):
             mat_scale(a, _field("v", {0: (1.0, 0.0)}))
         with pytest.raises(FieldMismatchError):
@@ -168,7 +167,7 @@ class TestMatrixFields:
         rng = np.random.default_rng(3)
         b = MatrixField("u", 2, 2, {0: JetMatrix(rng.normal(size=(2, 2)),
                                                  rng.normal(size=(1, 2, 2)))})
-        e = identity_matrix_field("u", [0], 2, 1)
+        e = constant_matrix_field("u", [0], np.eye(2), 1)
         assert mat_mul(e, b).data[0].max_abs_diff(b.data[0]) == 0.0
 
     def test_1x1_product_reduces_to_jet_mul(self):
@@ -193,7 +192,7 @@ class TestMatrixFields:
                 assert prod.entry(i, j).max_abs_diff(acc) <= 1e-15
 
     def test_inverse_of_identity(self):
-        e = identity_matrix_field("u", [0, 1], 3, 1)
+        e = constant_matrix_field("u", [0, 1], np.eye(3), 1)
         inv = mat_inv(e)
         for p in (0, 1):
             assert inv.data[p].max_abs_diff(e.data[p]) == 0.0
@@ -218,7 +217,7 @@ class TestMatrixFields:
                              rng.normal(size=(1, 3, 3))) for p in pts}
         a = MatrixField("u", 3, 3, data)
         prod = mat_mul(a, mat_inv(a))
-        e = identity_matrix_field("u", pts, 3, 1)
+        e = constant_matrix_field("u", pts, np.eye(3), 1)
         for p in pts:
             assert prod.data[p].max_abs_diff(e.data[p]) <= 1e-12
 
@@ -256,8 +255,8 @@ class TestMatrixFields:
         assert np.max(np.abs(out.grad - (-2.0 * m.value + 3.0 * m.grad))) <= 1e-15
 
     def test_shape_mismatch_rejected(self):
-        a = identity_matrix_field("u", [0], 2, 1)
-        b = identity_matrix_field("u", [0], 3, 1)
+        a = constant_matrix_field("u", [0], np.eye(2), 1)
+        b = constant_matrix_field("u", [0], np.eye(3), 1)
         with pytest.raises(FieldMismatchError):
             mat_mul(a, b)
 

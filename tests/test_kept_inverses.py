@@ -1,4 +1,4 @@
-"""Each matrix field inverts its values at most once.
+"""Each matrix field inverts its values at most once, under one rule.
 
 A ``MatrixField`` keeps the determinants and inverses of its values,
 read-only, from their first use on; ``mat_inv`` gives its output the
@@ -6,6 +6,11 @@ input's values as that output's inverses.  So eq7's gauge action,
 ``rho_dot_form(mat_inv(g), w) + mc(g)``, and ``check_lie_type``'s four
 reads of one element each invert g once.  LAPACK calls are counted by
 wrapping ``numpy.linalg``'s ``inv``, ``det`` and ``slogdet``.
+
+Which values have an inverse is decided by ``MatrixField._inverses``
+alone: every value before the first whose |det| is below ``DET_FLOOR``,
+or every value of a field ``mat_inv`` made.  ``mat_inv``, ``mc``,
+``rho_matrix`` and ``group_mul`` all read that answer.
 """
 
 from collections import Counter
@@ -14,6 +19,7 @@ import numpy as np
 import pytest
 
 from sheafgauge import (
+    FieldMismatchError,
     JetMatrix,
     LieValuedOneForm,
     MatrixField,
@@ -22,12 +28,14 @@ from sheafgauge import (
     check_lie_type,
     gauge_form,
     gl_model,
+    group_mul,
     mat_inv,
     mc,
     rho_matrix,
     so2_model,
     trivial_rep,
 )
+from sheafgauge.jets import DET_FLOOR
 
 POINTS = range(6)
 
@@ -121,3 +129,55 @@ class TestKeptInverseKeepsTheFailureOrder:
                 op(so2_model(), g)
             errors.append((str(exc.value), exc.value.point))
         assert errors[0] == errors[1] and errors[0][1] == 0
+
+
+def scaled_at(scale: dict, seed: int = 3) -> MatrixField:
+    """``element(seed)`` with its value and gradient at point p multiplied
+    by ``scale.get(p, 1)``, so its determinant by the square of that."""
+    g = element(seed)
+    return MatrixField("u", 2, 2, {p: JetMatrix(m.value * scale.get(p, 1.0),
+                                                m.grad * scale.get(p, 1.0))
+                                   for p, m in g.data.items()})
+
+
+class TestOneInvertibilityRule:
+    """``mat_inv``, ``mc``, ``rho_matrix`` and ``group_mul`` refuse the
+    same points: those from the first value whose |det| is below
+    ``DET_FLOOR`` on, unless the field's inverses are kept by ``mat_inv``."""
+
+    def test_rho_matrix_refuses_a_determinant_below_the_floor(self):
+        # |det| about 4e-12 at points 2 and 4: not singular to LU, but
+        # below DET_FLOOR, so rho_matrix refuses it as mc and mat_inv do
+        g = scaled_at({2: 1e-6, 4: 1e-6})
+        assert 0.0 < abs(np.linalg.det(g.data[2].value)) < DET_FLOOR
+        for op in (lambda: rho_matrix(gl_model(2), g), lambda: mc(gl_model(2), g),
+                   lambda: mat_inv(g)):
+            with pytest.raises(SingularMatrixError) as exc:
+                op()
+            assert exc.value.point == 2
+
+    def test_an_inverse_of_a_large_element_keeps_its_inverses(self):
+        # |det g^-1| = 1e-10 is below the floor, but g is its kept inverse
+        model = gl_model(2)
+        g = MatrixField("u", 2, 2, {p: JetMatrix(np.diag([1e5, 1e5]), m.grad)
+                                    for p, m in element().data.items()})
+        gi = mat_inv(g)
+        assert abs(float(np.linalg.det(gi.data[0].value))) < DET_FLOOR
+        back = mat_inv(gi)
+        assert [x.hex() for x in back.coeffs[:, 0].ravel().tolist()] \
+            == [x.hex() for x in g.coeffs[:, 0].ravel().tolist()]
+        # g^-1 d(g^-1) = -dg g^-1, and Ad(g^-1) inverts Ad(g)
+        want = -np.einsum("pkij,pjl->pkil", g.coeffs[:, 1:], gi.coeffs[:, 0])
+        got = mc(model, gi).coeffs.reshape(want.shape)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        _, ad_inv = rho_matrix(model, gi)
+        _, ad = rho_matrix(model, g)
+        assert np.max(np.abs(ad_inv @ ad - np.eye(model.rank))) <= 1e-12
+
+    def test_group_mul_refuses_the_first_product_below_the_floor(self):
+        g = scaled_at({p: 1e-3 for p in POINTS})            # |det| about 4e-6
+        h = scaled_at({1: 1e-3, 3: 1e-3}, seed=4)           # the product's about 1.6e-11
+        with pytest.raises(FieldMismatchError,
+                           match=r"^group product leaves the invertible range at 1 \(det "):
+            group_mul(g, h)
+        assert group_mul(g, scaled_at({}, seed=4)).ordered_points() == list(POINTS)
