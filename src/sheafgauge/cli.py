@@ -51,7 +51,7 @@ def _run(load, source: str, suite: str, strict: bool, out: str | None) -> None:
     click.echo(report.table())
     if out is not None:
         try:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(report.kv_lines()) + "\n")
         except OSError as exc:
             click.echo(f"error: cannot write {out}: {exc.strerror}", err=True)

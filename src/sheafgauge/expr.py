@@ -41,6 +41,7 @@ one of ``run``; ``run_points`` finds its first failing value by running
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import deque
 from dataclasses import dataclass, field
@@ -296,10 +297,13 @@ _UNARY = {"sin": _sin, "cos": _cos, "exp": _exp}
 _BINARY = {"*": _mul, "+": _add, "-": _sub, "/": _div, "^": _pow}
 
 
+_first, _second = operator.itemgetter(0), operator.itemgetter(1)
+
+
 def _each(fn, columns) -> tuple[list, list]:
     """A float kernel run entry by entry over its operand columns."""
     pairs = list(map(fn, *columns))
-    return [v for v, _ in pairs], [d for _, d in pairs]
+    return list(map(_first, pairs)), list(map(_second, pairs))
 
 
 def _last_readers(code: tuple, outputs: tuple) -> list:

@@ -56,11 +56,16 @@ items, as the operators and ``expr.Program`` hand over, is stored as
 given; any other gradient (a list, an array, numpy scalars, ints, bools,
 float subclasses) is converted item by item, and the value always goes
 through ``float``.  The emptiness and finiteness checks run on every
-input, so every jet is checked once, at construction.  Nothing on the
-hot path (expression nodes, the scalar field algebra, chart transport)
-treats a single jet's gradient as an array, so ``Jet.gradient``, the
-read-only float64 array of the same numbers, is built only when someone
-reads it; the first read caches it, and later reads return the same
+input, so every jet is checked once, at construction.  Every jet a
+report builds has one chart direction, so a gradient that is a tuple of
+exactly one exact float takes a path of its own: two ``math.isfinite``
+calls on the value and the lone entry, and no iterator; any other
+gradient takes the general path, with the same errors in the same
+order.  Nothing on the hot path (expression nodes, the scalar field
+algebra, chart transport) treats a single jet's gradient as an array,
+so ``Jet.gradient``, the read-only float64 array of the same numbers, is
+built only when someone reads it: the ``_gradient`` slot stays unset
+until then, the first read fills it, and later reads return the same
 object.  Code that stacks jet gradients over points stacks the tuples.
 """
 
@@ -120,25 +125,32 @@ class Jet:
 
     The gradient is held as a tuple of Python floats (``grad_tuple``);
     ``gradient`` is the same numbers as a read-only float64 array, built
-    on first access and cached.  A non-empty tuple of exact floats is
-    kept as given, anything else is converted; either way the
-    constructor rejects an empty gradient and a non-finite component.
+    on first access and cached in ``_gradient``, which is unset until
+    then.  A non-empty tuple of exact floats is kept as given, anything
+    else is converted; either way the constructor rejects an empty
+    gradient and a non-finite component.  A one-entry tuple of an exact
+    float, the one-direction jet every report builds, is checked with
+    two ``math.isfinite`` calls and no iterator.
     """
 
     __slots__ = ("value", "grad_tuple", "_gradient")
 
     def __init__(self, value: float, gradient):
         g = gradient
-        if not (type(g) is tuple and g and _FLOAT_ONLY.issuperset(map(type, g))):
-            g = _float_tuple(gradient)
-        if not g:
-            raise DimensionMismatchError("jet gradient must be a nonempty vector")
+        if type(g) is tuple and len(g) == 1 and type(g[0]) is float:
+            # one chart direction, as every jet of a report has
+            finite = math.isfinite(g[0])
+        else:
+            if not (type(g) is tuple and g and _FLOAT_ONLY.issuperset(map(type, g))):
+                g = _float_tuple(gradient)
+            if not g:
+                raise DimensionMismatchError("jet gradient must be a nonempty vector")
+            finite = all(map(math.isfinite, g))
         v = float(value)
-        if not (math.isfinite(v) and all(map(math.isfinite, g))):
+        if not (math.isfinite(v) and finite):
             raise NonFiniteError("jet components must be finite")
         _set_jet_value(self, v)
         _set_jet_grad_tuple(self, g)
-        _set_jet_gradient(self, None)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("Jet is immutable")
@@ -147,12 +159,13 @@ class Jet:
 
     @property
     def gradient(self) -> np.ndarray:
-        a = self._gradient
-        if a is None:
+        try:
+            return self._gradient
+        except AttributeError:  # unset until the first read
             a = np.array(self.grad_tuple)
             a.setflags(write=False)
             _set_jet_gradient(self, a)
-        return a
+            return a
 
     @property
     def dim(self) -> int:

@@ -248,11 +248,20 @@ def _validate(s: Scenario) -> None:
 
 
 def load_scenario(path) -> Scenario:
+    """Parse the scenario file at ``path``: UTF-8 text, a leading BOM
+    skipped."""
     p = Path(path)
     try:
-        text = p.read_text()
+        data = p.read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {p}: {exc}") from exc
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is what follows a skipped BOM; the offset is the file's
+        offset = len(data) - len(exc.object) + exc.start
+        raise ScenarioError(f"cannot read scenario {p}: not UTF-8 text "
+                            f"(byte 0x{exc.object[exc.start]:02x} at offset {offset})") from None
     return parse_scenario(text)
 
 

@@ -26,11 +26,14 @@ FUZZ = settings(max_examples=30, derandomize=True, deadline=None)
 _EXPR_LINE = re.compile(r"^(row|coeffs) = (.*)$", re.M)
 
 
-def run_cli(text: str, suite: str, strict: bool):
+def run_cli(text, suite: str, strict: bool):
+    """Run ``check`` on a file holding ``text``: a str is written as
+    UTF-8, bytes as they are."""
     runner = CliRunner()
+    data = text if isinstance(text, bytes) else text.encode("utf-8")
     with runner.isolated_filesystem():
-        with open("fuzz.scn", "w") as fh:
-            fh.write(text)
+        with open("fuzz.scn", "wb") as fh:
+            fh.write(data)
         args = ["check", "fuzz.scn", "--suite", suite] + (["--strict"] if strict else [])
         return runner.invoke(main, args)
 
@@ -116,6 +119,22 @@ class TestPinnedCases:
         r = run_cli("\n".join(lines) + "\n", "all", False)
         assert_input_error(r, f"line {at + len(again.splitlines())}: repeated key {key!r}")
         assert r.stderr.count("\n") == 1
+
+    def test_scenario_that_is_not_utf8_exits_2(self):
+        r = run_cli(("# caf\u00e9\n" + DEMO_SO2).encode("latin-1"), "all", False)
+        assert_input_error(r, "cannot read scenario fuzz.scn: not UTF-8 text "
+                              "(byte 0xe9 at offset 5)")
+        assert r.stderr.count("\n") == 1
+
+    def test_offset_counts_a_leading_bom(self):
+        r = run_cli(b"\xef\xbb\xbf# caf\xe9\n", "all", False)
+        assert_input_error(r, "not UTF-8 text (byte 0xe9 at offset 8)")
+
+    def test_scenario_with_a_bom_is_read(self):
+        r = run_cli("\ufeff" + DEMO_SO2, "all", False)
+        assert_contract(r)
+        assert r.exit_code == 0
+        assert r.stdout == CliRunner().invoke(main, ["demo", "so2"]).stdout
 
     @pytest.mark.parametrize("build", [
         lambda: Jet(1.0, [float("nan")]),
