@@ -106,7 +106,7 @@ from .vconn import (
     nabla_apply,
     pull_back_connection,
 )
-from .expr import eval_expr, parse_expr, to_source
+from .expr import eval_expr, parse_expr
 from .catalog import (
     catalog_elements,
     catalog_rows,

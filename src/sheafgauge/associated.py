@@ -88,9 +88,6 @@ class RepresentationModel:
     def injective(self) -> bool:
         return self._pinv is not None
 
-    def __repr__(self):
-        return f"RepresentationModel({self.name!r}, n={self.n})"
-
 
 # -- shipped representations --------------------------------------------------
 

@@ -151,12 +151,6 @@ class SampledCover:
             raise UnknownRegionError(f"unknown region {rid!r}")
         return self._dims[rid]
 
-    def coord(self, rid: str, p) -> np.ndarray:
-        try:
-            return self.coords[(rid, p)]
-        except KeyError:
-            raise UnknownRegionError(f"no coordinates for ({rid!r}, {p!r})") from None
-
     def region_coords(self, rid: str) -> dict:
         return {p: self.coords[(rid, p)] for p in self.regions[rid]}
 

@@ -511,50 +511,3 @@ def eval_expr(e, t: float) -> Jet:
     of the node whose operation left it.
     """
     return compile_exprs((e,)).run(t)[0]
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(e) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def to_source(e) -> str:
-    """Render a tree back to source; reparsing reproduces the tree."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Var):
-        return "t"
-    if isinstance(e, Neg):
-        inner = to_source(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.func}({to_source(e.arg)})"
-    if isinstance(e, BinOp):
-        lp, rp = _prec(e.left), _prec(e.right)
-        me = _PREC[e.op]
-        left = to_source(e.left)
-        right = to_source(e.right)
-        if e.op == "^":
-            # base must be an atom; exponent may be a unary chain
-            if lp < _PREC["atom"]:
-                left = f"({left})"
-            if isinstance(e.right, BinOp) and _PREC[e.right.op] < me:
-                right = f"({right})"
-        else:
-            if lp < me:
-                left = f"({left})"
-            # left-associative: an equal-precedence right child regroups
-            if rp <= me:
-                right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not an expression node: {e!r}")

@@ -120,10 +120,6 @@ class LieValuedOneForm(_StackedField):
     def __init__(self, region: str, data: Mapping):
         self._from_mapping(region, data)
 
-    @property
-    def rank(self):
-        return self.coeffs.shape[2] if self.data else None
-
 
 class GroupModel:
     """A matrix group kind together with its modeled Lie algebra.
@@ -204,9 +200,6 @@ class GroupModel:
         return (self.kind == other.kind and self.ambient == other.ambient
                 and self.lie_basis.shape == other.lie_basis.shape
                 and bool(np.allclose(self.lie_basis, other.lie_basis)))
-
-    def __repr__(self):
-        return f"GroupModel({self.kind!r}, ambient={self.ambient}, rank={self.rank})"
 
 
 # -- model factories ---------------------------------------------------------

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -648,13 +648,6 @@ class MatrixField(_Matrices, _JetField):
             vi.setflags(write=False)
             _set_field_inverse(self, vi)
         return vi
-
-    def map_entries(self, fn: Callable[[object, JetMatrix], JetMatrix],
-                    rows=None, cols=None) -> "MatrixField":
-        out = {p: fn(p, m) for p, m in self.data.items()}
-        r = self.rows if rows is None else rows
-        c = self.cols if cols is None else cols
-        return MatrixField(self.region, r, c, out)
 
 
 _set_field_dets = MatrixField._dets.__set__

@@ -64,12 +64,6 @@ class Report:
             raise ValueError(f"duplicate check name {result.name!r}")
         self._entries[result.name] = result
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __getitem__(self, name: str) -> CheckResult:
-        return self._entries[name]
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -292,8 +292,9 @@ def build_principal(s: Scenario, cover: SampledCover,
 
     Each named pair is evaluated on all sample points; the overlap
     restriction becomes the cocycle entry and the full field is kept as
-    its extension.  Every overlapping region pair must be named.  An
-    entry that fails raises ExprDomainError, its message prefixed with
+    its extension.  Every overlapping region pair must be named, and
+    every named pair must overlap.  An entry that fails raises
+    ExprDomainError, its message prefixed with
     ``cocycle (a, b): row r, entry c: ``; a subexpression shared by
     several entries belongs to the first of them in row-major order.
     """
@@ -305,12 +306,16 @@ def build_principal(s: Scenario, cover: SampledCover,
         if len(rows) != k:
             raise ScenarioError(
                 f"cocycle ({a}, {b}) is {len(rows)}x{len(rows[0])}, ambient is {k}")
+        overlap = cover.overlap_points(a, b)
+        if not overlap:
+            raise ScenarioError(
+                f"cocycle ({a}, {b}): regions {a!r} and {b!r} do not overlap")
         try:
             full = eval_matrix(rows, a, coords)
         except ExprDomainError as e:
             raise _at_entry(f"cocycle ({a}, {b})", e, e.entry, len(rows[0])) from None
         ext[(a, b)] = full
-        entries[(a, b)] = full.restrict(cover.overlap_points(a, b))
+        entries[(a, b)] = full.restrict(overlap)
     named = {frozenset(pair) for pair in s.cocycle_rows}
     for a, b in cover.overlap_pairs():
         if frozenset((a, b)) not in named:

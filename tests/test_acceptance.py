@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import DEMO_NAMES, demo_pipeline
+from helpers import map_entries
 from sheafgauge import (
     ExprDomainError,
     JetMatrix,
@@ -99,7 +100,8 @@ class TestAcceptance:
         P = demo_pipeline("so2").P
         bad_point = sorted(P.cover.overlap_points("alpha", "beta"))[0]
         bumped = dict(P.cocycle)
-        bumped[("alpha", "beta")] = bumped[("alpha", "beta")].map_entries(
+        bumped[("alpha", "beta")] = map_entries(
+            bumped[("alpha", "beta")],
             lambda p, m: JetMatrix(
                 m.value + (1e-3 if p == bad_point else 0.0), m.grad))
         verdicts = check_cocycle(

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import by_key, coord, map_entries
 from sheafgauge import (
     AssociatedSection,
     EmptyOverlapError,
@@ -152,7 +153,7 @@ class TestLieType:
             return RepresentationModel(R.name, R.source, R.n, R.phi, 2.0 * R.phibar)
         monkeypatch.setattr(checks, "build_representation", doubled)
         report = run_checks(load_demo(demo))
-        assert report["liehom.def1.mc"].status == "fail"
+        assert by_key(report)["liehom.def1.mc"].status == "fail"
         cocycle = [r for r in report.results() if r.name.startswith("cocycle.")]
         assert cocycle and all(r.status == "pass" for r in cocycle)
 
@@ -269,7 +270,8 @@ class TestSectionArithmetic:
         s = random_section(E, random.Random(7))
         p0 = sorted(E.cover.overlap_points("alpha", "beta"))[0]
         bad = dict(s.components)
-        bad["alpha"] = bad["alpha"].map_entries(
+        bad["alpha"] = map_entries(
+            bad["alpha"],
             lambda p, m: JetMatrix(m.value + (1e-3 if p == p0 else 0.0),
                                    m.grad))
         broken = AssociatedSection(bad)
@@ -341,7 +343,7 @@ class TestMobiusOddSection:
         for rid in cover.region_ids():
             data = {}
             for p in cover.regions[rid]:
-                t = float(cover.coord(rid, p)[0])
+                t = float(coord(cover, rid, p)[0])
                 flip = -1.0 if rid == "gamma" and p in (0, 1) else 1.0
                 v1, g1 = flip * np.sin(t / 2), flip * np.cos(t / 2) / 2
                 v2, g2 = np.sin(t / 2) ** 2, np.sin(t / 2) * np.cos(t / 2)
@@ -357,7 +359,8 @@ class TestMobiusOddSection:
         cover = mobius_pipe.cover
         s = self.build(cover)
         naive = dict(s.components)
-        naive["gamma"] = naive["gamma"].map_entries(
+        naive["gamma"] = map_entries(
+            naive["gamma"],
             lambda p, m: JetMatrix(np.abs(m.value) * np.sign(m.value)
                                    if p not in (0, 1)
                                    else m.value * np.array([[-1.0], [1.0]]),
@@ -387,7 +390,8 @@ class TestMorphismRoundTrips:
         E, P, R = so2_pipe.E, so2_pipe.P, so2_pipe.R
         s = random_section(E, random.Random(14))
         vals = dict(s.components)
-        vals["beta"] = vals["beta"].map_entries(
+        vals["beta"] = map_entries(
+            vals["beta"],
             lambda p, m: JetMatrix(m.value + 1e-2, m.grad))
         with pytest.raises(EquivarianceError):
             tensorial_to_section(E, TensorialMorphismData(vals))

@@ -13,6 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import sheafgauge
+from helpers import by_key
 from sheafgauge import (
     LAWS,
     SUITES,
@@ -26,6 +27,7 @@ from sheafgauge import (
 from sheafgauge.cli import main
 from sheafgauge.report import CheckResult, worst
 from sheafgauge.scenario import DEMOS
+from test_reachability import LEDGER
 
 
 def with_tolerances(demo: str, *lines: str) -> str:
@@ -40,10 +42,10 @@ class TestToleranceTable:
             assert keys and set(keys) <= set(TOLERANCES), suite
 
     def test_report_key_override_sets_only_that_threshold(self):
-        default = run_checks(parse_scenario(DEMOS["shear-frame"]))
+        default = by_key(run_checks(parse_scenario(DEMOS["shear-frame"])))
         tight = run_checks(parse_scenario(
             with_tolerances("shear-frame", "connection.eq7 = 1e-20")))
-        eq7 = tight["connection.eq7"]
+        eq7 = by_key(tight)["connection.eq7"]
         assert eq7.tolerance == 1e-20
         assert eq7.residual == default["connection.eq7"].residual > 1e-20
         assert eq7.status == "fail"
@@ -52,8 +54,8 @@ class TestToleranceTable:
                 assert r == default[r.name]
 
     def test_override_of_a_shared_input_key_leaves_its_siblings(self):
-        report = run_checks(parse_scenario(
-            with_tolerances("so2", "cocycle.inverse = 0")))
+        report = by_key(run_checks(parse_scenario(
+            with_tolerances("so2", "cocycle.inverse = 0"))))
         assert report["cocycle.inverse"].status == "fail"
         assert report["cocycle.unit"].tolerance == TOLERANCES["cocycle.unit"]
         assert report["cocycle.triple"].tolerance == TOLERANCES["cocycle.triple"]
@@ -350,19 +352,6 @@ class TestNoUnusedImports:
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Exported names that nothing in the library or the benchmark uses, each
-# with the reason it stays.
-UNCALLED_EXPORTS = {
-    "ad_action": "the gauge action on algebra-valued fields; the gauge suite of "
-                 "ROADMAP item 6 transforms with it",
-    "quotient_reduce": "the paper's E = P x F^n / G; ROADMAP item 3 routes "
-                       "thm3.roundtrip through it",
-    "check_nabla_agreement": "the induced covariant derivative glues across charts; "
-                             "ROADMAP item 3 makes it the induced.nabla key",
-    "to_source": "the inverse of parse_expr, which the parser's round-trip tests use",
-}
-
-
 def references(path: Path) -> set:
     """The names a file reads, each outside the top-level statement that
     defines it.  A string constant is no reference: the dotted names that
@@ -383,7 +372,11 @@ class TestNoTestOnlyApi:
                               if not path.name.startswith("test_")))
         uncalled = [name for name in sheafgauge.__all__
                     if not inspect.ismodule(getattr(sheafgauge, name)) and name not in used]
-        assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
+        # each stays only with its reason in the reachability ledger
+        unlisted = [name for name in uncalled
+                    if f"{getattr(sheafgauge, name).__module__.rpartition('.')[2]}.{name}"
+                    not in LEDGER]
+        assert unlisted == []
 
 
 class TestOneHomePerRule:

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import coord
 from sheafgauge import (
     CoverError,
     Jet,
@@ -275,7 +276,7 @@ class TestTransport:
 class TestCircleCover:
     def test_angle_coordinates(self):
         c = circle_cover(24, {"u": range(24)})
-        assert np.allclose(c.coord("u", 6), [np.pi / 2])
+        assert np.allclose(coord(c, "u", 6), [np.pi / 2])
         assert c.dim("u") == 1
 
     def test_arc_range_wraparound(self):

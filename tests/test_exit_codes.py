@@ -53,6 +53,24 @@ def assert_input_error(result, message: str) -> None:
     assert "scenario:" not in result.stdout
 
 
+APART = """\
+name = apart
+[space]
+points = 24
+region alpha = 0 .. 13
+region beta  = 12 .. 1
+region gamma = 5 .. 6
+[group]
+kind = gl(1)
+[cocycle alpha beta]
+row = 1
+[cocycle alpha gamma]
+row = 1
+[cocycle beta gamma]
+row = 3
+"""
+
+
 class TestPinnedCases:
     def test_overflowing_representation_exits_2(self):
         text = DEMO_MOBIUS.replace("gl1_diag_powers(1, 2)", "gl1_diag_powers(1, 100000)")
@@ -118,6 +136,13 @@ class TestPinnedCases:
         key = after.partition("=")[0].strip()
         r = run_cli("\n".join(lines) + "\n", "all", False)
         assert_input_error(r, f"line {at + len(again.splitlines())}: repeated key {key!r}")
+        assert r.stderr.count("\n") == 1
+
+    def test_cocycle_for_regions_that_do_not_overlap_exits_2(self):
+        # beta and gamma share no point: the entry could be neither checked nor used
+        r = run_cli(APART, "all", False)
+        assert_input_error(r, "cocycle (beta, gamma): regions 'beta' and 'gamma' "
+                              "do not overlap")
         assert r.stderr.count("\n") == 1
 
     def test_scenario_that_is_not_utf8_exits_2(self):

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import by_key
 from sheafgauge import (
     NonFiniteError,
     constant_matrix_field,
@@ -69,7 +70,7 @@ def test_overflowing_determinant_in_mc_writes_no_warning():
                       "induced.eq10", "koszul.eq8", "thm3.tensorial",
                       "cor1.roundtrip", "cor2.roundtrip"]
     assert all(r.passed for r in report.results() if r.name not in errors)
-    assert all(report[k].error.startswith("SingularMatrixError: ") for k in errors)
+    assert all(by_key(report)[k].error.startswith("SingularMatrixError: ") for k in errors)
 
 
 def test_overflowing_determinant_is_above_the_floor():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import to_source
 from sheafgauge import (
     ExprDomainError,
     ParseError,
@@ -16,7 +17,6 @@ from sheafgauge import (
     gl_model,
     parse_expr,
     so2_model,
-    to_source,
 )
 from sheafgauge.expr import BinOp, Call, Neg, Num, Pi, Var
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import by_key
 from sheafgauge import SUITES, load_demo, parse_scenario, run_checks
 from sheafgauge.scenario import DEMOS
 
@@ -53,7 +54,7 @@ def test_completion_failure_lands_as_error_rows():
     report = run_checks(parse_scenario(BROKEN_MOBIUS), "all")
     assert len(report) == len(SUITES["all"])
     for key in CONNECTION_DEPENDENT:
-        r = report[key]
+        r = by_key(report)[key]
         assert r.status == "error"
         assert r.error.startswith("CycleInconsistencyError: ")
         assert r.tolerance == 0.0

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import rank
 from sheafgauge import (
     DimensionMismatchError,
     GroupModel,
@@ -285,7 +286,7 @@ class TestMaurerCartan:
         g = rotation_field("u", {0: 0.4})
         w = mc(m, g)
         assert w.data[0].shape == (1, 4)
-        assert w.rank == 4 and w.dim == 1
+        assert rank(w) == 4 and w.dim == 1
 
     def test_leaving_span_rejected(self):
         shear = MatrixField("u", 2, 2, {0: JetMatrix(

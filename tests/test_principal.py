@@ -37,6 +37,7 @@ from sheafgauge import (
     transport_form,
 )
 from conftest import trivial_principal
+from helpers import coord, map_entries
 from sheafgauge.scenario import build_cover, build_group, build_principal, build_seed
 
 
@@ -96,7 +97,8 @@ class TestCocycle:
         P = so2_pipe.P
         bad_point = sorted(P.cover.overlap_points("alpha", "beta"))[0]
         entry = P.cocycle[("alpha", "beta")]
-        bumped = entry.map_entries(
+        bumped = map_entries(
+            entry,
             lambda p, m: JetMatrix(m.value + (1e-3 if p == bad_point else 0.0),
                                    m.grad))
         cocycle = dict(P.cocycle)
@@ -148,7 +150,7 @@ class TestSectionTransition:
         s = PrincipalSectionLocal("alpha", e)
         t = section_transition(P, s, "beta")
         for p in t.points:
-            ang = float(P.cover.coord("beta", p)[0])
+            ang = float(coord(P.cover, "beta", p)[0])
             want = np.array([[np.cos(ang), np.sin(ang)],
                              [-np.sin(ang), np.cos(ang)]])
             assert np.max(np.abs(t.factor.data[p].value - want)) <= 1e-12
@@ -232,7 +234,7 @@ class TestCompleteConnection:
         cover = mobius_pipe.cover
         for rid in cover.region_ids():
             for p in cover.regions[rid]:
-                t = float(cover.coord(rid, p)[0])
+                t = float(coord(cover, rid, p)[0])
                 want = (2.0 + np.cos(t)) / 4.0
                 assert np.max(np.abs(D.form(rid).data[p] - [[want]])) <= 1e-12
 

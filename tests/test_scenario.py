@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import coord
 from sheafgauge import (
     ExprDomainError,
     ScenarioError,
@@ -196,8 +197,8 @@ kind = gl1+
         assert chart == "alpha"
         assert set(form.data) == set(cover.points)
         for p in cover.points:
-            t = float(cover.coord("alpha", p)[0]) if p in cover.regions["alpha"] \
-                else float(cover.coord("beta", p)[0])
+            t = float(coord(cover, "alpha", p)[0]) if p in cover.regions["alpha"] \
+                else float(coord(cover, "beta", p)[0])
             assert form.data[p][0, 0] == np.sin(t)
 
     def test_seed_coeff_count_checked(self):
@@ -213,7 +214,7 @@ kind = gl1+
         group = build_group(scn)
         chart, form = build_seed(scn, cover, group)
         assert form.data[0].shape == (1, 4)
-        t = float(cover.coord(chart, 0)[0])
+        t = float(coord(cover, chart, 0)[0])
         want = np.array([[np.sin(t) / 2, (1 + np.cos(t)) / 4,
                           0.0, 1 / (2 + np.sin(t))]])
         assert np.allclose(form.data[0], want, atol=1e-15)

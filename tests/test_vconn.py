@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import trivial_principal
+from helpers import coord
 from sheafgauge import (
     AssociatedSection,
     Jet,
@@ -209,9 +210,9 @@ class TestKoszul:
     def test_coordinate_field(self, so2_pipe):
         E = so2_pipe.E
         a = ScalarField("base", {
-            p: Jet(float(so2_pipe.cover.coord("alpha", p)[0])
+            p: Jet(float(coord(so2_pipe.cover, "alpha", p)[0])
                    if p in so2_pipe.cover.regions["alpha"]
-                   else float(so2_pipe.cover.coord("beta", p)[0]), [1.0])
+                   else float(coord(so2_pipe.cover, "beta", p)[0]), [1.0])
             for p in E.cover.points})
         s = random_section(E, random.Random(26))
         r = check_leibniz_koszul(E, so2_pipe.nab, a, s)
