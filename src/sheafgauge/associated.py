@@ -42,6 +42,7 @@ from .jets import (
     MatrixField,
     ScalarField,
     diff_rows,
+    jet_stack,
     mat_inv,
     mat_mul,
     mat_scale,
@@ -131,8 +132,10 @@ def gl1_diag_powers(*powers: int) -> RepresentationModel:
                         f"at point {p} (a = {a.value:.6g}, power {pw[i]})") from None
                 rows.append(row)
             return JetMatrix.from_jets(rows)
-        return MatrixField(g.region, n, n,
-                           {p: lift(p, m) for p, m in g.data.items()})
+        lifted = [lift(p, m) for p, m in g.data.items()]
+        stack = jet_stack(np.array([m.value for m in lifted]).reshape(-1, n, n),
+                          np.array([m.grad for m in lifted]).reshape(-1, g.dim, n, n))
+        return object.__new__(MatrixField)._checked(g.region, g.ordered_points(), stack, lifted)
 
     phibar = np.diag([float(p) for p in pw]).reshape(1, n * n)
     return RepresentationModel(name, src, n, phi, phibar)

@@ -145,7 +145,7 @@ class _Build:
 
     def lie_type(self) -> dict[str, CheckResult]:
         def build():
-            elems = [f for (a, b), f in sorted(self.P.cocycle.items()) if a != b and len(f)]
+            elems = self.P.transitions()
             elems += catalog_elements(self.group, self.cover, self.chart0)
             return check_lie_type(self.R, elems + [self.element("liehom.def1")])
         return self.once("def1", build)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     CoverError,
+    DimensionMismatchError,
     FieldMismatchError,
     MissingJacobianError,
     OverlapMismatchError,
@@ -183,7 +184,9 @@ def glue(pieces: Mapping[str, _StackedField]) -> _StackedField:
 
     Raises OverlapMismatchError naming the first offending pair and point
     when two pieces deviate by more than ``TAU_GLUE`` somewhere they both
-    live.
+    live.  Each point's row, and for jet fields its object, comes from the
+    first piece in sorted label order that holds it; pieces with no points
+    give an empty field with the first piece's row shape.
     """
     if not pieces:
         raise FieldMismatchError("nothing to glue")
@@ -200,12 +203,20 @@ def glue(pieces: Mapping[str, _StackedField]) -> _StackedField:
                     raise OverlapMismatchError(
                         f"glue pieces {la!r} and {lb!r} differ by {d:.3e} at {p!r}",
                         region_a=la, region_b=lb, point=p, residual=d)
-    merged = {}
+    source = {}                     # point -> (first piece holding it, its row there)
     for lab in labels:
-        for p, v in pieces[lab].data.items():
-            merged.setdefault(p, v)
-    return object.__new__(type(first))._from_mapping(
-        "+".join(labels), merged, first.coeffs.shape[2:])
+        for i, p in enumerate(pieces[lab].data):
+            source.setdefault(p, (pieces[lab], i))
+    order = point_order(source)
+    first._check_points(order)
+    held = [pieces[lab] for lab in labels if len(pieces[lab])]
+    for f in held[1:]:
+        if f.coeffs.shape[1:] != held[0].coeffs.shape[1:]:
+            raise DimensionMismatchError(f.MISMATCH_MESSAGE.format(a=held[0], b=f))
+    taken = [source[p] for p in order]
+    stack = np.array([f.coeffs[i] for f, i in taken]) if taken else first.coeffs
+    kept = first._kept(f.data[p] for p, (f, _) in zip(order, taken))
+    return object.__new__(type(first))._checked("+".join(labels), order, stack, kept)
 
 
 def _pull_axis(arr: np.ndarray, jac: np.ndarray) -> np.ndarray:

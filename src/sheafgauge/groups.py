@@ -45,7 +45,6 @@ SVD.
 from __future__ import annotations
 
 import re
-from typing import Mapping
 
 import numpy as np
 
@@ -114,11 +113,7 @@ class LieValuedOneForm(_StackedField):
 
     KIND, NDIM = "lie-valued one-form", 2
     SHAPE_MESSAGE = "lie-valued one-form entries must be (dim, m) arrays"
-    MIXED_MESSAGE = "mixed shapes in lie-valued one-form"
     FINITE_MESSAGE = "lie-valued one-form coefficients must be finite"
-
-    def __init__(self, region: str, data: Mapping):
-        self._from_mapping(region, data)
 
 
 class GroupModel:
@@ -198,8 +193,7 @@ class GroupModel:
 
     def matches(self, other: "GroupModel") -> bool:
         return (self.kind == other.kind and self.ambient == other.ambient
-                and self.lie_basis.shape == other.lie_basis.shape
-                and bool(np.allclose(self.lie_basis, other.lie_basis)))
+                and np.array_equal(self.lie_basis, other.lie_basis))
 
 
 # -- model factories ---------------------------------------------------------
@@ -331,24 +325,19 @@ def rho_dot_form(model: GroupModel, g: MatrixField,
     """Apply Ad(g) to the Lie coefficients of a one-form, directionwise.
 
     The chart-direction index is untouched: the action is one tensor
-    identity on coefficients of each differential separately.  An empty
-    form, which may not know its rank, comes back as it is.
+    identity on coefficients of each differential separately.
     """
     _require_aligned(g, w)
     _, rho = rho_matrix(model, g)        # rows in point_order, as w's
-    return type(w)._on_points_of(w, w.coeffs @ rho.swapaxes(1, 2)) if len(w) else w
+    return type(w)._on_points_of(w, w.coeffs @ rho.swapaxes(1, 2))
 
 
 def gauge_form(model: GroupModel, g: MatrixField, w: LieValuedOneForm,
                region: str) -> LieValuedOneForm:
     """eq7's gauge action rho(g^-1) . w + mc(g) on ``region``, in w's
-    point order; g and w share region and points.  An empty w, which
-    may not know its rank, gives mc(g) relabelled."""
+    point order; g and w share region and points."""
     rot = rho_dot_form(model, mat_inv(g), w)
-    dg = mc(model, g)
-    if not len(rot):
-        return dg.relabel(region)
-    return type(rot)._on_points_of(rot, rot.coeffs + dg.coeffs, region)
+    return type(rot)._on_points_of(rot, rot.coeffs + mc(model, g).coeffs, region)
 
 
 def check_logarithmic_rule(model: GroupModel, s: MatrixField,

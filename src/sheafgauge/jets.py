@@ -12,9 +12,10 @@ a gradient array of shape (dim, rows, cols).
 
 Every field kind keeps its numbers in one read-only float64 stack
 ``coeffs``, one row per sample point, checked once per field, with
-``data`` a read-only mapping from each point to its entry.  Rows are in
-``point_order`` for every kind; a failure names the first failing point
-in ``point_order``, so neither depends on dict insertion history.  A
+``data`` a read-only mapping from each point to its entry.  A field is
+built from its stack (``from_stack``), so it keeps its row shape even
+with no rows.  Rows are in ``point_order`` for every kind; a failure
+names the first failing point in ``point_order``.  A
 jet-field row holds the value at index 0 and the gradient at ``1:``, so
 a ``MatrixField`` stack is (P, 1 + dim, rows, cols) and a
 ``ScalarField`` stack (P, 1 + dim), and ``data`` holds one ``Jet`` or
@@ -22,7 +23,10 @@ a ``MatrixField`` stack is (P, 1 + dim, rows, cols) and a
 ``MatrixOneForm``, ``groups.LieValuedOneForm``) hold (P, dim, ...), and
 ``data[p]`` is a view of its row.  Kernels read the stacks, in one numpy
 call over all points; a jet-field result builds one object per point
-through the validating constructor.  A ``MatrixField``'s objects share
+through the validating constructor, except that a restriction, a
+relabelling and ``cover.glue`` keep their input's objects, and
+``constant_matrix_field`` and the ``gl1_diag_powers`` lift hold their
+own.  A ``MatrixField``'s objects share
 their rows: each ``JetMatrix`` holds views of its row of the stack, made
 read-only before the objects are built, not copies; a ``Jet`` holds a
 tuple of floats.  Each point's arithmetic is the
@@ -73,7 +77,7 @@ from __future__ import annotations
 
 import math
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -405,7 +409,7 @@ class _StackedField:
     The defaults here are the form kinds': a row holds the coefficients
     on the chart basis (k = dim) and ``data[p]`` is a view of its row.
     Each kind sets ``KIND``, ``NDIM`` (the axes of one row) and its
-    messages.
+    messages, and ``from_stack`` is its one public constructor.
     """
 
     __slots__ = ("region", "data", "coeffs")
@@ -423,7 +427,7 @@ class _StackedField:
         the points must be distinct and in ``point_order``."""
         points = list(points)
         cls._check_points(points)
-        return object.__new__(cls)._checked(region, points, np.array(coeffs, dtype=float), None)
+        return object.__new__(cls)._checked(region, points, np.array(coeffs, dtype=float))
 
     @classmethod
     def _check_points(cls, points: list) -> None:
@@ -431,31 +435,9 @@ class _StackedField:
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise FieldMismatchError(_ORDER_MESSAGE.format(cls=cls))
 
-    @classmethod
-    def _ordered(cls, points) -> list:
-        """``point_order`` of distinct ``points``, each turned into a
-        string once: it passes ``_check_points`` unless two of them share
-        a string form, which raises here."""
-        keys = {p: str(p) for p in points}
-        if len(set(keys.values())) < len(keys):
-            raise FieldMismatchError(_ORDER_MESSAGE.format(cls=cls))
-        return sorted(keys, key=keys.__getitem__)
-
-    def _from_mapping(self, region: str, data: Mapping, tail=None, ndmin=0) -> "_StackedField":
-        data = dict(data)
-        order = self._ordered(data)
-        rows = [np.array(data[p], dtype=float, ndmin=ndmin) for p in order]
-        if len({r.shape for r in rows}) > 1:
-            for p, r in zip(order, rows):
-                self._check_row(p, r.shape, tail)
-            raise DimensionMismatchError(self.MIXED_MESSAGE)
-        return self._checked(region, order, rows or np.zeros(
-            (0, 0) + (tail or (0,) * (self.NDIM - 1))), tail)
-
-    def _checked(self, region: str, order: list, coeffs, tail,
-                 entries=None) -> "_StackedField":
+    def _checked(self, region: str, order: list, coeffs, entries=None) -> "_StackedField":
         c = np.asarray(coeffs, dtype=float, order="C")
-        self._check_row(order[0] if order else None, c.shape[1:], tail)
+        self._check_row(c.shape[1:])
         if len(c) != len(order):
             raise FieldMismatchError(f"{len(order)} points for {len(c)} {self.KIND} rows")
         if not np.isfinite(c).all():
@@ -473,17 +455,18 @@ class _StackedField:
         object.__setattr__(self, "data", MappingProxyType(dict(zip(order, entries))))
         return self
 
-    def _check_row(self, p, shape: tuple, tail) -> None:
-        if len(shape) != self.NDIM or (tail is not None and shape[1:] != tail):
+    def _check_row(self, shape: tuple) -> None:
+        if len(shape) != self.NDIM:
             raise DimensionMismatchError(self.SHAPE_MESSAGE)
 
     @staticmethod
     def _entries(coeffs: np.ndarray):
         return coeffs
 
-    def _kept(self, order: list):
-        """The entries of the rows at ``order`` kept by a restriction; None
-        makes them anew."""
+    @staticmethod
+    def _kept(entries: Iterable):
+        """The entries, taken from other fields, that a field on their rows
+        keeps; None makes them anew, for a form views of its own stack."""
         return None
 
     @property
@@ -495,7 +478,7 @@ class _StackedField:
 
     @property
     def dim(self):
-        return self.coeffs.shape[1] - self.LEAD if self.data else None
+        return self.coeffs.shape[1] - self.LEAD
 
     def __len__(self):
         return len(self.data)
@@ -507,7 +490,7 @@ class _StackedField:
         its order, which ``field`` has already checked; on ``region``, or
         on ``field``'s region when that is None."""
         return object.__new__(cls)._checked(field.region if region is None else region,
-                                            list(field.data), coeffs, None)
+                                            list(field.data), coeffs)
 
     def restrict(self, points) -> "_StackedField":
         pts = set(points)
@@ -520,7 +503,7 @@ class _StackedField:
         keep = [i for i, p in enumerate(self.data) if p in pts]
         order = [p for p in self.data if p in pts]
         return object.__new__(type(self))._set(self.region, order, self.coeffs[keep],
-                                               self._kept(order))
+                                               self._kept(map(self.data.get, order)))
 
     def relabel(self, region: str) -> "_StackedField":
         return object.__new__(type(self))._set(region, self.data, self.coeffs,
@@ -529,29 +512,17 @@ class _StackedField:
 
 class _JetField(_StackedField):
     """A jet field: row 0 of a point's (1 + dim, *tail) row is the value,
-    rows 1: the gradient.  Rows are in ``point_order`` for every kind; a
-    failure names the first failing point in ``point_order``.  ``data``
-    holds the caller's ``Jet`` or ``JetMatrix`` objects, or, for a stack,
-    one object per row built by the public validating constructor; a
-    ``JetMatrix`` holds views of its row.
+    rows 1: the gradient.  ``data`` holds one ``Jet`` or ``JetMatrix`` per
+    row, built from the row by the public validating constructor or kept
+    from the objects the field was made of (see the module docstring).
     """
 
     __slots__ = ()
     LEAD = 1
 
-    def _from_mapping(self, region: str, data: Mapping, tail: tuple) -> "_JetField":
-        data = dict(data)
-        order = self._ordered(data)
-        entries = [data[p] for p in order]
-        for p, x in zip(order, entries):
-            self._check_entry(p, x, tail)
-        if len({x.dim for x in entries}) > 1:
-            raise DimensionMismatchError(self.MIXED_MESSAGE)
-        c = self._stack(entries, tail) if entries else np.zeros((0, 2) + tail)
-        return self._checked(region, order, c, tail, entries)
-
-    def _kept(self, order: list):
-        return [self.data[p] for p in order]
+    @staticmethod
+    def _kept(entries: Iterable) -> list:
+        return list(entries)
 
 
 class ScalarField(_JetField):
@@ -560,21 +531,8 @@ class ScalarField(_JetField):
 
     KIND, NDIM = "scalar field", 1
     SHAPE_MESSAGE = "scalar field rows must be (1 + dim,) vectors"
-    MIXED_MESSAGE = "mixed jet dims in scalar field"
     MISMATCH_MESSAGE = "jet dims differ: {a.dim} vs {b.dim}"
     FINITE_MESSAGE = "jet components must be finite"
-
-    def __init__(self, region: str, data: Mapping[object, Jet]):
-        self._from_mapping(region, data, ())
-
-    @staticmethod
-    def _check_entry(p, j, tail) -> None:
-        if not isinstance(j, Jet):
-            raise TypeError(f"scalar field entry at {p} is not a Jet")
-
-    @staticmethod
-    def _stack(entries: list, tail) -> np.ndarray:
-        return np.array([(j.value,) + j.grad_tuple for j in entries])
 
     @staticmethod
     def _entries(coeffs: np.ndarray) -> list:
@@ -597,24 +555,8 @@ class MatrixField(_Matrices, _JetField):
     __slots__ = ("_dets", "_inverse")
     KIND, NDIM = "matrix field", 3
     SHAPE_MESSAGE = "matrix field rows must be (1 + dim, rows, cols) arrays"
-    MIXED_MESSAGE = "mixed jet dims in matrix field"
     MISMATCH_MESSAGE = "JetMatrix shape mismatch"
     FINITE_MESSAGE = "JetMatrix components must be finite"
-
-    def __init__(self, region: str, rows: int, cols: int, data: Mapping):
-        self._from_mapping(region, data, (int(rows), int(cols)))
-
-    @staticmethod
-    def _check_entry(p, m, tail) -> None:
-        if not isinstance(m, JetMatrix):
-            raise TypeError(f"matrix field entry at {p} is not a JetMatrix")
-        if m.value.shape != tail:
-            raise FieldMismatchError(f"entry at {p} has shape {m.value.shape}, expected {tail}")
-
-    @staticmethod
-    def _stack(entries: list, tail) -> np.ndarray:
-        return jet_stack(np.array([m.value for m in entries]),
-                         np.array([m.grad for m in entries]))
 
     @staticmethod
     def _entries(coeffs: np.ndarray) -> list:
@@ -659,28 +601,19 @@ class OneForm(_StackedField):
 
     KIND, NDIM = "one-form", 1
     SHAPE_MESSAGE = "one-form coefficients must be vectors"
-    MIXED_MESSAGE = "mixed coefficient lengths in one-form"
     FINITE_MESSAGE = "one-form coefficients must be finite"
-
-    def __init__(self, region: str, data: Mapping):
-        self._from_mapping(region, data, ndmin=1)
 
 
 class MatrixOneForm(_Matrices, _StackedField):
     """Matrix-valued one-form: per point an array of shape (dim, rows, cols)."""
 
     KIND, NDIM = "matrix one-form", 3
-    MIXED_MESSAGE = "mixed chart dimensions in matrix one-form"
     FINITE_MESSAGE = "matrix one-form coefficients must be finite"
 
-    def __init__(self, region: str, rows: int, cols: int, data: Mapping):
-        self._from_mapping(region, data, (int(rows), int(cols)))
-
-    def _check_row(self, p, shape: tuple, tail) -> None:
-        if len(shape) != 3 or (tail is not None and shape[1:] != tail):
-            rows, cols = tail or ("rows", "cols")
-            raise FieldMismatchError(f"matrix one-form entry at {p} has shape {shape}, "
-                                     f"expected (dim, {rows}, {cols})")
+    def _check_row(self, shape: tuple) -> None:
+        if len(shape) != 3:
+            raise FieldMismatchError(f"matrix one-form rows have shape {shape}, "
+                                     "expected (dim, rows, cols)")
 
 
 def _require_aligned(a: _StackedField, b: _StackedField) -> None:
@@ -723,7 +656,7 @@ def mat_mul(a: MatrixField, b: MatrixField) -> MatrixField:
     if a.cols != b.rows:
         raise FieldMismatchError(
             f"matrix shapes {a.rows}x{a.cols} and {b.rows}x{b.cols} do not chain")
-    if len(a) and a.dim != b.dim:
+    if a.dim != b.dim:
         raise DimensionMismatchError("JetMatrix product shape mismatch")
     ca, cb = a.coeffs, b.coeffs
     value, grad = _leibniz_matmul(ca[:, 0], ca[:, 1:], cb[:, 0], cb[:, 1:])
@@ -759,7 +692,7 @@ def mat_scale(a: MatrixField, s) -> MatrixField:
     if not isinstance(s, ScalarField):
         return type(a)._on_points_of(a, float(s) * a.coeffs)
     _require_aligned(a, s)
-    if len(a) and s.dim != a.dim:
+    if s.dim != a.dim:
         raise DimensionMismatchError("scalar jet dim mismatch")
     sv, sg = s.coeffs[:, 0, None, None], s.coeffs[:, 1:, None, None]
     v, g = a.coeffs[:, 0], a.coeffs[:, 1:]
@@ -767,8 +700,14 @@ def mat_scale(a: MatrixField, s) -> MatrixField:
 
 
 def constant_matrix_field(region: str, points, matrix, dim: int) -> MatrixField:
+    """The field holding one ``JetMatrix``, ``matrix`` with a zero
+    gradient in ``dim`` directions, at each of ``points``."""
     m = JetMatrix.constant(matrix, dim)
-    return MatrixField(region, m.rows, m.cols, {p: m for p in points})
+    order = point_order(points)
+    MatrixField._check_points(order)
+    row = jet_stack(m.value[None], m.grad[None])
+    return object.__new__(MatrixField)._checked(region, order, row.repeat(len(order), axis=0),
+                                                [m] * len(order))
 
 
 # -- residuals --------------------------------------------------------------

@@ -116,6 +116,11 @@ class PrincipalSheafData:
                 raise FieldMismatchError(
                     f"extended entry ({a}, {b}) does not cover the overlap")
 
+    def transitions(self) -> list[MatrixField]:
+        """The cocycle entries between two distinct charts that share
+        points, in sorted pair order."""
+        return [f for (a, b), f in sorted(self.cocycle.items()) if a != b and len(f)]
+
     @classmethod
     def from_pairs(cls, cover: SampledCover, group: GroupModel,
                    entries: Mapping[tuple, MatrixField],

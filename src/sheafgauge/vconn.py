@@ -62,9 +62,7 @@ def induce_connection(P: PrincipalSheafData, R: RepresentationModel,
     its own transition law; the induced family then satisfies eq10
     automatically.
     """
-    entries = [f for (a, b), f in sorted(P.cocycle.items())
-               if a != b and len(f)]
-    for r in check_lie_type(R, entries).values():
+    for r in check_lie_type(R, P.transitions()).values():
         r.require(PreconditionError, "representation fails the compatibility conditions")
     check_connection(P, D).require(PreconditionError,
                                    "principal connection fails its transition law")
@@ -75,9 +73,7 @@ def _apply_phibar(R: RepresentationModel, D: PrincipalConnection) -> PrincipalCo
     """D's chart coefficients times phibar, unchecked."""
     forms = {}
     for chart, w in D.forms.items():
-        # an empty form may not know its rank; its image holds no coefficients
-        coeffs = w.coeffs @ R.phibar if len(w) else np.zeros((0, 0, R.n * R.n))
-        forms[chart] = LieValuedOneForm._on_points_of(w, coeffs)
+        forms[chart] = LieValuedOneForm._on_points_of(w, w.coeffs @ R.phibar)
     return PrincipalConnection(forms)
 
 

@@ -3,21 +3,26 @@
 ``to_source`` is the parser's round-trip oracle: it renders an
 expression tree back to text that ``parse_expr`` turns into the same
 tree.  The others read or rebuild library objects the way the tests
-need: a cover's chart coordinate at a point, a matrix field with every
-entry mapped, the Lie rank of a one-form and a report's results by key.
+need: a field of any kind from its entries at each point, a cover's
+chart coordinate at a point, a matrix field with every entry mapped, the
+Lie rank of a one-form and a report's results by key.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Mapping
+
+import numpy as np
 
 from sheafgauge import (
+    Jet,
     JetMatrix,
     LieValuedOneForm,
     MatrixField,
     Report,
     SampledCover,
     UnknownRegionError,
+    point_order,
 )
 from sheafgauge.expr import BinOp, Call, Neg, Num, Pi, Var
 
@@ -68,6 +73,22 @@ def to_source(e) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _row(entry):
+    if isinstance(entry, Jet):
+        return (entry.value,) + entry.grad_tuple
+    if isinstance(entry, JetMatrix):
+        return np.concatenate((entry.value[None], entry.grad))
+    return entry
+
+
+def stacked(kind, region: str, data: Mapping):
+    """The ``kind`` field on ``region`` built by ``kind.from_stack`` from
+    ``data``: the row of each point's ``Jet``, ``JetMatrix`` or array of
+    coefficients, stacked in ``point_order``.  It checks nothing itself."""
+    points = point_order(data)
+    return kind.from_stack(region, points, [_row(data[p]) for p in points])
+
+
 def coord(cover: SampledCover, rid: str, p):
     """The chart coordinates of point ``p`` in region ``rid``."""
     try:
@@ -76,20 +97,15 @@ def coord(cover: SampledCover, rid: str, p):
         raise UnknownRegionError(f"no coordinates for ({rid!r}, {p!r})") from None
 
 
-def map_entries(field: MatrixField, fn: Callable[[object, JetMatrix], JetMatrix],
-                rows=None, cols=None) -> MatrixField:
-    """The field holding ``fn(p, entry)`` at each point ``p``; ``rows`` and
-    ``cols`` default to ``field``'s."""
-    out = {p: fn(p, m) for p, m in field.data.items()}
-    r = field.rows if rows is None else rows
-    c = field.cols if cols is None else cols
-    return MatrixField(field.region, r, c, out)
+def map_entries(field: MatrixField,
+                fn: Callable[[object, JetMatrix], JetMatrix]) -> MatrixField:
+    """The field holding ``fn(p, entry)`` at each point ``p``."""
+    return stacked(MatrixField, field.region, {p: fn(p, m) for p, m in field.data.items()})
 
 
-def rank(form: LieValuedOneForm):
-    """The number of Lie coefficients per chart direction; None for an
-    empty form, which may not know it."""
-    return form.coeffs.shape[2] if form.data else None
+def rank(form: LieValuedOneForm) -> int:
+    """The number of Lie coefficients per chart direction."""
+    return form.coeffs.shape[2]
 
 
 def by_key(report: Report) -> dict:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import DEMO_NAMES, demo_pipeline
-from helpers import map_entries
+from helpers import map_entries, stacked
 from sheafgauge import (
     ExprDomainError,
     JetMatrix,
@@ -69,7 +69,7 @@ class TestAcceptance:
             for _ in range(100):
                 s = random_scalar_field("base", cover.points, 1, rng)
                 t = random_scalar_field("base", cover.points, 1, rng)
-                dst = d_field(ScalarField("base", {
+                dst = d_field(stacked(ScalarField, "base", {
                     p: jet_mul(s.data[p], t.data[p]) for p in cover.points}))
                 for p in cover.points:
                     want = s.data[p].value * d_field(t).data[p] \

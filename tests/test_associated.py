@@ -5,12 +5,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import by_key, coord, map_entries
+from helpers import by_key, coord, map_entries, stacked
 from sheafgauge import (
     AssociatedSection,
     EmptyOverlapError,
     EquivarianceError,
     FieldMismatchError,
+    GroupModel,
     Jet,
     JetMatrix,
     MatrixField,
@@ -46,6 +47,7 @@ from sheafgauge import (
     section_to_tensorial,
     section_transition,
     so2_in_gl2,
+    so2_model,
     tensorial_to_section,
     trivial_rep,
 )
@@ -90,11 +92,20 @@ class TestRepresentations:
 
     def test_diag_powers_oracle(self):
         R = gl1_diag_powers(1, 2)
-        g = MatrixField("u", 1, 1, {0: JetMatrix([[2.0]], [[[0.5]]])})
+        g = stacked(MatrixField, "u", {0: JetMatrix([[2.0]], [[[0.5]]])})
         img = R.phi(g).data[0]
         assert np.array_equal(img.value, np.diag([2.0, 4.0]))
         # d(x^2) = 2x dx jetwise
         assert np.array_equal(img.grad[0], np.diag([0.5, 2.0]))
+
+    def test_the_lift_keeps_an_empty_fields_dim(self):
+        g = MatrixField.from_stack("u", [], np.zeros((0, 3, 1, 1)))
+        assert gl1_diag_powers(1, 2).phi(g).coeffs.shape == (0, 3, 2, 2)
+
+    def test_an_empty_first_sample_checks_the_unit_on_no_points(self):
+        g = MatrixField.from_stack("u", [], np.zeros((0, 3, 1, 1)))
+        r = check_representation(gl1_diag_powers(1, 2), [(g, g)])
+        assert r.passed and r.residual == 0.0 and r.worst_point is None
 
     def test_homomorphism_over_catalog(self, pipeline):
         R = REPS[pipeline.scn.name]
@@ -186,6 +197,13 @@ class TestPushCocycle:
         assert E.group.ambient == REPS[mobius_pipe.scn.name].n
         assert all(r.passed for r in check_cocycle(E).values())
 
+    def test_a_source_over_another_basis_is_refused(self, so2_pipe):
+        # one part in 1e7 apart: within numpy's default allclose tolerances
+        other = GroupModel("so(2)", 2, so2_model().lie_basis * (1 + 1e-7))
+        R = RepresentationModel("so2_in_gl2", other, 2, lambda g: g, so2_in_gl2().phibar)
+        with pytest.raises(FieldMismatchError, match="does not match group so"):
+            push_cocycle(so2_pipe.P, R)
+
 
 class TestQuotientReduce:
     """The vector data is the alpha component of a random section of E,
@@ -214,7 +232,7 @@ class TestQuotientReduce:
         P, R = so2_pipe.P, so2_pipe.R
         rng = random.Random(1)
         s = random_principal_section(P, "alpha", rng)
-        wide = MatrixField("alpha", 2, 2, {
+        wide = stacked(MatrixField, "alpha", {
             p: JetMatrix(np.eye(2), np.zeros((1, 2, 2))) for p in s.points})
         with pytest.raises(FieldMismatchError):
             quotient_reduce(P, R, s, wide)
@@ -225,7 +243,7 @@ class TestQuotientReduce:
 
 
 def ones_field(points):
-    return ScalarField("base", {p: Jet(1.0, [0.0]) for p in points})
+    return stacked(ScalarField, "base", {p: Jet(1.0, [0.0]) for p in points})
 
 
 class TestSectionArithmetic:
@@ -238,7 +256,7 @@ class TestSectionArithmetic:
     def test_zero_scalar_gives_zero_section(self, pipeline):
         E = pipeline.E
         s = random_section(E, random.Random(3))
-        zero = ScalarField("base", {p: Jet(0.0, [0.0]) for p in E.cover.points})
+        zero = stacked(ScalarField, "base", {p: Jet(0.0, [0.0]) for p in E.cover.points})
         out = section_smul(E, zero, s)
         assert all(not out.components[a].data[p].value.any()
                    and not out.components[a].data[p].grad.any()
@@ -251,8 +269,8 @@ class TestSectionArithmetic:
         s = random_section(E, rng)
         a = random_scalar_field("base", E.cover.points, 1, rng)
         b = random_scalar_field("base", E.cover.points, 1, rng)
-        ab = ScalarField("base", {p: jet_mul(a.data[p], b.data[p])
-                                  for p in E.cover.points})
+        ab = stacked(ScalarField, "base", {p: jet_mul(a.data[p], b.data[p])
+                                           for p in E.cover.points})
         lhs = section_smul(E, ab, s)
         rhs = section_smul(E, a, section_smul(E, b, s))
         assert section_gap(lhs, rhs) <= 1e-14
@@ -306,8 +324,8 @@ class TestRandomSection:
         # g_uv = 1 + t has its gradient in u's coordinate t; a product
         # that mixed the two charts' gradients missed by about 1
         cover = scaled_two_chart_cover(k)
-        g = MatrixField("u", 1, 1, {p: JetMatrix([[1 + p / 5]], [[[1.0]]])
-                                    for p in cover.points})
+        g = stacked(MatrixField, "u", {p: JetMatrix([[1 + p / 5]], [[[1.0]]])
+                                       for p in cover.points})
         E = PrincipalSheafData.from_pairs(cover, gl_model(1), {("u", "v"): g})
         assert all(r.passed for r in check_cocycle(E).values())
         s = random_section(E, random.Random(0))
@@ -322,7 +340,7 @@ class TestRandomSection:
         for p in cover.points:
             c, sn = np.cos(p / 5), np.sin(p / 5)
             rot[p] = JetMatrix([[c, -sn], [sn, c]], [[[-sn, -c], [c, -sn]]])
-        g = MatrixField("u", 2, 2, rot)
+        g = stacked(MatrixField, "u", rot)
         E = PrincipalSheafData.from_pairs(cover, gl_model(2), {("u", "v"): g})
         assert all(r.passed for r in check_cocycle(E).values())
         s = random_section(E, random.Random(1))
@@ -348,7 +366,7 @@ class TestMobiusOddSection:
                 v1, g1 = flip * np.sin(t / 2), flip * np.cos(t / 2) / 2
                 v2, g2 = np.sin(t / 2) ** 2, np.sin(t / 2) * np.cos(t / 2)
                 data[p] = JetMatrix([[v1], [v2]], [[[g1], [g2]]])
-            comps[rid] = MatrixField(rid, 2, 1, data)
+            comps[rid] = stacked(MatrixField, rid, data)
         return AssociatedSection(comps)
 
     def test_half_angle_section_is_compatible(self, mobius_pipe):

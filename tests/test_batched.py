@@ -10,6 +10,7 @@ exception, as a loop over the points in the operation's order would.
 import numpy as np
 import pytest
 
+from helpers import stacked
 from sheafgauge import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -51,11 +52,11 @@ def random_field(rng, k, dim, cols=None, points=range(N_POINTS), region="a"):
     data = {p: JetMatrix(np.eye(k, cols) * 2.0 + rng.uniform(-0.5, 0.5, (k, cols)),
                          rng.uniform(-1.0, 1.0, (dim, k, cols)))
             for p in points}
-    return MatrixField(region, k, cols, data)
+    return stacked(MatrixField, region, data)
 
 
 def empty_field(k, region="a"):
-    return MatrixField(region, k, k, {})
+    return MatrixField.from_stack(region, [], np.zeros((0, 2, k, k)))
 
 
 def assert_same_matrices(field, expected: dict):
@@ -108,8 +109,8 @@ def test_mat_inv_matches_jetmatrix_inv(k, dim):
 def test_mat_scale_matches_jetmatrix(k, dim):
     rng = _rng(k, dim)
     a = random_field(rng, k, dim, cols=2)
-    s = ScalarField("a", {p: Jet(rng.uniform(-2, 2), rng.uniform(-2, 2, dim))
-                          for p in a.data})
+    s = stacked(ScalarField, "a", {p: Jet(rng.uniform(-2, 2), rng.uniform(-2, 2, dim))
+                                   for p in a.data})
     assert_same_matrices(mat_scale(a, s),
                          {p: m.scale(s.data[p]) for p, m in a.data.items()})
     assert_same_matrices(mat_scale(a, -1.5),
@@ -140,14 +141,14 @@ def test_transports_match_one_point_pullback(k, dim):
         p: JetMatrix(m.value, np.einsum("il,i...->l...", jac[p], m.grad))
         for p, m in sorted(f.data.items())})
 
-    s = ScalarField("a", {p: Jet(1.0 + p, rng.uniform(-1, 1, dim)) for p in f.data})
+    s = stacked(ScalarField, "a", {p: Jet(1.0 + p, rng.uniform(-1, 1, dim)) for p in f.data})
     moved_s = transport_field(s, cover, "b")
     for p, j in s.data.items():
         assert moved_s.data[p].value == j.value
         assert np.array_equal(moved_s.data[p].gradient,
                               np.einsum("il,i...->l...", jac[p], j.gradient))
 
-    w = MatrixOneForm("a", k, k, {p: m.grad for p, m in f.data.items()})
+    w = stacked(MatrixOneForm, "a", {p: m.grad for p, m in f.data.items()})
     moved_w = transport_form(w, cover, "b")
     for p in w.data:
         assert np.array_equal(moved_w.data[p], np.einsum("il,i...->l...", jac[p], w.data[p]))
@@ -163,15 +164,15 @@ def test_residual_rows_match_one_point_diffs(k, dim):
     want = max(pts, key=lambda p: (a.data[p].max_abs_diff(b.data[p]), -pts.index(p)))
     assert (res, at) == (a.data[want].max_abs_diff(b.data[want]), want)
 
-    la = LieValuedOneForm("a", {p: m.grad.reshape(dim, -1) for p, m in a.data.items()})
-    lb = LieValuedOneForm("a", {p: m.grad.reshape(dim, -1) for p, m in b.data.items()})
+    la = stacked(LieValuedOneForm, "a", {p: m.grad.reshape(dim, -1) for p, m in a.data.items()})
+    lb = stacked(LieValuedOneForm, "a", {p: m.grad.reshape(dim, -1) for p, m in b.data.items()})
     want = [(p, max_diff(la.data[p], lb.data[p])) for p in pts]
     assert diff_rows(la, lb) == want
     assert residuals(pts, np.array([la.data[p] for p in pts]),
                      np.array([lb.data[p] for p in pts])) == want
 
-    sa = ScalarField("a", {p: Jet(m.value[0, 0], m.grad[:, 0, 0]) for p, m in a.data.items()})
-    sb = ScalarField("a", {p: Jet(m.value[0, 0], m.grad[:, 0, 0]) for p, m in b.data.items()})
+    sa, sb = (stacked(ScalarField, "a", {p: Jet(m.value[0, 0], m.grad[:, 0, 0])
+                                         for p, m in f.data.items()}) for f in (a, b))
     res, _ = field_residual(sa, sb)
     assert res == max(sa.data[p].max_abs_diff(sb.data[p]) for p in pts)
 
@@ -181,7 +182,8 @@ def test_rows_are_plain_floats():
     b = random_field(_rng(2, 1, salt=1), 2, 1)
     rows = diff_rows(a, b)
     assert all(type(r) is float for _, r in rows)
-    res, _ = field_residual(OneForm("a", {0: [1.0, 2.0]}), OneForm("a", {0: [1.0, 3.5]}))
+    res, _ = field_residual(stacked(OneForm, "a", {0: [1.0, 2.0]}),
+                            stacked(OneForm, "a", {0: [1.0, 3.5]}))
     assert type(res) is float and res == 1.5
 
 
@@ -202,7 +204,8 @@ def test_empty_fields(k):
     assert diff_rows(mc(model, e), mc(model, e)) == []
     cover = two_chart_cover(2, _rng(k, 2))
     assert len(transport_field(e, cover, "b")) == 0
-    assert len(transport_form(MatrixOneForm("a", k, k, {}), cover, "b")) == 0
+    w = MatrixOneForm.from_stack("a", [], np.zeros((0, 1, k, k)))
+    assert len(transport_form(w, cover, "b")) == 0
 
 
 def test_non_square_inverse_still_rejected():
@@ -216,7 +219,7 @@ def test_non_square_inverse_still_rejected():
 def _with(field, changes):
     data = dict(field.data)
     data.update(changes)
-    return MatrixField(field.region, field.rows, field.cols, data)
+    return stacked(MatrixField, field.region, data)
 
 
 def test_mat_inv_names_first_singular_point_in_point_order():
@@ -236,10 +239,10 @@ def test_mat_inv_reports_non_finite_inverse_before_later_singular_point():
     with np.errstate(over="ignore"):
         for data in ({0: small, 1: zero}, {1: zero, 0: small}):
             with pytest.raises(NonFiniteError, match="finite"):
-                mat_inv(MatrixField("a", 1, 1, data))
+                mat_inv(stacked(MatrixField, "a", data))
         for data in ({0: zero, 1: small}, {1: small, 0: zero}):
             with pytest.raises(SingularMatrixError):
-                mat_inv(MatrixField("a", 1, 1, data))
+                mat_inv(stacked(MatrixField, "a", data))
 
 
 def test_mc_names_first_point_in_sorted_order():
@@ -255,12 +258,12 @@ def test_mc_span_failure_before_det_failure_wins():
     model = so2_model()
     off = JetMatrix(np.eye(2), np.diag([1.0, 0.0])[None])   # g^-1 dg leaves so(2)
     zero = JetMatrix(np.zeros((2, 2)), np.zeros((1, 2, 2)))
-    g = MatrixField("a", 2, 2, {1: zero, 0: off})
+    g = stacked(MatrixField, "a", {1: zero, 0: off})
     with pytest.raises(SpanError, match="logarithmic differential") as exc:
         mc(model, g)
     assert exc.value.point == 0
     with pytest.raises(SingularMatrixError, match="not invertible") as exc:
-        mc(model, MatrixField("a", 2, 2, {0: zero, 1: off}))
+        mc(model, stacked(MatrixField, "a", {0: zero, 1: off}))
     assert exc.value.point == 0
 
 
@@ -269,10 +272,10 @@ def test_rho_matrix_span_failure_before_singular_point_wins():
     stretch = JetMatrix(np.diag([2.0, 1.0]), np.zeros((1, 2, 2)))
     zero = JetMatrix(np.zeros((2, 2)), np.zeros((1, 2, 2)))
     with pytest.raises(SpanError) as exc:
-        rho_matrix(model, MatrixField("a", 2, 2, {1: zero, 0: stretch}))
+        rho_matrix(model, stacked(MatrixField, "a", {1: zero, 0: stretch}))
     assert exc.value.point == 0
     with pytest.raises(SingularMatrixError, match="not invertible at 0") as exc:
-        rho_matrix(model, MatrixField("a", 2, 2, {0: zero, 1: stretch}))
+        rho_matrix(model, stacked(MatrixField, "a", {0: zero, 1: stretch}))
     assert exc.value.point == 0
 
 

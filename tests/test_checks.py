@@ -254,6 +254,17 @@ class TestNamedThresholds:
                      and 0.0 < abs(node.value) < 1e-3 and id(node) not in named]
         assert bare == []
 
+    def test_no_comparison_hides_numpys_default_tolerances(self):
+        # allclose and isclose compare within rtol 1e-5 and atol 1e-8 unless
+        # told otherwise, thresholds that no module constant names
+        hidden = {"allclose", "isclose"}
+        calls = [f"{path.name}:{node.lineno}" for path in SOURCES
+                 for node in ast.walk(parsed(path))
+                 if isinstance(node, ast.Attribute) and node.attr in hidden
+                 or isinstance(node, ast.Name) and node.id in hidden
+                 or isinstance(node, ast.alias) and node.name in hidden]
+        assert calls == []
+
     def test_every_default_tolerance_is_a_name(self):
         (table,) = [stmt.value for stmt in parsed(Path(sheafgauge.checks.__file__)).body
                     if isinstance(stmt, ast.Assign)
@@ -391,6 +402,22 @@ class TestOneHomePerRule:
                              for f in cls.body)]
         assert with_init == ["SheafGaugeError", "OverlapMismatchError", "ParseError",
                              "ExprDomainError"]
+
+    def test_each_field_kind_is_built_from_its_stack(self):
+        # from_stack is the one public constructor of every field kind: no
+        # class derived from jets._StackedField defines __init__
+        classes = {cls.name: cls for path in SOURCES for cls in parsed(path).body
+                   if isinstance(cls, ast.ClassDef)}
+        kinds, grew = {"_StackedField"}, True
+        while grew:
+            more = {name for name, cls in classes.items()
+                    if any(getattr(b, "id", None) in kinds for b in cls.bases)}
+            grew, kinds = not more <= kinds, kinds | more
+        assert {"ScalarField", "MatrixField", "OneForm", "MatrixOneForm",
+                "LieValuedOneForm"} <= kinds
+        with_init = sorted(name for name in kinds if any(
+            isinstance(f, ast.FunctionDef) and f.name == "__init__" for f in classes[name].body))
+        assert with_init == []
 
     def test_one_span_failure_message(self):
         assert sum(path.read_text().count("leaves span(lie_basis)") for path in SOURCES) == 1

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import coord
+from helpers import coord, stacked
 from sheafgauge import (
     CoverError,
     Jet,
@@ -179,8 +179,8 @@ class TestOverlap:
 
 class TestRestrictGlue:
     def field_on(self, cover, rid):
-        return ScalarField(rid, {p: Jet(float(p), [1.0])
-                                 for p in cover.regions[rid]})
+        return stacked(ScalarField, rid, {p: Jet(float(p), [1.0])
+                                          for p in cover.regions[rid]})
 
     def test_restrict_full_region_identity(self, cover12):
         f = self.field_on(cover12, "alpha")
@@ -203,8 +203,8 @@ class TestRestrictGlue:
 
     def test_glue_restrict_roundtrip(self, cover12):
         # a global field split along the two charts reassembles exactly
-        full = ScalarField("all", {p: Jet(np.sin(p), [np.cos(p)])
-                                   for p in cover12.points})
+        full = stacked(ScalarField, "all", {p: Jet(np.sin(p), [np.cos(p)])
+                                            for p in cover12.points})
         pieces = {rid: full.restrict(cover12.regions[rid]).relabel(rid)
                   for rid in cover12.region_ids()}
         g = glue(pieces)
@@ -213,15 +213,15 @@ class TestRestrictGlue:
             assert g.data[p].max_abs_diff(full.data[p]) == 0.0
 
     def test_glue_two_equal_constants(self):
-        a = ScalarField("u", {0: Jet(3.0, [0.0]), 1: Jet(3.0, [0.0])})
-        b = ScalarField("v", {1: Jet(3.0, [0.0]), 2: Jet(3.0, [0.0])})
+        a = stacked(ScalarField, "u", {0: Jet(3.0, [0.0]), 1: Jet(3.0, [0.0])})
+        b = stacked(ScalarField, "v", {1: Jet(3.0, [0.0]), 2: Jet(3.0, [0.0])})
         g = glue({"u": a, "v": b})
         assert g.points == {0, 1, 2}
         assert all(g.data[p].value == 3.0 for p in g.points)
 
     def test_glue_mismatch_names_pair_and_point(self):
-        a = ScalarField("u", {0: Jet(1.0, [0.0])})
-        b = ScalarField("v", {0: Jet(2.0, [0.0])})
+        a = stacked(ScalarField, "u", {0: Jet(1.0, [0.0])})
+        b = stacked(ScalarField, "v", {0: Jet(2.0, [0.0])})
         with pytest.raises(OverlapMismatchError) as err:
             glue({"u": a, "v": b})
         assert err.value.point == 0
@@ -229,15 +229,15 @@ class TestRestrictGlue:
         assert err.value.residual == pytest.approx(1.0)
 
     def test_glue_within_tolerance_keeps_sorted_first(self):
-        a = ScalarField("u", {0: Jet(1.0, [0.0])})
-        b = ScalarField("v", {0: Jet(1.0 + 1e-12, [0.0])})
+        a = stacked(ScalarField, "u", {0: Jet(1.0, [0.0])})
+        b = stacked(ScalarField, "v", {0: Jet(1.0 + 1e-12, [0.0])})
         g = glue({"v": b, "u": a})
         assert g.data[0].value == 1.0
 
 
 class TestTransport:
     def test_identity_jacobian_unchanged(self, cover12):
-        w = OneForm("alpha", {p: [0.5] for p in cover12.overlap_points("alpha", "beta")})
+        w = stacked(OneForm, "alpha", {p: [0.5] for p in cover12.overlap_points("alpha", "beta")})
         t = transport_form(w, cover12, "beta")
         assert t.region == "beta"
         for p in w.data:
@@ -245,21 +245,21 @@ class TestTransport:
 
     def test_scaling_chart_doubles_coefficients(self):
         c = two_chart_scaled_cover()
-        w = OneForm("u", {p: [3.0] for p in (0, 1)})
+        w = stacked(OneForm, "u", {p: [3.0] for p in (0, 1)})
         t = transport_form(w, c, "v")
         for p in (0, 1):
             assert np.array_equal(t.data[p], [6.0])
 
     def test_roundtrip_is_identity(self):
         c = two_chart_scaled_cover()
-        w = OneForm("u", {0: [0.3], 1: [-1.7]})
+        w = stacked(OneForm, "u", {0: [0.3], 1: [-1.7]})
         back = transport_form(transport_form(w, c, "v"), c, "u")
         for p in (0, 1):
             assert np.max(np.abs(back.data[p] - w.data[p])) <= 1e-14
 
     def test_field_gradients_transform_like_forms(self):
         c = two_chart_scaled_cover()
-        f = ScalarField("u", {0: Jet(1.0, [3.0])})
+        f = stacked(ScalarField, "u", {0: Jet(1.0, [3.0])})
         g = transport_field(f, c, "v")
         assert g.data[0].value == 1.0
         assert np.array_equal(g.data[0].gradient, [6.0])
@@ -268,7 +268,7 @@ class TestTransport:
         pts = [0]
         coords = {("u", 0): [0.0], ("v", 0): [0.0]}
         c = SampledCover(pts, {"u": pts, "v": pts}, coords, {})
-        w = OneForm("u", {0: [1.0]})
+        w = stacked(OneForm, "u", {0: [1.0]})
         with pytest.raises(MissingJacobianError):
             transport_form(w, c, "v")
 

@@ -2,10 +2,10 @@
 
 ``OneForm``, ``MatrixOneForm`` and ``LieValuedOneForm`` keep the
 coefficients of every point in one read-only float64 stack ``coeffs`` of
-shape (P, dim, *tail), rows in ``point_order``.  The mapping constructor
-and ``from_stack`` check the stack once, with each kind's messages;
-restriction, relabelling, chart transport and gluing keep the rows in
-``point_order``.
+shape (P, dim, *tail), rows in ``point_order``.  ``from_stack`` checks
+the stack once, with each kind's messages; restriction, relabelling,
+chart transport and gluing keep the rows in ``point_order``.  A field of
+any kind keeps its row shape when it has no rows.
 """
 
 import random
@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import rank
+from helpers import rank, stacked
 from sheafgauge import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -23,6 +23,7 @@ from sheafgauge import (
     NonFiniteError,
     OneForm,
     SampledCover,
+    ScalarField,
     d_field,
     gauge_form,
     gl_model,
@@ -46,11 +47,14 @@ BAD = [float("nan"), float("inf"), float("-inf")]
 
 
 class Kind:
-    """One form kind: its constructors, row tail and message name."""
+    """One form kind: its class, row tail and message name."""
 
-    def __init__(self, cls, tail, build):
-        self.cls, self.tail, self.build = cls, tail, build
+    def __init__(self, cls, tail):
+        self.cls, self.tail = cls, tail
         self.name = cls.KIND
+
+    def build(self, region, data: dict):
+        return stacked(self.cls, region, data)
 
     def rows(self, points, seed=0) -> dict:
         rng = np.random.default_rng(seed)
@@ -61,11 +65,7 @@ class Kind:
         return np.array([rows[p] for p in points]).reshape((len(points), DIM) + self.tail)
 
 
-KINDS = [
-    Kind(OneForm, (), lambda region, data: OneForm(region, data)),
-    Kind(MatrixOneForm, (2, 3), lambda region, data: MatrixOneForm(region, 2, 3, data)),
-    Kind(LieValuedOneForm, (3,), lambda region, data: LieValuedOneForm(region, data)),
-]
+KINDS = [Kind(OneForm, ()), Kind(MatrixOneForm, (2, 3)), Kind(LieValuedOneForm, (3,))]
 
 
 @pytest.fixture(params=KINDS, ids=lambda k: k.name)
@@ -118,15 +118,6 @@ class TestStack:
         stack[...] = 7.0
         assert np.array_equal(f.coeffs, f_before) and np.array_equal(g.coeffs, g_before)
 
-    def test_stack_built_equals_mapping_built_bit_for_bit(self, kind):
-        rows = kind.rows(POINTS)
-        a = kind.build("u", rows)
-        b = kind.cls.from_stack("u", ORDER, np.array([rows[p] for p in ORDER]))
-        assert type(b) is type(a) and b.region == a.region
-        assert b.ordered_points() == a.ordered_points()
-        assert b.coeffs.tobytes() == a.coeffs.tobytes()
-        assert (b.dim, len(b)) == (a.dim, len(a)) == (DIM, len(POINTS))
-
     @pytest.mark.parametrize("bad", BAD)
     def test_non_finite_entry_anywhere_raises_the_kinds_message(self, kind, bad):
         stack = kind.stack()
@@ -178,20 +169,12 @@ class TestStack:
                 kind.cls.from_stack("u", ORDER, bad)
 
 
-class TestMappingShapes:
+class TestRowShapes:
     @pytest.mark.parametrize("build,error,message", [
-        (lambda: OneForm("u", {0: [1.0, 2.0], 1: [1.0]}),
-         DimensionMismatchError, "mixed coefficient lengths in one-form"),
-        (lambda: OneForm("u", {0: [[1.0]]}),
+        (lambda: OneForm.from_stack("u", [0], [[[1.0]]]),
          DimensionMismatchError, "one-form coefficients must be vectors"),
-        (lambda: LieValuedOneForm("u", {0: np.zeros((1, 4)), 1: np.zeros((1, 3))}),
-         DimensionMismatchError, "mixed shapes in lie-valued one-form"),
-        (lambda: LieValuedOneForm("u", {0: np.zeros(4)}),
+        (lambda: LieValuedOneForm.from_stack("u", [0], np.zeros((1, 4))),
          DimensionMismatchError, r"lie-valued one-form entries must be \(dim, m\) arrays"),
-        (lambda: MatrixOneForm("u", 2, 3, {0: np.zeros((1, 2, 3)), 1: np.zeros((1, 3, 3))}),
-         FieldMismatchError, r"entry at 1 has shape \(1, 3, 3\), expected \(dim, 2, 3\)"),
-        (lambda: MatrixOneForm("u", 2, 3, {0: np.zeros((1, 2, 3)), 1: np.zeros((2, 2, 3))}),
-         DimensionMismatchError, "mixed chart dimensions in matrix one-form"),
     ])
     def test_each_kind_keeps_its_messages(self, build, error, message):
         with pytest.raises(error, match=message):
@@ -237,28 +220,41 @@ class TestPointOrder:
         assert np.array_equal(g.coeffs, np.array([rows[p] for p in ORDER]))
 
 
+# Every field kind, with the shape of one row.
+ROWS = {OneForm: (DIM,), MatrixOneForm: (DIM, 2, 3), LieValuedOneForm: (DIM, 4),
+        ScalarField: (1 + DIM,), MatrixField: (1 + DIM, 2, 2)}
+
+
+def empties(cls) -> list:
+    """Empty fields of ``cls`` on u: one from a stack with no rows, one
+    restricted to no points from a field on ORDER."""
+    row = ROWS[cls]
+    return [cls.from_stack("u", [], np.zeros((0,) + row)),
+            cls.from_stack("u", ORDER, np.ones((len(ORDER),) + row)).restrict(set())]
+
+
 class TestEmpty:
-    def test_empty_form_has_no_dim_or_rank(self, kind):
-        for f in (kind.build("u", {}),
-                  kind.cls.from_stack("u", [], np.zeros((0, DIM) + kind.tail)),
-                  kind.build("u", kind.rows(POINTS)).restrict(set())):
+    @pytest.mark.parametrize("cls", ROWS, ids=lambda cls: cls.KIND)
+    def test_an_empty_field_keeps_its_row_shape(self, cls):
+        for f in empties(cls):
+            assert type(f) is cls and f.region == "u"
             assert len(f) == 0 and f.ordered_points() == [] and dict(f.data) == {}
-            assert f.dim is None
-            assert f.coeffs.shape[0] == 0 and not f.coeffs.flags.writeable
-            if kind.cls is LieValuedOneForm:
-                assert rank(f) is None
-            if kind.cls is MatrixOneForm:
-                assert (f.rows, f.cols) == (2, 3)
+            assert f.dim == DIM
+            assert f.coeffs.shape == (0,) + ROWS[cls] and not f.coeffs.flags.writeable
+            if cls is LieValuedOneForm:
+                assert rank(f) == 4
+            if cls in (MatrixOneForm, MatrixField):
+                assert (f.rows, f.cols) == ROWS[cls][1:]
 
     def test_empty_form_transports_to_an_empty_form(self, kind):
-        t = transport_form(kind.build("u", {}), two_chart_cover(), "v")
+        empty = kind.cls.from_stack("u", [], np.zeros((0, DIM) + kind.tail))
+        t = transport_form(empty, two_chart_cover(), "v")
         assert type(t) is kind.cls and t.region == "v" and len(t) == 0
 
-    def test_connection_kernels_accept_an_empty_form_of_unknown_rank(self):
+    def test_connection_kernels_accept_empty_fields(self):
         model = gl_model(2)
-        w = LieValuedOneForm("alpha", {})
-        g = MatrixField("alpha", 2, 2, {})
-        out = rho_dot_form(model, g, w)
-        assert type(out) is LieValuedOneForm and len(out) == 0 and rank(out) is None
-        value = gauge_form(model, g, w, "alpha")
-        assert type(value) is LieValuedOneForm and len(value) == 0
+        for g, w in zip(empties(MatrixField), empties(LieValuedOneForm)):
+            for out, region in ((rho_dot_form(model, g, w), "u"),
+                                (gauge_form(model, g, w, "v"), "v")):
+                assert type(out) is LieValuedOneForm and out.region == region
+                assert out.coeffs.shape == (0, DIM, 4)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import rank
+from helpers import rank, stacked
 from sheafgauge import (
     DimensionMismatchError,
     GroupModel,
@@ -45,12 +45,12 @@ def rotation_field(region, angles):
     for p, t in angles.items():
         c, s = np.cos(t), np.sin(t)
         data[p] = JetMatrix([[c, -s], [s, c]], [[[-s, -c], [c, -s]]])
-    return MatrixField(region, 2, 2, data)
+    return stacked(MatrixField, region, data)
 
 
 def scalar_field_1x1(region, pairs):
-    return MatrixField(region, 1, 1,
-                       {p: JetMatrix([[v]], [[[g]]]) for p, (v, g) in pairs.items()})
+    return stacked(MatrixField, region,
+                   {p: JetMatrix([[v]], [[[g]]]) for p, (v, g) in pairs.items()})
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +289,7 @@ class TestMaurerCartan:
         assert rank(w) == 4 and w.dim == 1
 
     def test_leaving_span_rejected(self):
-        shear = MatrixField("u", 2, 2, {0: JetMatrix(
+        shear = stacked(MatrixField, "u", {0: JetMatrix(
             [[1.0, 0.5], [0.0, 1.0]], [[[0.0, 1.0], [0.0, 0.0]]])})
         with pytest.raises(SpanError):
             mc(torus_model(2), shear)
@@ -335,20 +335,20 @@ class TestRhoDotForm:
     def test_unit_leaves_form(self):
         m = gl_model(2)
         e = m.unit_field("u", [0], 1)
-        w = LieValuedOneForm("u", {0: [[0.1, 0.2, 0.3, 0.4]]})
+        w = stacked(LieValuedOneForm, "u", {0: [[0.1, 0.2, 0.3, 0.4]]})
         out = rho_dot_form(m, e, w)
         assert np.array_equal(out.data[0], w.data[0])
 
     def test_zero_form_stays_zero(self):
         m = gl_model(2)
         g = constant_matrix_field("u", [0], np.diag([2.0, 1.0]), 1)
-        w = LieValuedOneForm("u", {0: np.zeros((1, 4))})
+        w = stacked(LieValuedOneForm, "u", {0: np.zeros((1, 4))})
         assert np.all(rho_dot_form(m, g, w).data[0] == 0.0)
 
     def test_gl2_diagonal_doubles_e12_coefficient(self):
         m = gl_model(2)
         g = constant_matrix_field("u", [0], np.diag([2.0, 1.0]), 1)
-        w = LieValuedOneForm("u", {0: [[0.0, 1.0, 0.0, 0.0]]})
+        w = stacked(LieValuedOneForm, "u", {0: [[0.0, 1.0, 0.0, 0.0]]})
         out = rho_dot_form(m, g, w)
         assert np.allclose(out.data[0], [[0.0, 2.0, 0.0, 0.0]])
 
@@ -356,8 +356,8 @@ class TestRhoDotForm:
         m = gl_model(2)
         rng = np.random.default_rng(23)
         coeff = rng.normal(size=4)
-        w = LieValuedOneForm("u", {p: coeff[None, :]
-                                   for p in small_cover.regions["u"]})
+        w = stacked(LieValuedOneForm, "u", {p: coeff[None, :]
+                                            for p in small_cover.regions["u"]})
         for g in catalog_elements(m, small_cover, "u"):
             out = rho_dot_form(m, g, w)
             a = constant_matrix_field("u", small_cover.regions["u"],
@@ -406,7 +406,8 @@ class TestGaugeForm:
 
     def test_empty_form_gives_mc_relabelled(self):
         m = gl_model(2)
-        out = gauge_form(m, MatrixField("u", 2, 2, {}), LieValuedOneForm("u", {}), "v")
+        g = MatrixField.from_stack("u", [], np.zeros((0, 2, 2, 2)))
+        out = gauge_form(m, g, LieValuedOneForm.from_stack("u", [], np.zeros((0, 1, 4))), "v")
         assert (out.region, len(out)) == ("v", 0)
 
 
@@ -425,7 +426,3 @@ class TestSpanCoeffs:
         assert exc.value.point == "c"
         assert exc.value.residual == pytest.approx(3.0)
 
-
-def test_lie_valued_form_validation():
-    with pytest.raises(DimensionMismatchError):
-        LieValuedOneForm("u", {0: np.zeros((1, 4)), 1: np.zeros((1, 3))})

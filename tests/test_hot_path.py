@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rank, to_source
+from helpers import rank, stacked, to_source
 from sheafgauge import (
     DimensionMismatchError,
     ExprDomainError,
@@ -82,25 +82,25 @@ class TestFiniteness:
     @pytest.mark.parametrize("bad", BAD)
     def test_one_form(self, bad):
         with pytest.raises(ValueError, match="one-form coefficients must be finite"):
-            OneForm("r", {0: [1.0, 2.0], 1: _with(2, 1, bad)})
+            stacked(OneForm, "r", {0: [1.0, 2.0], 1: _with(2, 1, bad)})
 
     @pytest.mark.parametrize("bad", BAD)
     def test_matrix_one_form(self, bad):
         with pytest.raises(ValueError,
                            match="matrix one-form coefficients must be finite"):
-            MatrixOneForm("r", 2, 2, {0: np.zeros((1, 2, 2)),
-                                      1: _with((1, 2, 2), (0, 1, 0), bad)})
+            stacked(MatrixOneForm, "r", {0: np.zeros((1, 2, 2)),
+                                         1: _with((1, 2, 2), (0, 1, 0), bad)})
 
     @pytest.mark.parametrize("bad", BAD)
     def test_lie_valued_one_form(self, bad):
         with pytest.raises(ValueError,
                            match="lie-valued one-form coefficients must be finite"):
-            LieValuedOneForm("r", {0: np.zeros((1, 4)), 1: _with((1, 4), (0, 3), bad)})
+            stacked(LieValuedOneForm, "r", {0: np.zeros((1, 4)), 1: _with((1, 4), (0, 3), bad)})
 
     def test_empty_per_point_arrays_are_accepted(self):
-        assert OneForm("r", {0: []}).dim == 0
-        assert MatrixOneForm("r", 2, 2, {0: np.zeros((0, 2, 2))}).dim == 0
-        assert rank(LieValuedOneForm("r", {0: np.zeros((1, 0))})) == 0
+        assert stacked(OneForm, "r", {0: []}).dim == 0
+        assert stacked(MatrixOneForm, "r", {0: np.zeros((0, 2, 2))}).dim == 0
+        assert rank(stacked(LieValuedOneForm, "r", {0: np.zeros((1, 0))})) == 0
         with pytest.raises(DimensionMismatchError):
             Jet(1.0, [])
 
@@ -111,9 +111,9 @@ class TestFiniteness:
         m = JetMatrix([[1, 2], [3, 4]], np.zeros((1, 2, 2), dtype=int))
         assert m.value.dtype == float and m.grad.dtype == float
         assert not (m.value.flags.writeable or m.grad.flags.writeable)
-        assert OneForm("r", {0: [1, 2]}).data[0].dtype == float
-        assert MatrixOneForm("r", 1, 1, {0: [[[3]]]}).data[0].dtype == float
-        assert LieValuedOneForm("r", {0: [[1, 2]]}).data[0].dtype == float
+        assert stacked(OneForm, "r", {0: [1, 2]}).data[0].dtype == float
+        assert stacked(MatrixOneForm, "r", {0: [[[3]]]}).data[0].dtype == float
+        assert stacked(LieValuedOneForm, "r", {0: [[1, 2]]}).data[0].dtype == float
 
 
 # -- the evaluator against its reference -------------------------------------

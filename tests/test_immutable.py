@@ -7,6 +7,7 @@ back the same object as before.
 import numpy as np
 import pytest
 
+from helpers import stacked
 from sheafgauge import (
     Jet,
     JetMatrix,
@@ -20,12 +21,12 @@ from sheafgauge import (
 CASES = [
     (lambda: Jet(0.5, [1.0, 2.0]), ["value", "grad_tuple", "gradient", "_gradient"]),
     (lambda: JetMatrix(np.eye(2), np.ones((1, 2, 2))), ["value", "grad"]),
-    (lambda: ScalarField("u", {0: Jet(1.0, [2.0])}), ["region", "data"]),
-    (lambda: MatrixField("u", 1, 1, {0: JetMatrix([[1.0]], [[[2.0]]])}),
+    (lambda: stacked(ScalarField, "u", {0: Jet(1.0, [2.0])}), ["region", "data"]),
+    (lambda: stacked(MatrixField, "u", {0: JetMatrix([[1.0]], [[[2.0]]])}),
      ["region", "data", "rows", "cols"]),
-    (lambda: OneForm("u", {0: [1.0, 2.0]}), ["region", "data", "coeffs"]),
-    (lambda: MatrixOneForm("u", 1, 2, {0: [[[1.0, 2.0]]]}), ["region", "data", "coeffs"]),
-    (lambda: LieValuedOneForm("u", {0: [[1.0, 2.0]]}), ["region", "data", "coeffs"]),
+    (lambda: stacked(OneForm, "u", {0: [1.0, 2.0]}), ["region", "data", "coeffs"]),
+    (lambda: stacked(MatrixOneForm, "u", {0: [[[1.0, 2.0]]]}), ["region", "data", "coeffs"]),
+    (lambda: stacked(LieValuedOneForm, "u", {0: [[1.0, 2.0]]}), ["region", "data", "coeffs"]),
 ]
 
 

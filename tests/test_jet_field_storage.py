@@ -3,19 +3,21 @@
 ``ScalarField`` and ``MatrixField`` keep every point in one read-only
 float64 stack ``coeffs``: index 0 of a row is the value, ``1:`` the
 gradient, shapes (P, 1 + dim) and (P, 1 + dim, rows, cols).  ``data`` is
-a read-only mapping, and both are in ``point_order`` whatever the order
-of the mapping the field was built from.  A mapping keeps the caller's
-``Jet``/``JetMatrix`` objects; a kernel builds exactly one per point,
-through the validating constructor; restriction, relabelling and gluing
-reuse what they are given.  A ``JetMatrix`` a stack builds holds views of
-its row, read-only, not copies; one built from an array its caller can
-still write through holds a copy.
+a read-only mapping, and both are in ``point_order``.  A kernel builds
+exactly one ``Jet`` or ``JetMatrix`` per point, through the validating
+constructor; restriction, relabelling and gluing reuse what they are
+given, ``constant_matrix_field`` holds one object at every point and the
+``gl1_diag_powers`` lift holds its own.  A ``JetMatrix`` a stack builds
+holds views of its row, read-only, not copies; one built from an array
+its caller can still write through holds a copy.
 """
 
 import numpy as np
 import pytest
 
+from helpers import stacked
 from sheafgauge import (
+    DimensionMismatchError,
     FieldMismatchError,
     Jet,
     JetMatrix,
@@ -24,6 +26,7 @@ from sheafgauge import (
     OneForm,
     ScalarField,
     constant_matrix_field,
+    gl1_diag_powers,
     glue,
     mat_inv,
     mat_mul,
@@ -33,22 +36,22 @@ from sheafgauge import (
 from sheafgauge.catalog import eval_matrix
 from sheafgauge.jets import jet_stack
 
-POINTS = [11, 2, 0, 10, 1]          # a mapping order that is not point_order
+POINTS = [11, 2, 0, 10, 1]          # an order that is not point_order
 DIM = 2
 BAD = [float("nan"), float("inf"), float("-inf")]
 
 
 def matrix_field(points=POINTS, seed=0, region="u", shape=(2, 2)):
     rng = np.random.default_rng(seed)
-    return MatrixField(region, *shape, {
+    return stacked(MatrixField, region, {
         p: JetMatrix(np.eye(*shape) * 2.0 + rng.uniform(-0.5, 0.5, shape),
                      rng.uniform(-1.0, 1.0, (DIM,) + shape)) for p in points})
 
 
 def scalar_field(points=POINTS, seed=0, region="u"):
     rng = np.random.default_rng(seed)
-    return ScalarField(region, {p: Jet(rng.uniform(1.0, 2.0), rng.uniform(-1, 1, DIM))
-                                for p in points})
+    return stacked(ScalarField, region, {p: Jet(rng.uniform(1.0, 2.0), rng.uniform(-1, 1, DIM))
+                                         for p in points})
 
 
 def row_of(entry) -> np.ndarray:
@@ -134,22 +137,17 @@ class TestStackedConstructor:
             with pytest.raises(FieldMismatchError, match="distinct and in point_order"):
                 type(f).from_stack("u", POINTS, f.coeffs)
 
-    def test_insertion_order_does_not_change_the_stack(self):
-        for f, build in ((matrix_field(), lambda d: MatrixField("u", 2, 2, d)),
-                         (scalar_field(), lambda d: ScalarField("u", d))):
-            a = build({p: f.data[p] for p in POINTS})
-            b = build({p: f.data[p] for p in reversed(POINTS)})
-            assert a.coeffs.tobytes() == b.coeffs.tobytes()
-            assert list(a.data) == list(b.data)
-
     @pytest.mark.parametrize("keys", [(1, "1"), ("1", 1)])
     def test_points_with_one_string_form_are_refused(self, keys):
         # 1 and "1" tie in point_order, so no row order of theirs is one
         # that from_stack would take back from the field
-        m, j = matrix_field([0]).data[0], scalar_field([0]).data[0]
-        for build in (lambda: MatrixField("u", 2, 2, dict.fromkeys(keys, m)),
-                      lambda: ScalarField("u", dict.fromkeys(keys, j)),
-                      lambda: OneForm("u", dict.fromkeys(keys, [1.0, 2.0]))):
+        m, s = matrix_field([0, 1]), scalar_field([0, 1])
+        pieces = {lab: stacked(ScalarField, lab, {p: s.data[0]}) for lab, p in zip("ab", keys)}
+        for build in (lambda: MatrixField.from_stack("u", keys, m.coeffs),
+                      lambda: ScalarField.from_stack("u", keys, s.coeffs),
+                      lambda: OneForm.from_stack("u", keys, [[1.0, 2.0]] * 2),
+                      lambda: constant_matrix_field("u", keys, np.eye(2), DIM),
+                      lambda: glue(pieces)):
             with pytest.raises(FieldMismatchError, match="distinct and in point_order"):
                 build()
 
@@ -212,14 +210,30 @@ class TestSharedRows:
                 JetMatrix(stack[0, 0], stack[0, 1:])
 
 
+def empty_matrix_field(dim):
+    return MatrixField.from_stack("u", [], np.zeros((0, 1 + dim, 2, 2)))
+
+
 class TestEmpty:
     def test_empty_fields_keep_their_shape(self):
-        for f in (MatrixField("u", 2, 3, {}), matrix_field(shape=(2, 3)).restrict(()),
-                  eval_matrix([["t", "1", "0"], ["0", "t", "1"]], "u", {})):
-            assert (len(f), f.rows, f.cols, f.dim) == (0, 2, 3, None)
+        for f, dim in ((MatrixField.from_stack("u", [], np.zeros((0, 1 + DIM, 2, 3))), DIM),
+                       (matrix_field(shape=(2, 3)).restrict(()), DIM),
+                       (eval_matrix([["t", "1", "0"], ["0", "t", "1"]], "u", {}), 1)):
+            assert (len(f), f.rows, f.cols, f.dim) == (0, 2, 3, dim)
             assert f.coeffs.shape[0] == 0 and not f.coeffs.flags.writeable
-        s = ScalarField("u", {})
-        assert (len(s), s.dim, s.coeffs.shape[0]) == (0, None, 0)
+        s = ScalarField.from_stack("u", [], np.zeros((0, 1 + DIM)))
+        assert (len(s), s.dim, s.coeffs.shape[0]) == (0, DIM, 0)
+
+    def test_mat_mul_refuses_empty_fields_of_other_dims(self):
+        assert mat_mul(empty_matrix_field(DIM), empty_matrix_field(DIM)).dim == DIM
+        with pytest.raises(DimensionMismatchError, match="JetMatrix product shape mismatch"):
+            mat_mul(empty_matrix_field(DIM), empty_matrix_field(1))
+
+    def test_mat_scale_refuses_empty_fields_of_other_dims(self):
+        a = empty_matrix_field(DIM)
+        assert mat_scale(a, ScalarField.from_stack("u", [], np.zeros((0, 1 + DIM)))).dim == DIM
+        with pytest.raises(DimensionMismatchError, match="scalar jet dim mismatch"):
+            mat_scale(a, ScalarField.from_stack("u", [], np.zeros((0, 2))))
 
 
 # -- construction counts ------------------------------------------------------
@@ -252,17 +266,28 @@ class TestConstructionCounts:
         eval_matrix([["t", "1"], ["0", "t"]], "u", {p: np.array([0.1 * p]) for p in POINTS})
         assert built[JetMatrix] == len(POINTS)
 
-    def test_mapping_restrict_relabel_and_glue_build_none(self, built):
-        entries, jets = dict(matrix_field().data), dict(scalar_field().data)
+    def test_restrict_relabel_and_glue_build_none(self, built):
+        f, s = matrix_field(), scalar_field()
         built[Jet] = built[JetMatrix] = 0
-        f = MatrixField("u", 2, 2, entries)
-        f.restrict({0, 1})
-        f.relabel("v")
-        glue({"a": f.restrict({0, 1, 2}).relabel("a"), "b": f.restrict({1, 2, 10}).relabel("b")})
-        ScalarField("u", jets).restrict({0}).relabel("v")
+        r = f.restrict({0, 1})
+        moved = f.relabel("v")
+        g = glue({"a": f.restrict({0, 1, 2}).relabel("a"),
+                  "b": f.restrict({1, 2, 10}).relabel("b")})
+        s.restrict({0}).relabel("v")
         assert (built[Jet], built[JetMatrix]) == (0, 0)
-        assert all(f.data[p] is entries[p] for p in POINTS)
+        for kept in (r, moved, g):
+            assert all(kept.data[p] is f.data[p] for p in kept.data)
 
     def test_identity_field_builds_one_matrix(self, built):
-        constant_matrix_field("u", POINTS, np.eye(2), DIM)
+        f = constant_matrix_field("u", POINTS, np.eye(2), DIM)
         assert built[JetMatrix] == 1
+        assert len(f) == len(POINTS) and len({id(m) for m in f.data.values()}) == 1
+
+    def test_the_lift_holds_its_own_matrices(self, built):
+        g = stacked(MatrixField, "u", {p: JetMatrix([[1.0 + p]], [[[0.5]]]) for p in POINTS})
+        built[Jet] = built[JetMatrix] = 0
+        out = gl1_diag_powers(1, 2).phi(g)
+        assert built[JetMatrix] == len(POINTS)    # one per point, none built from the stack
+        for m, row in zip(out.data.values(), out.coeffs):
+            assert not np.shares_memory(m.value, out.coeffs)
+            assert row_of(m).tobytes() == row.tobytes()

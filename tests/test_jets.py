@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import stacked
 from sheafgauge import (
     DimensionMismatchError,
     FieldMismatchError,
@@ -101,8 +102,8 @@ class TestJetOperators:
 
 
 def _field(region, values_grads):
-    return ScalarField(region, {p: Jet(v, [g])
-                                for p, (v, g) in values_grads.items()})
+    return stacked(ScalarField, region, {p: Jet(v, [g])
+                                         for p, (v, g) in values_grads.items()})
 
 
 class TestScalarFields:
@@ -124,7 +125,7 @@ class TestScalarFields:
         pts = range(20)
         s = _field("u", {p: (rng.uniform(-2, 2), rng.uniform(-2, 2)) for p in pts})
         t = _field("u", {p: (rng.uniform(-2, 2), rng.uniform(-2, 2)) for p in pts})
-        dst = d_field(ScalarField("u", {p: jet_mul(s.data[p], t.data[p]) for p in pts}))
+        dst = d_field(stacked(ScalarField, "u", {p: jet_mul(s.data[p], t.data[p]) for p in pts}))
         for p in pts:
             want = s.data[p].value * d_field(t).data[p] \
                 + t.data[p].value * d_field(s).data[p]
@@ -144,7 +145,7 @@ class TestScalarFields:
         with pytest.raises(FieldMismatchError):
             mat_scale(a, _field("v", {0: (1.0, 0.0)}))
         with pytest.raises(FieldMismatchError):
-            mat_scale(a, _field("u", {}))
+            mat_scale(a, ScalarField.from_stack("u", [], np.zeros((0, 2))))
 
     def test_restrict_outside_domain_rejected(self):
         s = _field("u", {0: (1.0, 0.0)})
@@ -159,20 +160,20 @@ def rotation_field(region, angles):
         value = np.array([[c, -s], [s, c]])
         grad = np.array([[[-s, -c], [c, -s]]])
         data[p] = JetMatrix(value, grad)
-    return MatrixField(region, 2, 2, data)
+    return stacked(MatrixField, region, data)
 
 
 class TestMatrixFields:
     def test_identity_times_b_is_b(self):
         rng = np.random.default_rng(3)
-        b = MatrixField("u", 2, 2, {0: JetMatrix(rng.normal(size=(2, 2)),
-                                                 rng.normal(size=(1, 2, 2)))})
+        b = stacked(MatrixField, "u", {0: JetMatrix(rng.normal(size=(2, 2)),
+                                                    rng.normal(size=(1, 2, 2)))})
         e = constant_matrix_field("u", [0], np.eye(2), 1)
         assert mat_mul(e, b).data[0].max_abs_diff(b.data[0]) == 0.0
 
     def test_1x1_product_reduces_to_jet_mul(self):
-        a = MatrixField("u", 1, 1, {0: JetMatrix([[2.0]], [[[0.5]]])})
-        b = MatrixField("u", 1, 1, {0: JetMatrix([[4.0]], [[[-1.0]]])})
+        a = stacked(MatrixField, "u", {0: JetMatrix([[2.0]], [[[0.5]]])})
+        b = stacked(MatrixField, "u", {0: JetMatrix([[4.0]], [[[-1.0]]])})
         got = mat_mul(a, b).data[0].entry(0, 0)
         want = jet_mul(Jet(2.0, [0.5]), Jet(4.0, [-1.0]))
         assert got.max_abs_diff(want) == 0.0
@@ -181,8 +182,8 @@ class TestMatrixFields:
         rng = np.random.default_rng(11)
         av, ag = rng.normal(size=(2, 2)), rng.normal(size=(1, 2, 2))
         bv, bg = rng.normal(size=(2, 2)), rng.normal(size=(1, 2, 2))
-        a = MatrixField("u", 2, 2, {0: JetMatrix(av, ag)})
-        b = MatrixField("u", 2, 2, {0: JetMatrix(bv, bg)})
+        a = stacked(MatrixField, "u", {0: JetMatrix(av, ag)})
+        b = stacked(MatrixField, "u", {0: JetMatrix(bv, bg)})
         prod = mat_mul(a, b).data[0]
         for i in range(2):
             for j in range(2):
@@ -198,12 +199,12 @@ class TestMatrixFields:
             assert inv.data[p].max_abs_diff(e.data[p]) == 0.0
 
     def test_inverse_1x1_hand_value(self):
-        a = MatrixField("u", 1, 1, {0: JetMatrix([[2.0]], [[[1.0]]])})
+        a = stacked(MatrixField, "u", {0: JetMatrix([[2.0]], [[[1.0]]])})
         jet_close(mat_inv(a).data[0].entry(0, 0), 0.5, [-0.25], tol=1e-16)
 
     def test_inverse_diag_analytic(self):
         # diag(2+sin t, 1) at t=0 -> diag((0.5, [-0.25]), (1, [0]))
-        a = MatrixField("u", 2, 2, {0: JetMatrix(
+        a = stacked(MatrixField, "u", {0: JetMatrix(
             [[2.0, 0.0], [0.0, 1.0]], [[[1.0, 0.0], [0.0, 0.0]]])})
         inv = mat_inv(a).data[0]
         jet_close(inv.entry(0, 0), 0.5, [-0.25], tol=1e-15)
@@ -215,14 +216,14 @@ class TestMatrixFields:
         pts = range(10)
         data = {p: JetMatrix(np.eye(3) + 0.3 * rng.normal(size=(3, 3)),
                              rng.normal(size=(1, 3, 3))) for p in pts}
-        a = MatrixField("u", 3, 3, data)
+        a = stacked(MatrixField, "u", data)
         prod = mat_mul(a, mat_inv(a))
         e = constant_matrix_field("u", pts, np.eye(3), 1)
         for p in pts:
             assert prod.data[p].max_abs_diff(e.data[p]) <= 1e-12
 
     def test_singular_matrix_reports_point(self):
-        a = MatrixField("u", 2, 2, {
+        a = stacked(MatrixField, "u", {
             0: JetMatrix.constant(np.eye(2), 1),
             1: JetMatrix(np.zeros((2, 2)), np.zeros((1, 2, 2)))})
         with pytest.raises(SingularMatrixError) as err:

@@ -18,6 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import stacked
 from sheafgauge import (
     FieldMismatchError,
     JetMatrix,
@@ -54,14 +55,14 @@ def lapack(monkeypatch) -> Counter:
 
 def element(seed: int = 3) -> MatrixField:
     rng = np.random.default_rng(seed)
-    return MatrixField("u", 2, 2, {p: JetMatrix(np.eye(2) * 2.0 + rng.uniform(-0.5, 0.5, (2, 2)),
-                                                rng.uniform(-1.0, 1.0, (1, 2, 2)))
-                                   for p in POINTS})
+    return stacked(MatrixField, "u", {
+        p: JetMatrix(np.eye(2) * 2.0 + rng.uniform(-0.5, 0.5, (2, 2)),
+                     rng.uniform(-1.0, 1.0, (1, 2, 2))) for p in POINTS})
 
 
 def form(m: int) -> LieValuedOneForm:
     rng = np.random.default_rng(5)
-    return LieValuedOneForm("u", {p: rng.uniform(-1.0, 1.0, (1, m)) for p in POINTS})
+    return stacked(LieValuedOneForm, "u", {p: rng.uniform(-1.0, 1.0, (1, m)) for p in POINTS})
 
 
 class TestOneInversePerElement:
@@ -112,7 +113,7 @@ class TestKeptInverseKeepsTheFailureOrder:
     def failing_element() -> MatrixField:
         # point 0 leaves so(2): its conjugates and g^-1 dg are not
         # rotations; point 1 is exactly singular
-        return MatrixField("u", 2, 2, {
+        return stacked(MatrixField, "u", {
             0: JetMatrix(np.diag([2.0, 1.0]), np.diag([1.0, 0.0])[None]),
             1: JetMatrix(np.zeros((2, 2)), np.zeros((1, 2, 2))),
         })
@@ -135,9 +136,9 @@ def scaled_at(scale: dict, seed: int = 3) -> MatrixField:
     """``element(seed)`` with its value and gradient at point p multiplied
     by ``scale.get(p, 1)``, so its determinant by the square of that."""
     g = element(seed)
-    return MatrixField("u", 2, 2, {p: JetMatrix(m.value * scale.get(p, 1.0),
-                                                m.grad * scale.get(p, 1.0))
-                                   for p, m in g.data.items()})
+    return stacked(MatrixField, "u", {p: JetMatrix(m.value * scale.get(p, 1.0),
+                                                   m.grad * scale.get(p, 1.0))
+                                      for p, m in g.data.items()})
 
 
 class TestOneInvertibilityRule:
@@ -159,8 +160,8 @@ class TestOneInvertibilityRule:
     def test_an_inverse_of_a_large_element_keeps_its_inverses(self):
         # |det g^-1| = 1e-10 is below the floor, but g is its kept inverse
         model = gl_model(2)
-        g = MatrixField("u", 2, 2, {p: JetMatrix(np.diag([1e5, 1e5]), m.grad)
-                                    for p, m in element().data.items()})
+        g = stacked(MatrixField, "u", {p: JetMatrix(np.diag([1e5, 1e5]), m.grad)
+                                       for p, m in element().data.items()})
         gi = mat_inv(g)
         assert abs(float(np.linalg.det(gi.data[0].value))) < DET_FLOOR
         back = mat_inv(gi)

@@ -37,7 +37,7 @@ from sheafgauge import (
     transport_form,
 )
 from conftest import trivial_principal
-from helpers import coord, map_entries
+from helpers import coord, map_entries, stacked
 from sheafgauge.scenario import build_cover, build_group, build_principal, build_seed
 
 
@@ -72,9 +72,9 @@ def one_directional_principal() -> PrincipalSheafData:
 
 
 def zero_forms(cover, charts, rank) -> PrincipalConnection:
-    return PrincipalConnection({rid: LieValuedOneForm(rid, {p: np.zeros((1, rank))
-                                                            for p in cover.regions[rid]})
-                                for rid in charts})
+    return PrincipalConnection({
+        rid: stacked(LieValuedOneForm, rid, {p: np.zeros((1, rank)) for p in cover.regions[rid]})
+        for rid in charts})
 
 
 class TestCocycle:
@@ -169,8 +169,8 @@ class TestCheckConnection:
     def test_trivial_cocycle_equal_constant_forms(self, cover12):
         model = so2_model()
         P = trivial_principal(cover12, model)
-        forms = {rid: LieValuedOneForm(rid, {p: [[0.7]]
-                                             for p in cover12.regions[rid]})
+        forms = {rid: stacked(LieValuedOneForm, rid, {p: [[0.7]]
+                                                      for p in cover12.regions[rid]})
                  for rid in cover12.region_ids()}
         assert check_connection(P, PrincipalConnection(forms)).residual == 0.0
 
@@ -180,8 +180,8 @@ class TestCheckConnection:
 
     def test_zero_forms_residual_is_mc_magnitude(self, shear_pipe):
         P = shear_pipe.P
-        forms = {rid: LieValuedOneForm(rid, {p: np.zeros((1, 4))
-                                             for p in P.cover.regions[rid]})
+        forms = {rid: stacked(LieValuedOneForm, rid, {p: np.zeros((1, 4))
+                                                      for p in P.cover.regions[rid]})
                  for rid in P.cover.region_ids()}
         r = check_connection(P, PrincipalConnection(forms))
         ov = P.cover.overlap_points("alpha", "beta")
@@ -211,7 +211,7 @@ class TestCompleteConnection:
     def test_trivial_cocycle_transports_seed(self, cover12):
         model = gl1_positive_model()
         P = trivial_principal(cover12, model)
-        seed = LieValuedOneForm("alpha", {p: [[np.sin(p)]] for p in cover12.points})
+        seed = stacked(LieValuedOneForm, "alpha", {p: [[np.sin(p)]] for p in cover12.points})
         D = complete_connection(P, ("alpha", seed))
         for rid in cover12.region_ids():
             for p in cover12.regions[rid]:
@@ -220,7 +220,7 @@ class TestCompleteConnection:
     def test_so2_zero_seed_gives_mc_of_cocycle(self):
         rows = "row = cos(t); -sin(t)\nrow = sin(t); cos(t)"
         scn, cover, group, P = two_arc_principal("so(2)", rows)
-        seed = LieValuedOneForm("alpha", {p: [[0.0]] for p in cover.points})
+        seed = stacked(LieValuedOneForm, "alpha", {p: [[0.0]] for p in cover.points})
         D = complete_connection(P, ("alpha", seed))
         # rotation cocycle has logarithmic differential J dt, coefficient 1
         for p in cover.regions["beta"]:
@@ -270,8 +270,7 @@ coeffs = 0
         ov = cover12.overlap_points("alpha", "beta")
         entries = {("alpha", "beta"): model.unit_field("alpha", ov, 1)}
         P = PrincipalSheafData.from_pairs(cover12, model, entries)
-        seed = LieValuedOneForm(
-            "alpha", {p: [[1.0]] for p in cover12.regions["alpha"]})
+        seed = stacked(LieValuedOneForm, "alpha", {p: [[1.0]] for p in cover12.regions["alpha"]})
         with pytest.raises(MissingExtensionError):
             complete_connection(P, ("alpha", seed))
 
@@ -279,7 +278,7 @@ coeffs = 0
         cover = circle_cover(12, {"u": arc_range(0, 5, 12),
                                   "v": arc_range(6, 11, 12)})
         P = PrincipalSheafData.from_pairs(cover, gl1_positive_model(), {})
-        seed = LieValuedOneForm("u", {p: [[0.0]] for p in cover.points})
+        seed = stacked(LieValuedOneForm, "u", {p: [[0.0]] for p in cover.points})
         with pytest.raises(CoverError):
             complete_connection(P, ("u", seed))
 
@@ -295,7 +294,7 @@ coeffs = 0
             jac[("v", "u", p)] = [[0.5]]
         cover = SampledCover(pts, {"u": pts, "v": pts}, coords, jac)
         P = trivial_principal(cover, gl1_positive_model())
-        seed = LieValuedOneForm("u", {p: [[0.0]] for p in pts})
+        seed = stacked(LieValuedOneForm, "u", {p: [[0.0]] for p in pts})
         with pytest.raises(CoverError):
             complete_connection(P, ("u", seed))
 
@@ -314,8 +313,8 @@ class TestEvaluateConnection:
     def test_flat_trivial_data_gives_pure_gauge(self, cover12):
         model = so2_model()
         P = trivial_principal(cover12, model)
-        forms = {rid: LieValuedOneForm(rid, {p: [[0.0]]
-                                             for p in cover12.regions[rid]})
+        forms = {rid: stacked(LieValuedOneForm, rid, {p: [[0.0]]
+                                                      for p in cover12.regions[rid]})
                  for rid in cover12.region_ids()}
         D = PrincipalConnection(forms)
         rng = random.Random(3)

@@ -58,8 +58,6 @@ EXIT_2 = {
 
 _ORACLE = ("per-point jet arithmetic: the reference that tests check the stack "
            "kernels against, which ROADMAP item 12 moves to tests/")
-_MAPPING = ("builds a field from a mapping of points to entries, as tests do; "
-            "reports build every field from a stack")
 _GUARD = "refuses assignment: an immutability guard, which no valid path calls"
 
 # Every function the job never calls, by qualified name, with the reason it stays.
@@ -69,15 +67,10 @@ LEDGER: dict[str, str] = {
         "jets.Jet.__rsub__", "jets.Jet.__neg__", "jets.Jet.__mul__", "jets.Jet.__truediv__",
         "jets.Jet.__rtruediv__", "jets.Jet.sin", "jets.Jet.cos", "jets.Jet.exp",
         "jets.Jet.max_abs_diff", "jets.Jet.__repr__", "jets.jet_mul",
+        "jets.JetMatrix.rows", "jets.JetMatrix.cols", "jets.JetMatrix.dim",
         "jets.JetMatrix.matmul", "jets.JetMatrix.scale", "jets.JetMatrix.inv",
         "jets.JetMatrix.max_abs_diff", "jets.JetMatrix.__repr__", "jets.max_diff",
     ], _ORACLE),
-    **dict.fromkeys([
-        "jets._StackedField._from_mapping", "jets.ScalarField.__init__",
-        "jets.ScalarField._check_entry", "jets.ScalarField._stack",
-        "jets.OneForm.__init__", "jets.MatrixOneForm.__init__",
-        "groups.LieValuedOneForm.__init__",
-    ], _MAPPING),
     **dict.fromkeys([
         "jets.Jet.__setattr__", "jets.JetMatrix.__setattr__", "jets._StackedField.__setattr__",
     ], _GUARD),

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import stacked
 from sheafgauge import (
     Jet,
     JetMatrix,
@@ -69,7 +70,7 @@ def frame(chart, phase, points):
         v = [[2 + np.sin(t + phase), np.cos(t)], [0.0, 1.5 + 0.5 * np.cos(t + phase)]]
         dv = [[np.cos(t + phase), -np.sin(t)], [0.0, -0.5 * np.sin(t + phase)]]
         out[p] = JetMatrix(v, [np.array(dv) / SCALE[chart]])
-    return MatrixField(chart, 2, 2, out)
+    return stacked(MatrixField, chart, out)
 
 
 def long_arcs_bundle():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import trivial_principal
-from helpers import coord
+from helpers import coord, stacked
 from sheafgauge import (
     AssociatedSection,
     Jet,
@@ -44,7 +44,7 @@ def zero_connection(E):
     forms = {}
     for rid in E.cover.region_ids():
         dim = E.cover.dim(rid)
-        forms[rid] = LieValuedOneForm(rid, {
+        forms[rid] = stacked(LieValuedOneForm, rid, {
             p: np.zeros((dim, E.group.ambient ** 2))
             for p in E.cover.regions[rid]})
     return PrincipalConnection(forms)
@@ -81,7 +81,7 @@ class TestInduce:
         bad = dict(forms["alpha"].data)
         p0 = sorted(so2_pipe.cover.overlap_points("alpha", "beta"))[0]
         bad[p0] = bad[p0] + 1e-3
-        forms["alpha"] = LieValuedOneForm("alpha", bad)
+        forms["alpha"] = stacked(LieValuedOneForm, "alpha", bad)
         crooked = PrincipalConnection(forms)
         with pytest.raises(PreconditionError) as exc:
             induce_connection(so2_pipe.P, so2_pipe.R, crooked)
@@ -92,7 +92,7 @@ class TestInduce:
         p0 = sorted(so2_pipe.cover.overlap_points("alpha", "beta"))[0]
         bumped = dict(forms["alpha"].data)
         bumped[p0] = bumped[p0] + 1e-3
-        forms["alpha"] = LieValuedOneForm("alpha", bumped)
+        forms["alpha"] = stacked(LieValuedOneForm, "alpha", bumped)
         with pytest.raises(PreconditionError) as exc:
             induce_connection(so2_pipe.P, so2_pipe.R, PrincipalConnection(forms))
         assert exc.value.point == p0
@@ -103,11 +103,14 @@ class TestInduce:
         cover = SampledCover(range(4), {"a": range(4)},
                              {("a", p): [p / 4] for p in range(4)})
         P = trivial_principal(cover, gl_model(2))
-        D = PrincipalConnection({"a": LieValuedOneForm("a", {})})
-        theta = induce_connection(P, trivial_rep(2), D).form("a")
-        assert isinstance(theta, LieValuedOneForm)
-        assert theta.coeffs.shape == (0, 0, 2 * 2)
-        assert (theta.region, len(theta)) == ("a", 0)
+        full = stacked(LieValuedOneForm, "a", {p: np.ones((1, 4)) for p in range(4)})
+        for empty in (LieValuedOneForm.from_stack("a", [], np.zeros((0, 1, 4))),
+                      full.restrict(set())):
+            D = PrincipalConnection({"a": empty})
+            theta = induce_connection(P, trivial_rep(2), D).form("a")
+            assert isinstance(theta, LieValuedOneForm)
+            assert theta.coeffs.shape == (0, 1, 2 * 2)
+            assert (theta.region, len(theta)) == ("a", 0)
 
     def test_incompatible_representation_rejected(self, so2_pipe):
         scaled = RepresentationModel("stretched", so2_model(), 2,
@@ -121,7 +124,7 @@ class TestTransitionLaw:
         E = push_cocycle(trivial_principal(cover12, gl_model(2)),
                          trivial_rep(2))
         th = np.array([[0.3, -1.2], [0.7, 0.4]])
-        forms = {rid: LieValuedOneForm(rid, {
+        forms = {rid: stacked(LieValuedOneForm, rid, {
             p: th.reshape(1, 4).copy() for p in cover12.regions[rid]})
             for rid in cover12.region_ids()}
         r = check_connection(E, PrincipalConnection(forms))
@@ -154,7 +157,7 @@ class TestNablaApply:
         comps = {}
         for rid in E.cover.region_ids():
             dim = E.cover.dim(rid)
-            comps[rid] = MatrixField(rid, E.group.ambient, 1, {
+            comps[rid] = stacked(MatrixField, rid, {
                 p: JetMatrix(np.zeros((E.group.ambient, 1)),
                              np.zeros((dim, E.group.ambient, 1)))
                 for p in E.cover.regions[rid]})
@@ -185,13 +188,13 @@ class TestKoszul:
     def test_constant_one_is_exact(self, so2_pipe):
         E = so2_pipe.E
         s = random_section(E, random.Random(23))
-        ones = ScalarField("base", {p: Jet(1.0, [0.0])
-                                    for p in E.cover.points})
+        ones = stacked(ScalarField, "base", {p: Jet(1.0, [0.0])
+                                             for p in E.cover.points})
         assert check_leibniz_koszul(E, so2_pipe.nab, ones, s).residual == 0.0
 
     def test_zero_section_is_exact(self, so2_pipe):
         E = so2_pipe.E
-        comps = {rid: MatrixField(rid, E.group.ambient, 1, {
+        comps = {rid: stacked(MatrixField, rid, {
             p: JetMatrix(np.zeros((E.group.ambient, 1)), np.zeros((1, E.group.ambient, 1)))
             for p in E.cover.regions[rid]})
             for rid in E.cover.region_ids()}
@@ -209,7 +212,7 @@ class TestKoszul:
 
     def test_coordinate_field(self, so2_pipe):
         E = so2_pipe.E
-        a = ScalarField("base", {
+        a = stacked(ScalarField, "base", {
             p: Jet(float(coord(so2_pipe.cover, "alpha", p)[0])
                    if p in so2_pipe.cover.regions["alpha"]
                    else float(coord(so2_pipe.cover, "beta", p)[0]), [1.0])
@@ -235,7 +238,7 @@ class TestPullBack:
     def test_off_image_matrices_rejected(self, so2_pipe):
         E = so2_pipe.E
         sym = np.array([[0.0, 1.0], [1.0, 0.0]])
-        forms = {rid: LieValuedOneForm(rid, {
+        forms = {rid: stacked(LieValuedOneForm, rid, {
             p: sym.reshape(1, 4).copy() for p in E.cover.regions[rid]})
             for rid in E.cover.region_ids()}
         with pytest.raises(PullbackImageError) as exc:
